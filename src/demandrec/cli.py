@@ -7,7 +7,7 @@ and ``rank-demo`` dumps the low-rank-versus-full-rank spectra.
 
 Configuration is a flat ``key = value`` namespace resolved in order:
 built-in defaults, then ``--config`` file, then ``--set key=value`` overrides,
-then the direct ``--seed/--threads/--output-dir`` flags.  Every command
+then the direct ``--seed/--output-dir`` flags.  Every command
 writes the resolved configuration beside its outputs.
 """
 
@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import synthetic
 from .data import (
-    CategoryMap,
     PurchaseLog,
     build_recency_index,
     export_log,
@@ -48,6 +46,21 @@ from .evaluate import (
 )
 from .utility import SolverConfig
 
+# help text of each SolverConfig field; the field itself gives key and default
+_SOLVER_HELP = {
+    "eta": "weight on observed purchases versus unlabeled cells",
+    "lam": "nuclear-norm regularization strength",
+    "tau": "demand decision threshold",
+    "gamma": "gradient step size (0 = choose automatically)",
+    "max_rank": "rank cap for the factored utility matrix",
+    "oversample": "extra sketch columns for the randomized SVD",
+    "power_iters": "power iterations for the randomized SVD",
+    "inner_iters": "proximal gradient steps per utility update",
+    "outer_iters": "alternating rounds over durations and utilities",
+    "tol": "relative objective change that counts as converged",
+    "seed": "top-level seed; every stage derives its stream from it",
+}
+
 # key, default, help; types are inferred from the defaults
 CONFIG_SCHEMA = [
     ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)"),
@@ -56,17 +69,7 @@ CONFIG_SCHEMA = [
     ("timestamp_format", "days", "purchase timestamp format: 'days' or 'iso'"),
     ("split_fraction", 0.1, "per-user fraction of records held out for testing"),
     ("init_model", "", "optional saved model to warm-start train from"),
-    ("eta", 0.5, "weight on observed purchases versus unlabeled cells"),
-    ("lam", 1.0, "nuclear-norm regularization strength"),
-    ("tau", 0.5, "demand decision threshold"),
-    ("gamma", 0.0, "gradient step size (0 = choose automatically)"),
-    ("max_rank", 10, "rank cap for the factored utility matrix"),
-    ("oversample", 10, "extra sketch columns for the randomized SVD"),
-    ("power_iters", 2, "power iterations for the randomized SVD"),
-    ("inner_iters", 15, "proximal gradient steps per utility update"),
-    ("outer_iters", 30, "alternating rounds over durations and utilities"),
-    ("tol", 1e-4, "relative objective change that counts as converged"),
-    ("seed", 0, "top-level seed; every stage derives its stream from it"),
+    *((f.name, f.default, _SOLVER_HELP[f.name]) for f in dataclasses.fields(SolverConfig)),
     ("m", 1000, "synthetic user count"),
     ("n", 1000, "synthetic item count"),
     ("l", 200, "synthetic time slot count"),
@@ -79,7 +82,6 @@ CONFIG_SCHEMA = [
     ("demo_m", 50, "rank demo: rows"),
     ("demo_n", 100, "rank demo: columns"),
     ("demo_rank", 10, "rank demo: true rank of the utility matrix"),
-    ("threads", 0, "cap kernel threads (0 = leave the library default)"),
     ("output_dir", "out", "directory all artifacts are written to"),
 ]
 DEFAULTS = {key: default for key, default, _ in CONFIG_SCHEMA}
@@ -136,8 +138,6 @@ def resolve(args: argparse.Namespace) -> dict:
         cfg[key] = _coerce(key, value.strip())
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg["threads"] = args.threads
     if getattr(args, "output_dir", None) is not None:
         cfg["output_dir"] = args.output_dir
     return cfg
@@ -161,47 +161,8 @@ def write_resolved(cfg: dict, outdir: Path, command: str) -> None:
     (outdir / f"resolved_{command}.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _apply_threads(cfg: dict) -> None:
-    if cfg["threads"] < 1:
-        return
-    try:
-        import numba
-    except ImportError:
-        return
-    numba.set_num_threads(min(cfg["threads"], numba.config.NUMBA_NUM_THREADS))
-
-
 def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(
-        eta=cfg["eta"],
-        lam=cfg["lam"],
-        tau=cfg["tau"],
-        gamma=cfg["gamma"],
-        max_rank=cfg["max_rank"],
-        oversample=cfg["oversample"],
-        power_iters=cfg["power_iters"],
-        inner_iters=cfg["inner_iters"],
-        outer_iters=cfg["outer_iters"],
-        tol=cfg["tol"],
-        seed=cfg["seed"],
-    )
-
-
-def _write_dense_cats(cats: CategoryMap, path: Path) -> None:
-    lines = [f"{cats.assignment.shape[0]} {cats.r}"]
-    lines.extend(str(int(c)) for c in cats.assignment)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_dense_cats(path: Path) -> CategoryMap:
-    lines = path.read_text(encoding="utf-8").split()
-    if len(lines) < 2:
-        raise DataFormatError(f"{path}: truncated category file")
-    n, r = int(lines[0]), int(lines[1])
-    if len(lines) != 2 + n:
-        raise DataFormatError(f"{path}: expected {n} assignments, found {len(lines) - 2}")
-    assignment = np.array([int(v) for v in lines[2:]], dtype=np.int64)
-    return CategoryMap(assignment=assignment, r=r)
+    return SolverConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(SolverConfig)})
 
 
 def cmd_synth(cfg: dict) -> int:
@@ -243,15 +204,9 @@ def cmd_train(cfg: dict) -> int:
                            timestamp_format=cfg["timestamp_format"])
     cats = ingest_categories(categories, log)
     split = split_train_test(log, cfg["split_fraction"], seed=cfg["seed"])
-    export_log(split.train, outdir / "train_log.txt")
-    if split.n_test > 0:
-        test = PurchaseLog(
-            users=split.test_users, items=split.test_items, slots=split.test_slots,
-            m=log.m, n=log.n, l=log.l,
-            user_labels=log.user_labels, item_labels=log.item_labels,
-        )
-        export_log(test, outdir / "test_triplets.txt")
-    _write_dense_cats(cats, outdir / "categories.txt")
+    test = PurchaseLog(users=split.test_users, items=split.test_items,
+                       slots=split.test_slots, m=log.m, n=log.n, l=log.l)
+    export_log(split.train, test, cats, outdir / "split.bin")
 
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
     state, report = fit(split.train, cats, _solver_config(cfg), init=init)
@@ -266,9 +221,9 @@ def cmd_train(cfg: dict) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     outdir = _outdir(cfg)
     model = load_model(outdir / "model.bin")
-    train = load_log(outdir / "train_log.txt")
-    test = load_log(outdir / "test_triplets.txt")
-    cats = _load_dense_cats(outdir / "categories.txt")
+    train, test, cats = load_log(outdir / "split.bin")
+    if test.nnz == 0:
+        raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     if (model.m, model.n) != (train.m, train.n) or model.r != cats.r:
         raise ConfigError(
             f"model dims ({model.m}x{model.n}, r={model.r}) do not match the "
@@ -307,8 +262,7 @@ def cmd_evaluate(cfg: dict) -> int:
 def cmd_recommend(cfg: dict, user: int, slot: int, topn: int) -> int:
     outdir = _outdir(cfg)
     model = load_model(outdir / "model.bin")
-    train = load_log(outdir / "train_log.txt")
-    cats = _load_dense_cats(outdir / "categories.txt")
+    train, _, cats = load_log(outdir / "split.bin")
     if not 0 <= user < model.m:
         raise ConfigError(f"user must be in [0, {model.m}), got {user}")
     if not 0 <= slot:
@@ -354,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     common.add_argument("--seed", type=int, help="override the top-level seed")
-    common.add_argument("--threads", type=int, help="cap kernel threads")
     common.add_argument("--output-dir", help="artifact directory")
     sub = parser.add_subparsers(dest="command", metavar="command")
     kwargs = dict(parents=[common], epilog=_config_help(),
@@ -389,7 +342,6 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = resolve(args)
-        _apply_threads(cfg)
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "train":

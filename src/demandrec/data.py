@@ -1,4 +1,5 @@
-"""Purchase-log ingestion, category maps, recency lookups, and splitting.
+"""Purchase-log ingestion, category maps, recency lookups, splitting, and the
+checksummed binary container of the split bundle and the model file.
 
 The central object is a :class:`PurchaseLog`: a deduplicated, lexicographically
 sorted set of (user, item, slot) triplets with dense integer ids.  Slots are
@@ -10,7 +11,9 @@ slot k", which is the time feature the solver and the predictor consume.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -182,65 +185,6 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
         user_labels=user_labels,
         item_labels=item_labels,
     )
-
-
-def export_log(log: PurchaseLog, path) -> None:
-    """Write the canonical text form: header ``m n l nnz``, then sorted
-    ``user item slot`` rows with dense ids."""
-    with open(path, "w") as fh:
-        fh.write(f"{log.m} {log.n} {log.l} {log.nnz}\n")
-        chunk = 1_000_000
-        for a in range(0, log.nnz, chunk):
-            b = min(a + chunk, log.nnz)
-            rows = [
-                f"{u} {i} {k}"
-                for u, i, k in zip(
-                    log.users[a:b].tolist(),
-                    log.items[a:b].tolist(),
-                    log.slots[a:b].tolist(),
-                )
-            ]
-            fh.write("\n".join(rows))
-            fh.write("\n")
-
-
-def load_log(path) -> PurchaseLog:
-    """Read a log written by :func:`export_log` back, verbatim."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise DataFormatError(f"{path}: bad header, expected 'm n l nnz'")
-        try:
-            m, n, l, nnz = (int(x) for x in header)
-        except ValueError:
-            raise DataFormatError(f"{path}: bad header, expected 'm n l nnz'") from None
-        body = fh.read().split()
-    if len(body) != 3 * nnz:
-        raise DataFormatError(
-            f"{path}: expected {3 * nnz} triplet fields, found {len(body)}"
-        )
-    try:
-        flat = np.array(body, dtype=np.int64)
-    except ValueError:
-        raise DataFormatError(f"{path}: non-integer triplet field") from None
-    triplets = flat.reshape(nnz, 3)
-    users, items, slots = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    if nnz == 0:
-        raise DataFormatError(f"{path}: empty log")
-    if (
-        users.min() < 0
-        or users.max() >= m
-        or items.min() < 0
-        or items.max() >= n
-        or slots.min() < 0
-        or slots.max() >= l
-    ):
-        raise DataFormatError(f"{path}: triplet out of declared bounds")
-    log = _build_log(users, items, slots, m=m, n=n)
-    if log.nnz != nnz:
-        raise DataFormatError(f"{path}: duplicate triplets in exported log")
-    log.l = l  # trailing empty slots are allowed in the declared horizon
-    return log
 
 
 @dataclass(eq=False)
@@ -439,3 +383,134 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
         fraction=fraction,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# binary container shared by the split bundle and the model file:
+#
+#   magic (8 bytes) | version <u4 | entries | sha256 of every byte before it
+#   entry: name <16s (NUL-padded) | dtype <3s | ndim <u1 | shape <u8 * ndim | data
+#
+# Arrays are stored little-endian in C order.  A spec lists the entries of one
+# file format in order as ``(name, dtype, ndim)``; writer and reader share it.
+
+
+def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
+    """Write ``arrays`` (name -> array-like) in ``spec`` order, cast to the
+    spec dtypes, to one checksummed file."""
+    parts = [magic, struct.pack("<I", version)]
+    for name, dtype, ndim in spec:
+        array = np.asarray(arrays[name], dtype=dtype)
+        parts.append(struct.pack("<16s3sB", name.encode(), dtype.encode(), ndim))
+        parts.append(struct.pack(f"<{ndim}Q", *array.shape))
+        parts.append(array.tobytes())
+    body = b"".join(parts)
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
+
+
+def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> dict:
+    """Read a file written by :func:`_write_arrays` into native arrays.
+
+    Checks the magic, then the version, then that the entries end exactly
+    where the digest starts, then the digest; a failure raises ``error``.
+    """
+    with open(path, "rb") as fh:
+        buf = memoryview(fh.read())
+    if buf[: len(magic)] != magic:
+        raise error(f"{path}: not a {kind}")
+    off = len(magic) + 4
+    end = len(buf) - 32
+    if len(buf) < off:
+        raise error(f"{path}: truncated {kind}")
+    (found,) = struct.unpack_from("<I", buf, len(magic))
+    if found != version:
+        raise error(f"{path}: unsupported {kind} version {found}")
+
+    def take(count):
+        nonlocal off
+        if off + count > end:
+            raise error(f"{path}: truncated {kind}")
+        off += count
+        return buf[off - count : off]
+
+    raw = []
+    for name, dtype, ndim in spec:
+        key, code, dims = struct.unpack("<16s3sB", take(20))
+        if (key.rstrip(b"\0"), code, dims) != (name.encode(), dtype.encode(), ndim):
+            raise error(f"{path}: expected {dtype} array {name!r} of {ndim} dims in {kind}")
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        raw.append((take(math.prod(shape) * np.dtype(dtype).itemsize), shape))
+    if off != end:
+        raise error(f"{path}: trailing bytes in {kind}")
+    if hashlib.sha256(buf[:end]).digest() != buf[end:]:
+        raise error(f"{path}: digest mismatch (corrupt {kind})")
+    # astype copies into aligned, writable arrays of native byte order
+    return {
+        name: np.frombuffer(data, dtype=dtype).astype(dtype[1:]).reshape(shape)
+        for (name, dtype, _), (data, shape) in zip(spec, raw)
+    }
+
+
+# ---------------------------------------------------------------------------
+# split bundle: what train hands to evaluate and recommend
+
+_SPLIT_MAGIC = b"DRECSPL\x00"
+_SPLIT_VERSION = 1
+_SPLIT_SPEC = (
+    ("dims", "<i8", 1),  # m n l r
+    ("train", "<i8", 2),  # rows: users, items, slots
+    ("test", "<i8", 2),
+    ("assignment", "<i8", 1),
+)
+
+
+def export_log(train: PurchaseLog, test: PurchaseLog, cats: CategoryMap, path) -> None:
+    """Write a train/test split and its category map as one bundle: the
+    dimensions ``m n l r``, both sorted triplet sets with dense ids (the
+    test set may be empty) and the dense item -> category assignment."""
+    _write_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC, {
+        "dims": [train.m, train.n, train.l, cats.r],
+        "train": [train.users, train.items, train.slots],
+        "test": [test.users, test.items, test.slots],
+        "assignment": cats.assignment,
+    })
+
+
+def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
+    """Validate one triplet block of a bundle: 3 rows, within the declared
+    bounds, strictly sorted (so free of duplicates)."""
+    if triplets.shape[0] != 3:
+        raise DataFormatError(f"{path}: triplet block has {triplets.shape[0]} rows, expected 3")
+    users, items, slots = triplets
+    if users.shape[0] and (
+        users.min() < 0 or users.max() >= m
+        or items.min() < 0 or items.max() >= n
+        or slots.min() < 0 or slots.max() >= l
+    ):
+        raise DataFormatError(f"{path}: triplet out of declared bounds")
+    du, di, dk = np.diff(users), np.diff(items), np.diff(slots)
+    if not np.all((du > 0) | ((du == 0) & ((di > 0) | ((di == 0) & (dk > 0))))):
+        raise DataFormatError(f"{path}: duplicate or unsorted triplets in split bundle")
+    # the declared horizon is kept: it may end in empty slots
+    return PurchaseLog(users=users, items=items, slots=slots, m=m, n=n, l=l)
+
+
+def load_log(path) -> tuple[PurchaseLog, PurchaseLog, CategoryMap]:
+    """Read a bundle written by :func:`export_log` back, verbatim, as
+    ``(train, test, cats)``; ``test`` may hold no records."""
+    arrays = _read_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC,
+                          DataFormatError, "split bundle")
+    if arrays["dims"].shape != (4,):
+        raise DataFormatError(f"{path}: expected dims 'm n l r'")
+    m, n, l, r = (int(v) for v in arrays["dims"])
+    train = _bundled_log(path, arrays["train"], m, n, l)
+    if train.nnz == 0:
+        raise DataFormatError(f"{path}: empty train log")
+    test = _bundled_log(path, arrays["test"], m, n, l)
+    assignment = arrays["assignment"]
+    if assignment.shape[0] != n:
+        raise DataFormatError(f"{path}: expected {n} category assignments, "
+                              f"found {assignment.shape[0]}")
+    return train, test, CategoryMap(assignment=assignment, r=r)

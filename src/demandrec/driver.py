@@ -13,15 +13,20 @@ aborts with a diagnostic.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import CategoryMap, PurchaseLog, RecencyIndex, build_recency_index
+from .data import (
+    CategoryMap,
+    PurchaseLog,
+    RecencyIndex,
+    _read_arrays,
+    _write_arrays,
+    build_recency_index,
+)
 from .durations import build_worksets, update_durations
 from .errors import ModelFileError, SolverError
 from .utility import (
@@ -35,7 +40,7 @@ from .utility import (
 )
 
 _MAGIC = b"DRECMDL\x00"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -190,8 +195,8 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# model file: magic, version, dims, little-endian float64 arrays, config text
-# with a sha256 digest.  save -> load -> save is byte-identical.
+# model file: the factors, durations, provenance and config text in the
+# checksummed container of ``data``.  save -> load -> save is byte-identical.
 
 
 def _config_text(cfg: SolverConfig) -> bytes:
@@ -216,78 +221,44 @@ def _config_from_text(text: str) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+_MODEL_SPEC = (
+    ("U", "<f8", 2),
+    ("sigma", "<f8", 1),
+    ("V", "<f8", 2),
+    ("d", "<f8", 1),
+    ("l", "<i8", 0),
+    ("history", "<f8", 1),
+    ("iterations", "<i8", 0),
+    ("flags", "<i8", 1),
+    ("config", "|u1", 1),  # last, so it ends right before the digest
+)
+
+
 def save_model(state: ModelState, path) -> None:
-    cfg_bytes = _config_text(state.config)
-    k = state.X.rank
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<5Q", state.m, state.n, state.l, state.r, k),
-        np.ascontiguousarray(state.X.U, dtype="<f8").tobytes(),
-        np.ascontiguousarray(state.X.sigma, dtype="<f8").tobytes(),
-        np.ascontiguousarray(state.X.V, dtype="<f8").tobytes(),
-        np.ascontiguousarray(state.d, dtype="<f8").tobytes(),
-        struct.pack("<Q", len(state.objective_history)),
-        np.asarray(state.objective_history, dtype="<f8").tobytes(),
-        struct.pack("<Q", state.iterations),
-        struct.pack("<Q", len(state.duration_flags)),
-        np.asarray(state.duration_flags, dtype="<i8").tobytes(),
-        struct.pack("<Q", len(cfg_bytes)),
-        cfg_bytes,
-        hashlib.sha256(cfg_bytes).digest(),
-    ]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    _write_arrays(path, _MAGIC, _VERSION, _MODEL_SPEC, {
+        "U": state.X.U,
+        "sigma": state.X.sigma,
+        "V": state.X.V,
+        "d": state.d,
+        "l": state.l,
+        "history": state.objective_history,
+        "iterations": state.iterations,
+        "flags": state.duration_flags,
+        "config": np.frombuffer(_config_text(state.config), dtype=np.uint8),
+    })
 
 
 def load_model(path) -> ModelState:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(_MAGIC) + 4 or buf[: len(_MAGIC)] != _MAGIC:
-        raise ModelFileError(f"{path}: not a model file")
-    off = len(_MAGIC)
-
-    def take(n):
-        nonlocal off
-        if off + n > len(buf):
-            raise ModelFileError(f"{path}: truncated model file")
-        out = buf[off : off + n]
-        off += n
-        return out
-
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise ModelFileError(f"{path}: unsupported model version {version}")
-    m, n, l, r, k = struct.unpack("<5Q", take(40))
-
-    def farray(count):
-        return np.frombuffer(take(8 * count), dtype="<f8").astype(float)
-
-    U = farray(m * k).reshape(m, k)
-    sigma = farray(k)
-    V = farray(n * k).reshape(n, k)
-    d = farray(r)
-    (hist_len,) = struct.unpack("<Q", take(8))
-    history = farray(hist_len).tolist()
-    (iterations,) = struct.unpack("<Q", take(8))
-    (n_flags,) = struct.unpack("<Q", take(8))
-    flags = tuple(
-        int(x) for x in np.frombuffer(take(8 * n_flags), dtype="<i8")
-    )
-    (cfg_len,) = struct.unpack("<Q", take(8))
-    cfg_bytes = take(cfg_len)
-    digest = take(32)
-    if off != len(buf):
-        raise ModelFileError(f"{path}: trailing bytes in model file")
-    if hashlib.sha256(cfg_bytes).digest() != digest:
-        raise ModelFileError(f"{path}: config digest mismatch (corrupt file)")
-    cfg = _config_from_text(cfg_bytes.decode())
+    arrays = _read_arrays(path, _MAGIC, _VERSION, _MODEL_SPEC, ModelFileError, "model file")
+    U, sigma, V = arrays["U"], arrays["sigma"], arrays["V"]
+    if not U.shape[1] == sigma.shape[0] == V.shape[1]:
+        raise ModelFileError(f"{path}: factor ranks disagree in model file")
     return ModelState(
         X=FactoredUtilityMatrix(U, sigma, V),
-        d=d,
-        config=cfg,
-        objective_history=history,
-        iterations=int(iterations),
-        duration_flags=flags,
-        l=int(l),
+        d=arrays["d"],
+        config=_config_from_text(arrays["config"].tobytes().decode()),
+        objective_history=arrays["history"].tolist(),
+        iterations=int(arrays["iterations"]),
+        duration_flags=tuple(arrays["flags"].tolist()),
+        l=int(arrays["l"]),
     )

@@ -1,47 +1,20 @@
-"""Numerical hot loops, with optional numba acceleration.
+"""Numerical hot loops of the solver and the recency index.
 
-Every kernel exists in two functionally equivalent versions: a vectorized
-pure-numpy implementation and a compiled loop.  The active set is chosen at
-import time; set ``DEMANDREC_KERNELS=numpy`` to force the fallback path even
-when numba is installed.  ``benchmarks/bench_kernels.py`` times both.
+Each kernel is a vectorized numpy function over flat arrays; none of them
+loops in Python over records, pairs or slots.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("DEMANDREC_KERNELS", "").lower() != "numpy"
 
 
 # ---------------------------------------------------------------------------
 # pair_values: entries of a factored matrix U diag(sigma) V^T at index pairs.
 
 
-def pair_values_numpy(U, sigma, V, pair_users, pair_items):
+def pair_values(U, sigma, V, pair_users, pair_items):
     return np.einsum("pk,k,pk->p", U[pair_users], sigma, V[pair_items])
-
-
-def _pair_values_loop(U, sigma, V, pair_users, pair_items):
-    npairs = pair_users.shape[0]
-    k = sigma.shape[0]
-    out = np.empty(npairs)
-    for p in range(npairs):
-        u = pair_users[p]
-        j = pair_items[p]
-        acc = 0.0
-        for a in range(k):
-            acc += U[u, a] * sigma[a] * V[j, a]
-        out[p] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +23,10 @@ def _pair_values_loop(U, sigma, V, pair_users, pair_items):
 # (user, item) pair; pairs are contiguous because triplets are stored sorted.
 
 
-def hinge_stats_numpy(targets, pair_x, pair_index, n_pairs):
+def hinge_stats(targets, pair_x, pair_index, n_pairs):
     gap = np.maximum(targets - pair_x[pair_index], 0.0)
     sums = np.bincount(pair_index, weights=gap, minlength=n_pairs)
     return sums, float(gap @ gap)
-
-
-def _hinge_stats_loop(targets, pair_x, pair_index, n_pairs):
-    sums = np.zeros(n_pairs)
-    total_sq = 0.0
-    for t in range(targets.shape[0]):
-        gap = targets[t] - pair_x[pair_index[t]]
-        if gap > 0.0:
-            sums[pair_index[t]] += gap
-            total_sq += gap * gap
-    return sums, total_sq
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +35,7 @@ def _hinge_stats_loop(targets, pair_x, pair_index, n_pairs):
 # Equal slots share a predecessor, so same-slot purchases never see each other.
 
 
-def strict_prev_gap_numpy(slots, new_group):
+def strict_prev_gap(slots, new_group):
     n = slots.shape[0]
     out = np.full(n, np.inf)
     if n == 0:
@@ -89,22 +51,6 @@ def strict_prev_gap_numpy(slots, new_group):
     return out
 
 
-def _strict_prev_gap_loop(slots, new_group):
-    n = slots.shape[0]
-    out = np.empty(n)
-    prev = np.int64(-1)
-    for i in range(n):
-        if new_group[i]:
-            prev = -1
-        elif slots[i] != slots[i - 1]:
-            prev = slots[i - 1]
-        if prev < 0:
-            out[i] = np.inf
-        else:
-            out[i] = slots[i] - prev
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sweep_min: exact minimizer of a piecewise-quadratic duration objective
 #
@@ -114,11 +60,11 @@ def _strict_prev_gap_loop(slots, new_group):
 # with s ascending.  On the interval [s_q, s_{q+1}] the sum collapses to
 # q*d^2 + 2*F_q*d + W_q + R_q with running sums F_q = sum coef[:q],
 # W_q = sum coef[:q]^2, R_q = sum flat[q:], so each interval is minimized in
-# O(1) and the whole sweep in O(Q).  Intervals are scanned left to right and
-# improvements must be strict, so the smallest interval optimum wins ties.
+# O(1) and the whole sweep in O(Q).  argmin takes the first minimum, so the
+# smallest interval optimum wins ties.
 
 
-def sweep_min_numpy(s, coef, flat):
+def sweep_min(s, coef, flat):
     q = np.arange(1, s.shape[0] + 1)
     f_run = np.cumsum(coef)
     w_run = np.cumsum(coef * coef)
@@ -128,48 +74,3 @@ def sweep_min_numpy(s, coef, flat):
     g_cand = q * d_cand * d_cand + 2.0 * f_run * d_cand + w_run + r_run
     best = int(np.argmin(g_cand))
     return float(d_cand[best]), float(g_cand[best])
-
-
-def _sweep_min_loop(s, coef, flat):
-    nrec = s.shape[0]
-    f_run = 0.0
-    w_run = 0.0
-    r_run = 0.0
-    for t in range(nrec):
-        r_run += flat[t]
-    best_d = 0.0
-    best_g = np.inf
-    for t in range(nrec):
-        f_run += coef[t]
-        w_run += coef[t] * coef[t]
-        r_run -= flat[t]
-        lo = s[t]
-        hi = s[t + 1] if t + 1 < nrec else np.inf
-        d = -f_run / (t + 1.0)
-        if d < lo:
-            d = lo
-        elif d > hi:
-            d = hi
-        g = (t + 1.0) * d * d + 2.0 * f_run * d + w_run + r_run
-        if g < best_g:
-            best_g = g
-            best_d = d
-    return best_d, best_g
-
-
-if HAS_NUMBA:
-    pair_values_numba = njit(cache=True)(_pair_values_loop)
-    hinge_stats_numba = njit(cache=True)(_hinge_stats_loop)
-    strict_prev_gap_numba = njit(cache=True)(_strict_prev_gap_loop)
-    sweep_min_numba = njit(cache=True)(_sweep_min_loop)
-
-if USE_NUMBA:
-    pair_values = pair_values_numba
-    hinge_stats = hinge_stats_numba
-    strict_prev_gap = strict_prev_gap_numba
-    sweep_min = sweep_min_numba
-else:
-    pair_values = pair_values_numpy
-    hinge_stats = hinge_stats_numpy
-    strict_prev_gap = strict_prev_gap_numpy
-    sweep_min = sweep_min_numpy

@@ -1,11 +1,14 @@
 """End-to-end command-line tests, all run in process via main(argv)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from demandrec.cli import build_parser, main, parse_config_file, CONFIG_SCHEMA
 from demandrec.data import ingest_purchases
 from demandrec.synthetic import SynthSpec, generate
+from demandrec.utility import SolverConfig
 from helpers import triplet_list
 
 SMALL = [
@@ -106,6 +109,14 @@ class TestConfigResolution:
         for key, _, _ in CONFIG_SCHEMA:
             assert key in text
 
+    def test_solver_keys_match_solver_config(self):
+        defaults = {key: default for key, default, _ in CONFIG_SCHEMA}
+        for field in dataclasses.fields(SolverConfig):
+            assert field.name in defaults
+            value = getattr(SolverConfig(), field.name)
+            assert defaults[field.name] == value
+            assert type(defaults[field.name]) is type(value)
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "synth" in capsys.readouterr().out
@@ -113,11 +124,10 @@ class TestConfigResolution:
 
 class TestTrain:
     def test_writes_all_artifacts(self, pipeline_dir):
-        for name in (
-            "model.bin", "train_log.txt", "test_triplets.txt",
-            "categories.txt", "fit_report.txt", "resolved_train.cfg",
-        ):
+        for name in ("model.bin", "split.bin", "fit_report.txt", "resolved_train.cfg"):
             assert (pipeline_dir / name).exists()
+        for name in ("train_log.txt", "test_triplets.txt", "categories.txt"):
+            assert not (pipeline_dir / name).exists()
         report = (pipeline_dir / "fit_report.txt").read_text()
         assert "iterations = " in report
         assert "final_objective = " in report
@@ -127,10 +137,17 @@ class TestTrain:
         assert run(tmp_path, "train", "--set", "outer_iters=1") == 0
         assert "iterations = 1" in (tmp_path / "fit_report.txt").read_text()
 
-    def test_zero_split_skips_test_file(self, tmp_path):
+    def test_zero_split_skips_test_file(self, tmp_path, capsys):
+        """With no holdout, train still writes the bundle, with an empty test
+        set, and evaluate reports it as one data error."""
         assert run(tmp_path, "synth") == 0
         assert run(tmp_path, "train", "--set", "split_fraction=0.0") == 0
-        assert not (tmp_path / "test_triplets.txt").exists()
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:data:") and "no test records" in err[0]
+        assert run(tmp_path, "recommend", "--user", "0", "--slot", "5") == 0
 
     def test_warm_start_does_not_regress(self, pipeline_dir, tmp_path):
         def final_objective(path):
@@ -179,6 +196,24 @@ class TestEvaluate:
     def test_missing_artifacts(self, tmp_path, capsys):
         assert run(tmp_path, "evaluate") == 2
         assert "error:io:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, kind", [("model.bin", "model"), ("split.bin", "data")])
+    def test_flipped_byte_gives_one_error_line(self, pipeline_dir, tmp_path, name, kind,
+                                               capsys):
+        for other in ("model.bin", "split.bin"):
+            (tmp_path / other).write_bytes((pipeline_dir / other).read_bytes())
+        clean = (pipeline_dir / name).read_bytes()
+        # every byte of the headers, then a stride through the arrays
+        positions = sorted(set(range(64)) | set(range(0, len(clean), 37))
+                           | set(range(len(clean) - 40, len(clean))))
+        capsys.readouterr()
+        for pos in positions:
+            raw = bytearray(clean)
+            raw[pos] ^= 0x01
+            (tmp_path / name).write_bytes(bytes(raw))
+            assert run(tmp_path, "evaluate") == 2, pos
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error:{kind}:"), (pos, err)
 
 
 class TestRecommend:

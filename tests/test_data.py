@@ -9,6 +9,9 @@ from helpers import make_cats, make_log, random_triplets, triplet_list
 
 from demandrec.data import (
     CategoryMap,
+    PurchaseLog,
+    _SPLIT_SPEC,
+    _write_arrays,
     build_recency_index,
     export_log,
     ingest_categories,
@@ -124,42 +127,104 @@ class TestIngestPurchases:
 
 
 class TestExportLoad:
-    def test_round_trip_bit_exact(self, tmp_path):
+    """The split bundle written by train and read by evaluate/recommend."""
+
+    def split_parts(self, tmp_path):
         log = ingest_purchases(write(tmp_path, "p.csv", FIXTURE_ROWS))
-        out = tmp_path / "log.txt"
-        export_log(log, out)
-        back = load_log(out)
-        assert (back.m, back.n, back.l) == (log.m, log.n, log.l)
-        assert np.array_equal(back.users, log.users)
-        assert np.array_equal(back.items, log.items)
-        assert np.array_equal(back.slots, log.slots)
-        again = tmp_path / "log2.txt"
-        export_log(back, again)
+        cats = CategoryMap(assignment=np.arange(log.n) % 2, r=2)
+        split = split_train_test(log, 0.3, seed=1)
+        test = PurchaseLog(users=split.test_users, items=split.test_items,
+                           slots=split.test_slots, m=log.m, n=log.n, l=log.l)
+        return split.train, test, cats
+
+    def write_raw(self, path, dims, train, test, assignment, version=1):
+        """A bundle with a valid digest but arbitrary contents."""
+        arrays = {
+            "dims": dims,
+            "train": np.reshape(train, (-1, 3)).T,
+            "test": np.reshape(test, (-1, 3)).T,
+            "assignment": assignment,
+        }
+        _write_arrays(path, b"DRECSPL\x00", version, _SPLIT_SPEC, arrays)
+        return path
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        train, test, cats = self.split_parts(tmp_path)
+        assert train.nnz > 0 and test.nnz > 0
+        out = tmp_path / "split.bin"
+        export_log(train, test, cats, out)
+        back_train, back_test, back_cats = load_log(out)
+        for got, want in ((back_train, train), (back_test, test)):
+            assert (got.m, got.n, got.l) == (want.m, want.n, want.l)
+            assert np.array_equal(got.users, want.users)
+            assert np.array_equal(got.items, want.items)
+            assert np.array_equal(got.slots, want.slots)
+        assert back_cats.r == cats.r
+        assert np.array_equal(back_cats.assignment, cats.assignment)
+        again = tmp_path / "split2.bin"
+        export_log(back_train, back_test, back_cats, again)
         assert out.read_bytes() == again.read_bytes()
 
+    def test_empty_test_set(self, tmp_path):
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 8, 1], [0, 0, 3, 1, 1, 7], [],
+                             [0, 0])
+        train, test, _ = load_log(out)
+        assert train.nnz == 2 and test.nnz == 0
+
     def test_declared_horizon_preserved(self, tmp_path):
-        out = tmp_path / "log.txt"
-        out.write_text("2 2 50 2\n0 0 3\n1 1 7\n")
-        assert load_log(out).l == 50
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 50, 1], [0, 0, 3, 1, 1, 7],
+                             [0, 1, 4], [0, 0])
+        train, test, _ = load_log(out)
+        assert train.l == 50 and test.l == 50
 
     def test_bad_header(self, tmp_path):
-        out = write(tmp_path, "log.txt", "1 2 3\n")
-        with pytest.raises(DataFormatError, match="header"):
+        train, test, cats = self.split_parts(tmp_path)
+        out = tmp_path / "split.bin"
+        export_log(train, test, cats, out)
+        raw = bytearray(out.read_bytes())
+        raw[0] ^= 0xFF
+        out.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="not a split bundle"):
+            load_log(out)
+
+    def test_wrong_version(self, tmp_path):
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 8, 1], [0, 0, 3], [], [0, 0],
+                             version=7)
+        with pytest.raises(DataFormatError, match="version 7"):
             load_log(out)
 
     def test_truncated_body(self, tmp_path):
-        out = write(tmp_path, "log.txt", "2 2 4 3\n0 0 1\n1 1 2\n")
-        with pytest.raises(DataFormatError, match="expected 9 triplet fields"):
+        train, test, cats = self.split_parts(tmp_path)
+        out = tmp_path / "split.bin"
+        export_log(train, test, cats, out)
+        out.write_bytes(out.read_bytes()[:-40])
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_log(out)
+
+    def test_flipped_payload_byte(self, tmp_path):
+        train, test, cats = self.split_parts(tmp_path)
+        out = tmp_path / "split.bin"
+        export_log(train, test, cats, out)
+        raw = bytearray(out.read_bytes())
+        raw[-40] ^= 0x01  # inside the category assignment
+        out.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="digest"):
             load_log(out)
 
     def test_out_of_bounds_triplet(self, tmp_path):
-        out = write(tmp_path, "log.txt", "2 2 4 1\n0 5 1\n")
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 4, 1], [0, 5, 1], [], [0, 0])
         with pytest.raises(DataFormatError, match="bounds"):
             load_log(out)
 
     def test_duplicate_triplets_rejected(self, tmp_path):
-        out = write(tmp_path, "log.txt", "2 2 4 2\n0 0 1\n0 0 1\n")
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 4, 1], [0, 0, 1, 0, 0, 1], [],
+                             [0, 0])
         with pytest.raises(DataFormatError, match="duplicate"):
+            load_log(out)
+
+    def test_assignment_length_checked(self, tmp_path):
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 4, 1], [0, 0, 1], [], [0])
+        with pytest.raises(DataFormatError, match="expected 2 category assignments"):
             load_log(out)
 
 

@@ -187,6 +187,26 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="digest"):
             load_model(path)
 
+    def test_flipped_factor_byte_rejected(self, tmp_path):
+        state, path, *_ = self.fitted(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # U is the first array: its data follows the 12-byte file header,
+        # its 20-byte entry header and its two 8-byte dims
+        offset = 12 + 20 + 16
+        assert raw[offset : offset + 8] == state.X.U[0, :1].astype("<f8").tobytes()
+        raw[offset + 3] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFileError, match="digest"):
+            load_model(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        _, path, *_ = self.fitted(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFileError, match="unsupported model file version 1"):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         _, path, *_ = self.fitted(tmp_path)
         path.write_bytes(path.read_bytes() + b"x")

@@ -1,12 +1,9 @@
-"""Both kernel implementations must agree on random inputs."""
+"""Each kernel against a brute-force or dense reference on random inputs."""
 
 import numpy as np
 import pytest
 
 from demandrec import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-
 
 def random_pairs(rng, m=17, n=13, k=5, npairs=60):
     U = rng.normal(size=(m, k))
@@ -31,17 +28,8 @@ class TestPairValues:
         rng = np.random.default_rng(0)
         U, sigma, V, pu, pi = random_pairs(rng)
         dense = (U * sigma) @ V.T
-        got = kernels.pair_values_numpy(U, sigma, V, pu, pi)
+        got = kernels.pair_values(U, sigma, V, pu, pi)
         assert np.allclose(got, dense[pu, pi], rtol=1e-12)
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            U, sigma, V, pu, pi = random_pairs(rng)
-            a = kernels.pair_values_numpy(U, sigma, V, pu, pi)
-            b = kernels.pair_values_numba(U, sigma, V, pu, pi)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 class TestHingeStats:
@@ -63,20 +51,10 @@ class TestHingeStats:
     def test_numpy_matches_brute(self):
         rng = np.random.default_rng(2)
         args = self.inputs(rng)
-        sums, total = kernels.hinge_stats_numpy(*args)
+        sums, total = kernels.hinge_stats(*args)
         ref_sums, ref_total = self.brute(*args)
         np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
         assert total == pytest.approx(ref_total, rel=1e-12)
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            args = self.inputs(rng)
-            sums_a, tot_a = kernels.hinge_stats_numpy(*args)
-            sums_b, tot_b = kernels.hinge_stats_numba(*args)
-            np.testing.assert_allclose(sums_a, sums_b, rtol=1e-12, atol=1e-14)
-            assert tot_a == pytest.approx(tot_b, rel=1e-12)
 
 
 class TestStrictPrevGap:
@@ -95,23 +73,14 @@ class TestStrictPrevGap:
         rng = np.random.default_rng(4)
         for _ in range(10):
             slots, new_group = random_groups(rng)
-            got = kernels.strict_prev_gap_numpy(slots, new_group)
+            got = kernels.strict_prev_gap(slots, new_group)
             assert np.array_equal(got, self.brute(slots, new_group))
 
     def test_empty(self):
-        out = kernels.strict_prev_gap_numpy(
+        out = kernels.strict_prev_gap(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
         )
         assert out.shape == (0,)
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            slots, new_group = random_groups(rng)
-            a = kernels.strict_prev_gap_numpy(slots, new_group)
-            b = kernels.strict_prev_gap_numba(slots, new_group)
-            assert np.array_equal(a, b)
 
 
 class TestSweepMin:
@@ -132,37 +101,8 @@ class TestSweepMin:
         rng = np.random.default_rng(6)
         for _ in range(10):
             s, coef, flat = self.inputs(rng)
-            d, g = kernels.sweep_min_numpy(s, coef, flat)
+            d, g = kernels.sweep_min(s, coef, flat)
             assert g == pytest.approx(self.direct(s, coef, flat, d), rel=1e-9)
             grid = np.linspace(0.0, s[-1] + 5.0, 400)
             best = min(self.direct(s, coef, flat, x) for x in grid)
             assert g <= best + 1e-9 * max(1.0, abs(best))
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            s, coef, flat = self.inputs(rng)
-            d_a, g_a = kernels.sweep_min_numpy(s, coef, flat)
-            d_b, g_b = kernels.sweep_min_numba(s, coef, flat)
-            assert d_a == pytest.approx(d_b, rel=1e-12, abs=1e-12)
-            assert g_a == pytest.approx(g_b, rel=1e-12, abs=1e-12)
-
-
-@needs_numba
-def test_env_flag_selects_numpy_path():
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['DEMANDREC_KERNELS'] = 'numpy'\n"
-        "from demandrec import kernels\n"
-        "assert not kernels.USE_NUMBA\n"
-        "assert kernels.pair_values is kernels.pair_values_numpy\n"
-        "print('ok')\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
