@@ -5,7 +5,8 @@ The central object is a :class:`PurchaseLog`: a deduplicated, lexicographically
 sorted set of (user, item, slot) triplets with dense integer ids.  Slots are
 time bins of configurable granularity.  A :class:`RecencyIndex` answers "how
 many slots since user i last purchased anything in category c strictly before
-slot k", which is the time feature the solver and the predictor consume.
+slot k", which is the time feature the solver and the predictor consume; its
+``query`` takes arrays that broadcast, so one call answers a whole batch.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
     are re-indexed densely in a deterministic, input-order-independent way.
     Duplicate (user, item, slot) rows collapse to a single triplet.
     """
-    if granularity <= 0:
-        raise DataFormatError(f"granularity must be positive, got {granularity}")
+    if not 0.0 < granularity < math.inf:
+        raise DataFormatError(f"granularity must be finite and positive, got {granularity}")
     if timestamp_format not in TIMESTAMP_FORMATS:
         raise DataFormatError(
             f"timestamp_format must be one of {TIMESTAMP_FORMATS}, got {timestamp_format!r}"
@@ -247,8 +248,8 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
 
 
 class RecencyIndex:
-    """Per (user, category) sorted purchase slots, with strict-predecessor
-    gap queries.
+    """Sorted (user, category, slot) purchase events, with strict-predecessor
+    gap queries that broadcast over users, categories and slots.
 
     Built once per (log, categories) pairing.  Also precomputes, for every
     triplet of the log itself, the gap to the user's closest strictly earlier
@@ -277,14 +278,10 @@ class RecencyIndex:
         self._trip_recency[order] = gaps
         self._trip_cats = trip_cats
 
-        # unique (user, category, slot) events in CSR-ish form
+        # unique events as sorted keys (user * r + cat) * (l + 1) + slot
         ev_mask = new_group.copy()
         ev_mask[1:] |= sk[1:] != sk[:-1]
-        self._event_slots = sk[ev_mask]
-        group_start = new_group[ev_mask]
-        starts = np.nonzero(group_start)[0]
-        self._group_keys = su[ev_mask][starts] * self.r + sc[ev_mask][starts]
-        self._offsets = np.append(starts, self._event_slots.shape[0])
+        self._event_keys = (su[ev_mask] * self.r + sc[ev_mask]) * (log.l + 1) + sk[ev_mask]
         self._cat_order = None
         self._cat_bounds = None
 
@@ -306,23 +303,18 @@ class RecencyIndex:
             self._cat_bounds = np.append(0, np.cumsum(counts))
         return self._cat_order, self._cat_bounds
 
-    def user_cat_slots(self, user: int, cat: int) -> np.ndarray:
-        """Sorted slots where ``user`` purchased anything in ``cat``
-        (possibly empty)."""
-        key = user * self.r + cat
-        g = np.searchsorted(self._group_keys, key)
-        if g == self._group_keys.shape[0] or self._group_keys[g] != key:
-            return self._event_slots[:0]
-        return self._event_slots[self._offsets[g] : self._offsets[g + 1]]
-
-    def query(self, user: int, cat: int, slot: int) -> float:
-        """Slots since the user's last purchase in ``cat`` strictly before
-        ``slot``; ``inf`` when there is no earlier purchase."""
-        slots = self.user_cat_slots(user, cat)
-        pos = np.searchsorted(slots, slot)
-        if pos == 0:
-            return math.inf
-        return float(slot - slots[pos - 1])
+    def query(self, users, cats, slots):
+        """Slots since each user's last purchase in ``cats`` strictly before
+        ``slots``; ``inf`` where there is no earlier purchase.  The arguments
+        broadcast against each other; scalars give a scalar."""
+        users, cats, slots = (np.asarray(a, dtype=np.int64) for a in (users, cats, slots))
+        span = self.log.l + 1
+        group = users * self.r + cats
+        # every event slot is below l, so clamping keeps later slots exact
+        pos = np.searchsorted(self._event_keys, group * span + np.minimum(slots, span - 1)) - 1
+        prev = self._event_keys[np.maximum(pos, 0)]
+        same = (pos >= 0) & (prev // span == group)
+        return np.where(same, slots - prev % span, np.inf)[()]
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:

@@ -20,21 +20,18 @@ from .data import RecencyIndex
 from .driver import ModelState
 
 
-def _category_penalties(model: ModelState, rec: RecencyIndex, user: int, slot: int):
-    """Per-category time penalty max(0, d_c - t) for one (user, slot)."""
-    pen = np.empty(model.r)
-    for cat in range(model.r):
-        t = rec.query(user, cat, slot)
-        pen[cat] = max(0.0, model.d[cat] - t)
-    return pen
+def _penalties(model: ModelState, rec: RecencyIndex, users, slots) -> np.ndarray:
+    """Time penalty max(0, d_c - t) of every category at each (user, slot)
+    pair; shape ``users.shape + (r,)``."""
+    users, slots = np.asarray(users), np.asarray(slots)
+    t = rec.query(users[..., None], np.arange(model.r), slots[..., None])
+    return np.maximum(0.0, model.d - t)
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
     """Demand-aware score x_ij - max(0, d_c - t) of one query."""
     z = float((model.X.U[user] * model.X.sigma) @ model.X.V[item])
-    cat = rec.cats.assignment[item]
-    t = rec.query(user, int(cat), slot)
-    return z - max(0.0, float(model.d[cat]) - t)
+    return z - float(_penalties(model, rec, user, slot)[rec.cats.assignment[item]])
 
 
 def predict_demand(
@@ -58,8 +55,7 @@ def recommend_topn(
     broken toward the smaller item id.  Returns (item, score) pairs."""
     if not 1 <= n_top <= model.n:
         raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
-    pen = _category_penalties(model, rec, user, slot)
-    scores = model.X.row_scores(user) - pen[rec.cats.assignment]
+    scores = model.X.row_scores(user) - _penalties(model, rec, user, slot)[rec.cats.assignment]
     order = np.argsort(-scores, kind="stable")[:n_top]
     return [(int(j), float(scores[j])) for j in order]
 
@@ -108,6 +104,7 @@ def category_prediction_metric(
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     idx = np.arange(model.n)
+    pens = _penalties(model, rec, tu, tk)
     ranks = np.empty(tu.shape[0])
     z_row = None
     last_user = -1
@@ -116,8 +113,7 @@ def category_prediction_metric(
         if u != last_user:
             z_row = model.X.row_scores(u)
             last_user = u
-        pen = _category_penalties(model, rec, u, k)
-        scores = z_row - pen[assignment]
+        scores = z_row - pens[rec_i][assignment]
         cat_items = np.nonzero(assignment == assignment[i])[0]
         sub = scores[cat_items]
         best = cat_items[int(np.argmax(sub))]
@@ -176,13 +172,7 @@ def time_prediction_metric(
             z_row = model.X.row_scores(u)
             last_user = u
         zmax = float(z_row[assignment == c].max())
-        events = rec.user_cat_slots(u, c)
-        nxt = np.searchsorted(events, grid, side="left")
-        pen = np.zeros(l)
-        seen = nxt > 0
-        pen[seen] = np.maximum(
-            0.0, float(model.d[c]) - (grid[seen] - events[nxt[seen] - 1])
-        )
+        pen = np.maximum(0.0, model.d[c] - rec.query(u, c, grid))
         predicted = zmax - pen > tau
         dist = _distance_to_predicted(predicted, l)
         errors[order[pos:end]] = dist[tk[order[pos:end]]]
@@ -207,6 +197,7 @@ def item_prediction_metric(
         raise ValueError(f"sample_size must be in [1, {model.n}], got {sample_size}")
     rng = np.random.default_rng(seed)
     assignment = rec.cats.assignment
+    pens = _penalties(model, rec, tu, tk)
     ranks = np.empty(tu.shape[0])
     for rec_i in range(tu.shape[0]):
         u, i, k = int(tu[rec_i]), int(ti[rec_i]), int(tk[rec_i])
@@ -214,8 +205,7 @@ def item_prediction_metric(
         others[others >= i] += 1
         pool = np.append(others, i)
         z = (model.X.U[u] * model.X.sigma) @ model.X.V[pool].T
-        pen = _category_penalties(model, rec, u, k)
-        scores = z - pen[assignment[pool]]
+        scores = z - pens[rec_i][assignment[pool]]
         si = scores[-1]
         ranks[rec_i] = (
             1 + (scores[:-1] > si).sum() + ((scores[:-1] == si) & (others < i)).sum()

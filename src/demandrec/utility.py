@@ -56,7 +56,7 @@ class SolverConfig:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not self.lam > 0.0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")

@@ -111,10 +111,11 @@ class TestIngestPurchases:
         with pytest.raises(DataFormatError, match="no purchase records"):
             ingest_purchases(write(tmp_path, "p.csv", "\n\n"))
 
-    def test_bad_granularity_rejected(self, tmp_path):
+    @pytest.mark.parametrize("granularity", [0, math.nan, math.inf])
+    def test_bad_granularity_rejected(self, tmp_path, granularity):
         path = write(tmp_path, "p.csv", "u,i,0\n")
         with pytest.raises(DataFormatError, match="granularity"):
-            ingest_purchases(path, granularity=0)
+            ingest_purchases(path, granularity=granularity)
 
     def test_log_invariants(self, tmp_path):
         log = ingest_purchases(write(tmp_path, "p.csv", FIXTURE_ROWS))
@@ -329,10 +330,24 @@ class TestRecencyIndex:
         with pytest.raises(DataFormatError, match="covers"):
             build_recency_index(log, make_cats([0, 1], r=2))
 
-    def test_user_cat_slots_sorted_unique(self):
-        log = make_log([(0, 0, 3), (0, 1, 3), (0, 0, 8)], m=1, n=2)
-        rec = build_recency_index(log, make_cats([0, 0], r=1))
-        assert rec.user_cat_slots(0, 0).tolist() == [3, 8]
+    def test_broadcast_query_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        trips = random_triplets(rng, m=7, n=6, l=12, count=90)
+        # same-slot purchases of two items in one category, and one at slot 0
+        trips += [(0, 0, 5), (0, 3, 5), (1, 2, 0)]
+        assignment = [0, 1, 2, 0, 1, 2]
+        log = make_log(trips, m=7, n=6)
+        rec = build_recency_index(log, make_cats(assignment, r=3))
+        slots = np.array([-1, 0, 1, 5, 6, log.l - 1, log.l, log.l + 7])
+        got = rec.query(
+            np.arange(7)[:, None, None], np.arange(3)[None, :, None], slots[None, None, :]
+        )
+        assert got.shape == (7, 3, slots.shape[0])
+        for user in range(7):
+            for cat in range(3):
+                for pos, slot in enumerate(slots.tolist()):
+                    expected = oracles.recency_scan(trips, assignment, user, cat, slot)
+                    assert got[user, cat, pos] == expected
 
 
 class TestSplit:

@@ -67,7 +67,7 @@ class TestScore:
         trips = triplet_list(log)
         for user in range(model.m):
             for item in range(model.n):
-                for slot in (0, 3, model.l - 1):
+                for slot in (0, 3, model.l - 1, rec.log.l + 4):
                     want = brute_score(
                         X, model.d, cats.assignment, trips, user, item, slot
                     )
@@ -125,7 +125,7 @@ class TestRecommendTopn:
         rng = np.random.default_rng(4)
         model, rec, _, _, _ = random_setup(rng, n=20)
         for user in (0, model.m - 1):
-            for slot in (0, 9):
+            for slot in (0, 9, rec.log.l + 4):
                 want = np.array(
                     [score(model, rec, user, j, slot) for j in range(model.n)]
                 )

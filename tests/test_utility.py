@@ -53,6 +53,7 @@ class TestSolverConfig:
             dict(tol=0.0),
             dict(seed=-1),
             dict(tau=math.nan),
+            dict(gamma=math.nan),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
