@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from . import synthetic
@@ -334,30 +335,33 @@ _ERROR_CODES = [
 ]
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {' '.join(str(message).split())}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    try:
-        cfg = resolve(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "recommend":
-            return cmd_recommend(cfg, args.user, args.slot, args.topn)
-        return cmd_rank_demo(cfg)
-    except tuple(code for code, _ in _ERROR_CODES) as exc:
-        for klass, code in _ERROR_CODES:
-            if isinstance(exc, klass):
-                message = " ".join(str(exc).split())
-                print(f"error:{code}: {message}", file=sys.stderr)
-                return 2
-        raise  # unreachable
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            cfg = resolve(args)
+            if args.command == "synth":
+                return cmd_synth(cfg)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "evaluate":
+                return cmd_evaluate(cfg)
+            if args.command == "recommend":
+                return cmd_recommend(cfg, args.user, args.slot, args.topn)
+            return cmd_rank_demo(cfg)
+        except tuple(klass for klass, _ in _ERROR_CODES) as exc:
+            code = next(code for klass, code in _ERROR_CODES if isinstance(exc, klass))
+            print(f"error:{code}: {' '.join(str(exc).split())}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ time bins of configurable granularity.  A :class:`RecencyIndex` answers "how
 many slots since user i last purchased anything in category c strictly before
 slot k", which is the time feature the solver and the predictor consume; its
 ``query`` takes arrays that broadcast, so one call answers a whole batch.
+
+Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
+``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
+orders like the id tuples only while the product of the radices fits, so a log
+needs m * n * (l + 1) <= 2**63; past that the encoder raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -74,11 +79,9 @@ class PurchaseLog:
     def pairs(self) -> PairStructure:
         """Distinct (user, item) pairs; cached after the first call."""
         if self._pairs is None:
-            boundary = np.empty(self.nnz, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (self.users[1:] != self.users[:-1]) | (
-                self.items[1:] != self.items[:-1]
-            )
+            # a temporary key array, freed before the pair arrays are built
+            boundary = np.append(True, np.diff(
+                _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
             starts = np.nonzero(boundary)[0]
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
@@ -88,36 +91,43 @@ class PurchaseLog:
             )
         return self._pairs
 
-    def user_ranges(self) -> np.ndarray:
-        """Offsets of each user's triplet block; shape (m + 1,)."""
-        return np.searchsorted(self.users, np.arange(self.m + 1))
+
+def _encode_keys(major, middle, minor, radices) -> np.ndarray:
+    """int64 keys ``(major * n_middle + middle) * n_minor + minor`` of id
+    arrays (or scalars) below their radices ``(n_major, n_middle, n_minor)``;
+    the keys order like the (major, middle, minor) tuples."""
+    n_major, n_middle, n_minor = (int(v) for v in radices)
+    if n_major * n_middle * n_minor > 2**63:
+        raise DataFormatError(f"{n_major} x {n_middle} x {n_minor} ids overflow int64 "
+                              "sort keys; use a coarser slot granularity")
+    major, middle, minor = (np.asarray(a, dtype=np.int64) for a in (major, middle, minor))
+    return (major * n_middle + middle) * n_minor + minor
 
 
-def _build_log(users, items, slots, m, n, user_labels=None, item_labels=None):
-    """Sort lexicographically, drop duplicate triplets, infer l."""
+def _decode_keys(keys, radices):
+    """The (major, middle, minor) id arrays of keys from :func:`_encode_keys`."""
+    rest, minor = np.divmod(keys, radices[2])
+    major, middle = np.divmod(rest, radices[1])
+    return major, middle, minor
+
+
+def _build_log(users, items, slots, m, n, l=None, user_labels=None, item_labels=None):
+    """Sort by (user, item, slot) and drop duplicate triplets.  ``l`` is the
+    declared horizon; by default it ends with the latest slot."""
     if users.shape[0] == 0:
         raise DataFormatError("purchase log contains no records")
-    order = np.lexsort((slots, items, users))
-    users = users[order]
-    items = items[order]
-    slots = slots[order]
-    keep = np.empty(users.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = (
-        (users[1:] != users[:-1])
-        | (items[1:] != items[:-1])
-        | (slots[1:] != slots[:-1])
-    )
-    users = users[keep]
-    items = items[keep]
-    slots = slots[keep]
+    if l is None:
+        l = int(slots.max()) + 1
+    radices = (m, n, l)
+    keys = np.sort(_encode_keys(users, items, slots, radices))
+    users, items, slots = _decode_keys(keys[np.append(True, keys[1:] != keys[:-1])], radices)
     return PurchaseLog(
         users=users,
         items=items,
         slots=slots,
         m=int(m),
         n=int(n),
-        l=int(slots.max()) + 1,
+        l=int(l),
         user_labels=user_labels,
         item_labels=item_labels,
     )
@@ -266,22 +276,18 @@ class RecencyIndex:
         self.cats = cats
         self.r = cats.r
         trip_cats = cats.assignment[log.items]
-        order = np.lexsort((log.slots, trip_cats, log.users))
-        su = log.users[order]
-        sc = trip_cats[order]
+        # slot radix l + 1: query clamps later slots to l
+        self._radices = (log.m, self.r, log.l + 1)
+        keys = _encode_keys(log.users, trip_cats, log.slots, self._radices)
+        order = np.argsort(keys)
+        keys = keys[order]
         sk = log.slots[order]
-        new_group = np.empty(log.nnz, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (su[1:] != su[:-1]) | (sc[1:] != sc[:-1])
-        gaps = kernels.strict_prev_gap(sk, new_group)
+        # keys - sk is the (user, category) part of each key
+        gaps = kernels.strict_prev_gap(sk, np.append(True, np.diff(keys - sk) != 0))
         self._trip_recency = np.empty(log.nnz)
         self._trip_recency[order] = gaps
         self._trip_cats = trip_cats
-
-        # unique events as sorted keys (user * r + cat) * (l + 1) + slot
-        ev_mask = new_group.copy()
-        ev_mask[1:] |= sk[1:] != sk[:-1]
-        self._event_keys = (su[ev_mask] * self.r + sc[ev_mask]) * (log.l + 1) + sk[ev_mask]
+        self._event_keys = keys[np.append(True, keys[1:] != keys[:-1])]
         self._cat_order = None
         self._cat_bounds = None
 
@@ -306,15 +312,17 @@ class RecencyIndex:
     def query(self, users, cats, slots):
         """Slots since each user's last purchase in ``cats`` strictly before
         ``slots``; ``inf`` where there is no earlier purchase.  The arguments
-        broadcast against each other; scalars give a scalar."""
+        broadcast against each other; scalars give a scalar.  Users outside
+        ``[0, m)`` or categories outside ``[0, r)`` raise ``ValueError``."""
         users, cats, slots = (np.asarray(a, dtype=np.int64) for a in (users, cats, slots))
-        span = self.log.l + 1
-        group = users * self.r + cats
+        for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
+            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+                raise ValueError(f"{what} ids must be in [0, {bound})")
+        group = _encode_keys(users, cats, 0, self._radices)  # key of the group's slot 0
         # every event slot is below l, so clamping keeps later slots exact
-        pos = np.searchsorted(self._event_keys, group * span + np.minimum(slots, span - 1)) - 1
+        pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
         prev = self._event_keys[np.maximum(pos, 0)]
-        same = (pos >= 0) & (prev // span == group)
-        return np.where(same, slots - prev % span, np.inf)[()]
+        return np.where((pos >= 0) & (prev >= group), slots - (prev - group), np.inf)[()]
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:
@@ -343,7 +351,7 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
     if not 0.0 <= fraction < 1.0:
         raise DataFormatError(f"split fraction must be in [0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    ranges = log.user_ranges()
+    ranges = np.searchsorted(log.users, np.arange(log.m + 1))  # user blocks
     held_mask = np.zeros(log.nnz, dtype=bool)
     for u in range(log.m):
         lo, hi = ranges[u], ranges[u + 1]
@@ -355,8 +363,7 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
             continue
         held_mask[lo + rng.choice(cnt, size=held, replace=False)] = True
 
-    tu, ti, tk = log.users[held_mask], log.items[held_mask], log.slots[held_mask]
-    order = np.lexsort((tk, ti, tu))
+    # masking keeps the log's (user, item, slot) order
     train = PurchaseLog(
         users=log.users[~held_mask],
         items=log.items[~held_mask],
@@ -369,9 +376,9 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
     )
     return SplitSpec(
         train=train,
-        test_users=tu[order],
-        test_items=ti[order],
-        test_slots=tk[order],
+        test_users=log.users[held_mask],
+        test_items=log.items[held_mask],
+        test_slots=log.slots[held_mask],
         fraction=fraction,
         seed=seed,
     )
@@ -482,8 +489,8 @@ def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
         or slots.min() < 0 or slots.max() >= l
     ):
         raise DataFormatError(f"{path}: triplet out of declared bounds")
-    du, di, dk = np.diff(users), np.diff(items), np.diff(slots)
-    if not np.all((du > 0) | ((du == 0) & ((di > 0) | ((di == 0) & (dk > 0))))):
+    keys = _encode_keys(users, items, slots, (m, n, l))
+    if np.any(keys[1:] <= keys[:-1]):
         raise DataFormatError(f"{path}: duplicate or unsorted triplets in split bundle")
     # the declared horizon is kept: it may end in empty slots
     return PurchaseLog(users=users, items=items, slots=slots, m=m, n=n, l=l)

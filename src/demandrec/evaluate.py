@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RecencyIndex
+from .data import RecencyIndex, _encode_keys
 from .driver import ModelState
 
 
@@ -157,17 +157,16 @@ def time_prediction_metric(
     l = model.l
     grid = np.arange(l)
     cats_of = assignment[ti]
-    order = np.argsort(tu * np.int64(model.r) + cats_of, kind="stable")
+    keys = _encode_keys(tu, cats_of, 0, (model.m, model.r, 1))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    bounds = np.append(np.nonzero(np.append(True, keys[1:] != keys[:-1]))[0], keys.shape[0])
     errors = np.empty(tu.shape[0])
     z_row = None
     last_user = -1
-    pos = 0
-    while pos < order.shape[0]:
+    for pos, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         u = int(tu[order[pos]])
         c = int(cats_of[order[pos]])
-        end = pos
-        while end < order.shape[0] and tu[order[end]] == u and cats_of[order[end]] == c:
-            end += 1
         if u != last_user:
             z_row = model.X.row_scores(u)
             last_user = u
@@ -176,7 +175,6 @@ def time_prediction_metric(
         predicted = zmax - pen > tau
         dist = _distance_to_predicted(predicted, l)
         errors[order[pos:end]] = dist[tk[order[pos:end]]]
-        pos = end
     return float(errors.mean() / l * 100.0), errors
 
 

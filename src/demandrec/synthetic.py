@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import CategoryMap, PurchaseLog, _build_log
+from .data import CategoryMap, PurchaseLog, _build_log, _decode_keys, _encode_keys
 from .errors import ConfigError, DataFormatError
 
 
@@ -92,19 +92,17 @@ def simulate_purchases(x_true: np.ndarray, spec: SynthSpec) -> SynthInstance:
     elig_u, elig_i = np.nonzero(x_true >= 0.5)
     if elig_u.shape[0] == 0:
         raise DataFormatError("no (user, item) pair clears the utility threshold 0.5")
-    elig_c = assignment[elig_i]
-    order = np.lexsort((elig_i, elig_c, elig_u))
-    eu, ei, ec = elig_u[order], elig_i[order], elig_c[order]
-    new_group = np.empty(eu.shape[0], dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (eu[1:] != eu[:-1]) | (ec[1:] != ec[:-1])
+    # nonzero lists items in ascending order within each (user, category) group
+    keys = _encode_keys(elig_u, assignment[elig_i], 0, (spec.m, spec.r, 1))
+    order = np.argsort(keys, kind="stable")
+    eu, ei, keys = elig_u[order], elig_i[order], keys[order]
+    new_group = np.append(True, keys[1:] != keys[:-1])
     g_start = np.append(np.nonzero(new_group)[0], eu.shape[0])
     group_of = np.cumsum(new_group) - 1
-    g_dur = d_true[ec[g_start[:-1]]]
-    n_groups = g_start.shape[0] - 1
+    g_dur = d_true[assignment[ei[g_start[:-1]]]]
 
     rng = np.random.default_rng([spec.seed, 2])
-    last = np.full(n_groups, np.iinfo(np.int64).min // 2, dtype=np.int64)
+    last = np.full(g_dur.shape[0], np.iinfo(np.int64).min // 2, dtype=np.int64)
     out_u, out_i, out_k = [], [], []
     for k in range(spec.l):
         ready = np.nonzero(k - last >= g_dur)[0]
@@ -119,14 +117,14 @@ def simulate_purchases(x_true: np.ndarray, spec: SynthSpec) -> SynthInstance:
         out_u.append(eu[buy])
         out_i.append(ei[buy])
         out_k.append(np.full(buy.shape[0], k, dtype=np.int64))
-        last[np.unique(group_of[buy])] = k
+        last[group_of[buy]] = k
     if not out_u:
         raise DataFormatError("simulation produced no purchases")
+    # the horizon is part of the spec even if late slots are empty
     log = _build_log(
         np.concatenate(out_u), np.concatenate(out_i), np.concatenate(out_k),
-        m=spec.m, n=spec.n,
+        m=spec.m, n=spec.n, l=spec.l,
     )
-    log.l = spec.l  # horizon is part of the spec even if late slots are empty
     return SynthInstance(log=log, cats=cats, d_true=d_true, x_true=x_true, spec=spec)
 
 
@@ -136,12 +134,6 @@ def generate(spec: SynthSpec) -> SynthInstance:
     if spec.noise_ratio > 0:
         inst = flip_noise(inst, spec.noise_ratio, seed=spec.seed)
     return inst
-
-
-def _in_sorted(vals: np.ndarray, table: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(table, vals)
-    pos = np.minimum(pos, table.shape[0] - 1)
-    return table[pos] == vals
 
 
 def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInstance:
@@ -156,7 +148,8 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     cells = log.m * log.n * log.l
     if log.nnz + count > cells:
         raise ConfigError("noise_ratio asks for more flips than there are zero cells")
-    existing = np.sort((log.users * log.n + log.items) * log.l + log.slots)
+    radices = (log.m, log.n, log.l)
+    existing = _encode_keys(log.users, log.items, log.slots, radices)  # sorted, as the log
     rng = np.random.default_rng([seed, 3])
     picked = []
     n_picked = 0
@@ -165,25 +158,22 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
         # dedupe keeping first-draw order, then reject already-present cells
         _, first = np.unique(draw, return_index=True)
         draw = draw[np.sort(first)]
-        draw = draw[~_in_sorted(draw, existing)]
+        pos = np.minimum(np.searchsorted(existing, draw), existing.shape[0] - 1)
+        draw = draw[existing[pos] != draw]
         if picked:
-            taken = np.concatenate(picked)
-            draw = draw[~np.isin(draw, taken)]
+            draw = draw[~np.isin(draw, np.concatenate(picked))]
         draw = draw[: count - n_picked]
         picked.append(draw)
         n_picked += draw.shape[0]
-    codes = np.concatenate(picked)
-    users = codes // (log.n * log.l)
-    items = (codes // log.l) % log.n
-    slots = codes % log.l
+    users, items, slots = _decode_keys(np.concatenate(picked), radices)
     noisy = _build_log(
         np.concatenate([log.users, users]),
         np.concatenate([log.items, items]),
         np.concatenate([log.slots, slots]),
         m=log.m,
         n=log.n,
+        l=log.l,
     )
-    noisy.l = log.l
     assert noisy.nnz == log.nnz + count
     return replace(inst, log=noisy)
 

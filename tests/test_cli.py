@@ -167,6 +167,27 @@ class TestTrain:
         warm = final_objective(tmp_path)
         assert warm <= cold * (1 + 1e-9)
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        assert run(tmp_path, "synth") == 0
+        with open(tmp_path / "categories.csv", "a", encoding="utf-8") as handle:
+            handle.write("ghost,0\nshadow,1\n")
+        capsys.readouterr()
+        assert run(tmp_path, "train") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: ") and "rows for items not in the log" in err[0]
+
+    def test_key_space_beyond_int64_is_one_data_error(self, tmp_path, capsys):
+        """2000 users over 5 days at granularity 1e-15 span 5e15 slots, so
+        m * n * (l + 1) exceeds the int64 sort keys."""
+        rows = [f"u{user},a,0" for user in range(2000)] + ["u0,a,5"]
+        (tmp_path / "purchases.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "categories.csv").write_text("a,c\n")
+        assert run(tmp_path, "train", "--set", "granularity=1e-15") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:data:") and "int64" in err[0]
+
     def test_malformed_purchases(self, tmp_path, capsys):
         (tmp_path / "purchases.csv").write_text("alice,soap\n")
         (tmp_path / "categories.csv").write_text("soap,bath\n")

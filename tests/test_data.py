@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from demandrec.data import (
     CategoryMap,
     PurchaseLog,
     _SPLIT_SPEC,
+    _build_log,
     _write_arrays,
     build_recency_index,
     export_log,
@@ -20,6 +22,7 @@ from demandrec.data import (
     split_train_test,
 )
 from demandrec.errors import DataFormatError
+from demandrec.synthetic import SynthSpec, generate
 
 FIXTURE_ROWS = """\
 alice,soap,100
@@ -348,6 +351,70 @@ class TestRecencyIndex:
                 for pos, slot in enumerate(slots.tolist()):
                     expected = oracles.recency_scan(trips, assignment, user, cat, slot)
                     assert got[user, cat, pos] == expected
+
+    def test_out_of_range_ids_rejected(self):
+        # with r = 1, category 1 of user 0 used to alias user 1's category 0
+        log = make_log([(1, 0, 2)], m=2, n=1)
+        rec = build_recency_index(log, make_cats([0], r=1))
+        for user, cat in ((0, 1), (0, -1), (2, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="must be in"):
+                rec.query(user, cat, 5)
+        with pytest.raises(ValueError, match="user ids"):
+            rec.query(np.array([1, 2]), 0, 5)
+        assert rec.query(1, 0, 5) == 3.0
+        assert rec.query(1, 0, -3) == math.inf
+
+    def test_key_space_beyond_int64_rejected(self):
+        # m * n * (l + 1) > 2**63: the keys would wrap, and query(1999, 0, 1)
+        # read inf where 1.0 is right
+        users = np.array([0, *range(2000)], dtype=np.int64)
+        items = np.zeros(2001, dtype=np.int64)
+        slots = np.zeros(2001, dtype=np.int64)
+        slots[1] = 2**53
+        with pytest.raises(DataFormatError, match="int64"):
+            _build_log(users, items, slots, m=2000, n=1)
+        log = PurchaseLog(users=users, items=items, slots=slots, m=2000, n=1, l=2**53 + 1)
+        with pytest.raises(DataFormatError, match="int64"):
+            build_recency_index(log, make_cats([0], r=1))
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """sha256 of the generated log, its split and the triplet recency on a
+    small seeded instance, recorded before the ordering code was rewritten
+    around one int64 key: a refactor must reproduce them byte for byte."""
+
+    PINNED = {
+        0.0: ("481f3e10a1163a912edd7318cc2410dba99d810429096bba7fe512b8eb3d2da7",
+              "64baf75d56eb614581c9aeb4630fde6873774290eee7df2686498328f941c5dc",
+              "68b77111721f1db71bd3baf405bbabea9c2dec0d600305ac44519ffd6dfa83a5",
+              "21721ab8c3107c1ea95ee98df2873a07de3611d2575439f66439a0fcee0dc7b0"),
+        0.3: ("557a71be270a3db9e6f674bd0339d8121bd17337ef4ed627031b1973184b58dc",
+              "964ed259be46dbecaeb0d65e029695a0eddd953fc04702be06683f223f95bf9e",
+              "52bf256f7dafd3c2eb219b0ee0ee1a94e599fd3d1e2d9ae476a108268d040ffd",
+              "35a2b66c3b2f8f04a17c54ec318bd0733b1b91a6a342f29a6c764db5f6dc3d37"),
+    }
+
+    @pytest.mark.parametrize("noise_ratio", sorted(PINNED))
+    def test_outputs_match_pinned_digests(self, noise_ratio):
+        inst = generate(SynthSpec(m=40, n=30, l=60, r=3, rank=3, obs_prob=0.6,
+                                  noise_ratio=noise_ratio, seed=11))
+        log = inst.log
+        split = split_train_test(log, 0.2, seed=5)
+        train = split.train
+        got = (
+            _digest(log.users, log.items, log.slots, [log.m, log.n, log.l]),
+            _digest(train.users, train.items, train.slots, [train.m, train.n, train.l]),
+            _digest(split.test_users, split.test_items, split.test_slots),
+            _digest(build_recency_index(train, inst.cats).triplet_recency()),
+        )
+        assert got == self.PINNED[noise_ratio]
 
 
 class TestSplit:
