@@ -225,10 +225,10 @@ def cmd_evaluate(cfg: dict) -> int:
     train, test, cats = load_log(outdir / "split.bin")
     if test.nnz == 0:
         raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
-    if (model.m, model.n) != (train.m, train.n) or model.r != cats.r:
+    if (model.m, model.n, model.r, model.l) != (train.m, train.n, cats.r, train.l):
         raise ConfigError(
-            f"model dims ({model.m}x{model.n}, r={model.r}) do not match the "
-            f"artifacts ({train.m}x{train.n}, r={cats.r})"
+            f"model dims ({model.m}x{model.n}, r={model.r}, l={model.l}) do not match "
+            f"the artifacts ({train.m}x{train.n}, r={cats.r}, l={train.l})"
         )
     rec = build_recency_index(train, cats)
     tu, ti, tk = test.users, test.items, test.slots
@@ -252,9 +252,8 @@ def cmd_evaluate(cfg: dict) -> int:
         with open(outdir / "records.csv", "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["user", "item", "slot", "category_rank", "time_error", "item_rank"])
-            for row in zip(tu, ti, tk, cat_ranks, time_errors, item_ranks):
-                writer.writerow([int(row[0]), int(row[1]), int(row[2]),
-                                 int(row[3]), int(row[4]), int(row[5])])
+            columns = (tu, ti, tk, cat_ranks, time_errors, item_ranks)
+            writer.writerows(zip(*(map(int, column) for column in columns)))
     write_resolved(cfg, outdir, "evaluate")
     print(report.to_text())
     return 0

@@ -8,6 +8,11 @@ The three holdout metrics follow a per-user 90/10 protocol: each test record
 (u, i, t) asks how well the model ranks item i (or its category, or its
 purchase time) at slot t, with recency computed from training purchases
 only.  All are averages of "top percentage" style quantities, lower better.
+
+Top-N and the metrics score through ``_scores``; the metrics score records
+in row blocks of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
+The item metric still draws each record's sample with one ``rng.choice``
+call, in record order, so its draws do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 from .data import RecencyIndex, _encode_keys
 from .driver import ModelState
 
+_BLOCK_CELLS = 2**18  # cells per scoring block: 2 MB of float64
+
 
 def _penalties(model: ModelState, rec: RecencyIndex, users, slots) -> np.ndarray:
     """Time penalty max(0, d_c - t) of every category at each (user, slot)
@@ -26,6 +33,18 @@ def _penalties(model: ModelState, rec: RecencyIndex, users, slots) -> np.ndarray
     users, slots = np.asarray(users), np.asarray(slots)
     t = rec.query(users[..., None], np.arange(model.r), slots[..., None])
     return np.maximum(0.0, model.d - t)
+
+
+def _scores(model: ModelState, rec: RecencyIndex, users, slots) -> np.ndarray:
+    """Score of every item at each (user, slot); shape ``users.shape + (n,)``."""
+    penalties = _penalties(model, rec, users, slots)
+    return model.X.row_scores(users) - penalties[..., rec.cats.assignment]
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices of ``range(count)``: blocks of ``_BLOCK_CELLS // width`` rows, at least one."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
@@ -55,7 +74,7 @@ def recommend_topn(
     broken toward the smaller item id.  Returns (item, score) pairs."""
     if not 1 <= n_top <= model.n:
         raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
-    scores = model.X.row_scores(user) - _penalties(model, rec, user, slot)[rec.cats.assignment]
+    scores = _scores(model, rec, user, slot)
     order = np.argsort(-scores, kind="stable")[:n_top]
     return [(int(j), float(scores[j])) for j in order]
 
@@ -82,14 +101,18 @@ class MetricReport:
 
 
 def _check_test(test_users, test_items, test_slots):
-    tu = np.asarray(test_users, dtype=np.int64)
-    ti = np.asarray(test_items, dtype=np.int64)
-    tk = np.asarray(test_slots, dtype=np.int64)
+    tu, ti, tk = (np.asarray(a, dtype=np.int64) for a in (test_users, test_items, test_slots))
     if tu.shape[0] == 0:
         raise ValueError("no test records")
     if not (tu.shape == ti.shape == tk.shape):
         raise ValueError("test arrays must have matching length")
     return tu, ti, tk
+
+
+def _rank(scores: np.ndarray, ids: np.ndarray, target_score, target_id) -> np.ndarray:
+    """1-based rank of each row's target in ``scores``, ties toward smaller ``ids``."""
+    ts, tid = target_score[:, None], target_id[:, None]
+    return 1 + (scores > ts).sum(axis=1) + ((scores == ts) & (ids < tid)).sum(axis=1)
 
 
 def category_prediction_metric(
@@ -103,35 +126,21 @@ def category_prediction_metric(
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     assignment = rec.cats.assignment
-    idx = np.arange(model.n)
-    pens = _penalties(model, rec, tu, tk)
     ranks = np.empty(tu.shape[0])
-    z_row = None
-    last_user = -1
-    for rec_i in range(tu.shape[0]):
-        u, i, k = int(tu[rec_i]), int(ti[rec_i]), int(tk[rec_i])
-        if u != last_user:
-            z_row = model.X.row_scores(u)
-            last_user = u
-        scores = z_row - pens[rec_i][assignment]
-        cat_items = np.nonzero(assignment == assignment[i])[0]
-        sub = scores[cat_items]
-        best = cat_items[int(np.argmax(sub))]
-        sb = scores[best]
-        ranks[rec_i] = 1 + (scores > sb).sum() + ((scores == sb) & (idx < best)).sum()
+    for blk in _blocks(tu.shape[0], model.n):
+        scores = _scores(model, rec, tu[blk], tk[blk])
+        best = np.argmax(np.where(assignment == assignment[ti[blk], None], scores, -np.inf), 1)
+        ranks[blk] = _rank(scores, np.arange(model.n), scores[np.arange(len(best)), best], best)
     return float(ranks.mean() / model.n * 100.0), ranks
 
 
 def _distance_to_predicted(predicted: np.ndarray, l: int) -> np.ndarray:
-    """dist[k] = slots to the nearest True entry, or l when there is none."""
-    idx = np.nonzero(predicted)[0]
-    if idx.shape[0] == 0:
-        return np.full(l, l, dtype=np.int64)
+    """dist[..., k] = slots to the nearest True along the last axis, or l if none."""
     grid = np.arange(l)
-    pos = np.searchsorted(idx, grid)
-    right = np.where(pos < idx.shape[0], idx[np.minimum(pos, idx.shape[0] - 1)] - grid, l)
-    left = np.where(pos > 0, grid - idx[np.maximum(pos - 1, 0)], l)
-    return np.minimum(left, right)
+    last = np.maximum.accumulate(np.where(predicted, grid, -l), axis=-1)
+    ahead = np.where(predicted, grid, 2 * l)[..., ::-1]
+    first = np.minimum.accumulate(ahead, axis=-1)[..., ::-1]
+    return np.minimum(np.minimum(grid - last, first - grid), l)
 
 
 def time_prediction_metric(
@@ -148,33 +157,30 @@ def time_prediction_metric(
     is never predicted contribute the full horizon l.
 
     Records are grouped by (user, category): within a group the predicted
-    slots coincide, so the distance profile is computed once.
+    slots coincide, so the distance profile is computed once, from the
+    category's best utility minus its penalty at each slot.
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
-    if tau is None:
-        tau = model.config.tau
+    tau = model.config.tau if tau is None else tau
     assignment = rec.cats.assignment
     l = model.l
-    grid = np.arange(l)
-    cats_of = assignment[ti]
-    keys = _encode_keys(tu, cats_of, 0, (model.m, model.r, 1))
+    keys = _encode_keys(tu, assignment[ti], 0, (model.m, model.r, 1))
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    bounds = np.append(np.nonzero(np.append(True, keys[1:] != keys[:-1]))[0], keys.shape[0])
+    new_group = np.diff(keys[order], prepend=-1) != 0
+    group_of = np.cumsum(new_group) - 1  # group of each record in sorted order
+    bounds = np.append(np.nonzero(new_group)[0], tu.shape[0])
+    users, cats = tu[order[new_group]], assignment[ti[order[new_group]]]
     errors = np.empty(tu.shape[0])
-    z_row = None
-    last_user = -1
-    for pos, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        u = int(tu[order[pos]])
-        c = int(cats_of[order[pos]])
-        if u != last_user:
-            z_row = model.X.row_scores(u)
-            last_user = u
-        zmax = float(z_row[assignment == c].max())
-        pen = np.maximum(0.0, model.d[c] - rec.query(u, c, grid))
-        predicted = zmax - pen > tau
+    for blk in _blocks(users.shape[0], max(model.n, l)):
+        gu, gc = users[blk], cats[blk]
+        # no purchase precedes slot 0, so these rows carry no penalty
+        utility = _scores(model, rec, gu, np.zeros_like(gu))
+        zmax = np.where(assignment == gc[:, None], utility, -np.inf).max(axis=1)
+        t = rec.query(gu[:, None], gc[:, None], np.arange(l))
+        predicted = zmax[:, None] - np.maximum(0.0, model.d[gc, None] - t) > tau
         dist = _distance_to_predicted(predicted, l)
-        errors[order[pos:end]] = dist[tk[order[pos:end]]]
+        recs = slice(bounds[blk.start], bounds[blk.stop])
+        errors[order[recs]] = dist[group_of[recs] - blk.start, tk[order[recs]]]
     return float(errors.mean() / l * 100.0), errors
 
 
@@ -194,18 +200,13 @@ def item_prediction_metric(
     if not 1 <= sample_size <= model.n:
         raise ValueError(f"sample_size must be in [1, {model.n}], got {sample_size}")
     rng = np.random.default_rng(seed)
-    assignment = rec.cats.assignment
-    pens = _penalties(model, rec, tu, tk)
+    n_others, n_draws = model.n - 1, sample_size - 1
     ranks = np.empty(tu.shape[0])
-    for rec_i in range(tu.shape[0]):
-        u, i, k = int(tu[rec_i]), int(ti[rec_i]), int(tk[rec_i])
-        others = rng.choice(model.n - 1, size=sample_size - 1, replace=False)
-        others[others >= i] += 1
-        pool = np.append(others, i)
-        z = (model.X.U[u] * model.X.sigma) @ model.X.V[pool].T
-        scores = z - pens[rec_i][assignment[pool]]
-        si = scores[-1]
-        ranks[rec_i] = (
-            1 + (scores[:-1] > si).sum() + ((scores[:-1] == si) & (others < i)).sum()
-        )
+    for blk in _blocks(tu.shape[0], model.n):
+        items = ti[blk]
+        others = np.array([rng.choice(n_others, n_draws, replace=False) for _ in items])
+        others += others >= items[:, None]
+        scores = _scores(model, rec, tu[blk], tk[blk])
+        target = scores[np.arange(items.shape[0]), items]
+        ranks[blk] = _rank(np.take_along_axis(scores, others, axis=1), others, target, items)
     return float(ranks.mean() / sample_size * 100.0), ranks

@@ -112,7 +112,7 @@ class FactoredUtilityMatrix:
         return kernels.pair_values(self.U, self.sigma, self.V, pair_users, pair_items)
 
     def row_scores(self, user: int) -> np.ndarray:
-        """Row of X: utilities of every item for one user."""
+        """Utilities of every item for a user id or for each id of an array."""
         return (self.U[user] * self.sigma) @ self.V.T
 
     def matmat(self, B: np.ndarray) -> np.ndarray:

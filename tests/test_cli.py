@@ -7,6 +7,7 @@ import pytest
 
 from demandrec.cli import build_parser, main, parse_config_file, CONFIG_SCHEMA
 from demandrec.data import ingest_purchases
+from demandrec.driver import load_model, save_model
 from demandrec.synthetic import SynthSpec, generate
 from demandrec.utility import SolverConfig
 from helpers import triplet_list
@@ -235,6 +236,15 @@ class TestEvaluate:
             assert run(tmp_path, "evaluate") == 2, pos
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error:{kind}:"), (pos, err)
+
+    def test_model_horizon_mismatch_is_one_config_error(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "split.bin").write_bytes((pipeline_dir / "split.bin").read_bytes())
+        model = load_model(pipeline_dir / "model.bin")
+        save_model(dataclasses.replace(model, l=model.l - 10), tmp_path / "model.bin")
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
 
 
 class TestRecommend:

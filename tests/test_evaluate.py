@@ -1,11 +1,13 @@
 """Scoring, top-N ranking, and the three holdout metrics."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from demandrec import evaluate
 from demandrec.data import build_recency_index
 from demandrec.evaluate import (
     MetricReport,
@@ -30,6 +32,14 @@ def random_setup(rng, m=6, n=9, l=15, r=3, nnz=40, d=None):
     model = model_from_dense(X, d, l)
     rec = build_recency_index(log, cats)
     return model, rec, X, log, cats
+
+
+# 45 cells make blocks of 5 records at n = 9 and of 3 groups at max(n, l) = 12:
+# the metric tests below then span several blocks, the last one partial
+@pytest.fixture(params=[None, 45], ids=["one_block", "blocks"])
+def scoring_blocks(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", request.param)
 
 
 def brute_score(X, d, assignment, triplets, user, item, slot):
@@ -175,7 +185,7 @@ class TestCategoryMetric:
         assert np.all(ranks == 1.0)
         assert pct == pytest.approx(100.0 / model.n)
 
-    def test_matches_oracle(self):
+    def test_matches_oracle(self, scoring_blocks):
         rng = np.random.default_rng(6)
         model, rec, X, log, cats = random_setup(rng, nnz=50)
         trips = triplet_list(log)
@@ -250,7 +260,7 @@ class TestTimeMetric:
         assert np.all(errors == model.l)
         assert pct == 100.0
 
-    def test_matches_per_record_brute_force(self):
+    def test_matches_per_record_brute_force(self, scoring_blocks):
         rng = np.random.default_rng(10)
         model, rec, _, log, cats = random_setup(rng, m=4, n=6, l=12, nnz=25)
         tau = 0.3
@@ -281,7 +291,7 @@ class TestTimeMetric:
 
 
 class TestItemMetric:
-    def test_full_sample_matches_exhaustive_rank(self):
+    def test_full_sample_matches_exhaustive_rank(self, scoring_blocks):
         rng = np.random.default_rng(11)
         model, rec, _, log, _ = random_setup(rng)
         tu, ti, tk = log.users[:8], log.items[:8], log.slots[:8]
@@ -365,6 +375,33 @@ class TestProtocolProperties:
         _, base = item_prediction_metric(model, rec, tu, ti, tk, 6, seed=2)
         _, moved = item_prediction_metric(shifted, rec, tu, ti, tk, 6, seed=2)
         assert np.allclose(base, moved)
+
+
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestPinnedMetrics:
+    """sha256 of the three metrics' raw outputs on a small seeded instance,
+    recorded before the metrics were scored in row blocks: the draw order,
+    the tie-breaking and the time errors must not move."""
+
+    PINNED = ("f3d41021eaaa284fa2aec3d9b5c7357e3a602fbfa3134c1bbc4eb1f7436bc064",
+              "f95feb4ed94bb480b71fc5a1996c01ed8926f69fa0f6f94445963c253abadf04",
+              "d00c7fc4ac7f8af8e117c4f582ba2e159411dfef6baa1a03aeae3c5772782ebc")
+
+    def test_outputs_match_pinned_digests(self, scoring_blocks):
+        rng = np.random.default_rng(16)
+        model, rec, X, log, _ = random_setup(rng, m=8, n=12, l=20, nnz=80)
+        tu, ti, tk = log.users, log.items, log.slots
+        tau = 0.5  # below the largest utility, so errors range from 0 to l
+        assert tau < X.max()
+        _, category_ranks = category_prediction_metric(model, rec, tu, ti, tk)
+        _, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
+        _, item_ranks = item_prediction_metric(model, rec, tu, ti, tk, 6, seed=5)
+        assert len(np.unique(time_errors)) > 2
+        got = (_digest(category_ranks), _digest(time_errors), _digest(item_ranks))
+        assert got == self.PINNED
 
 
 class TestMetricReport:

@@ -114,6 +114,7 @@ class TestFactoredMatrix:
             X.pair_values(users, items), dense[users, items], atol=1e-10
         )
         np.testing.assert_allclose(X.row_scores(3), dense[3], atol=1e-10)
+        np.testing.assert_allclose(X.row_scores([3, 0]), dense[[3, 0]], atol=1e-10)
 
     def test_frobenius_from_factors(self):
         rng = np.random.default_rng(22)
