@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import synthetic
 from .data import (
-    PurchaseLog,
     build_recency_index,
     export_log,
     ingest_categories,
@@ -162,21 +161,14 @@ def write_resolved(cfg: dict, outdir: Path, command: str) -> None:
     (outdir / f"resolved_{command}.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(SolverConfig)})
+def _from_config(klass, cfg: dict):
+    """An instance of the config dataclass ``klass`` whose fields, each
+    also a config key, take their values from ``cfg``."""
+    return klass(**{f.name: cfg[f.name] for f in dataclasses.fields(klass)})
 
 
 def cmd_synth(cfg: dict) -> int:
-    spec = synthetic.SynthSpec(
-        m=cfg["m"],
-        n=cfg["n"],
-        l=cfg["l"],
-        r=cfg["r"],
-        rank=cfg["rank"],
-        obs_prob=cfg["obs_prob"],
-        noise_ratio=cfg["noise_ratio"],
-        seed=cfg["seed"],
-    )
+    spec = _from_config(synthetic.SynthSpec, cfg)
     inst = synthetic.generate(spec)
     outdir = _outdir(cfg)
     log = inst.log
@@ -186,8 +178,7 @@ def cmd_synth(cfg: dict) -> int:
     with open(outdir / "categories.csv", "w", encoding="utf-8") as handle:
         for item, cat in enumerate(inst.cats.assignment):
             handle.write(f"{item},{cat}\n")
-    truth = [f"{key} = {getattr(spec, key)}" for key in
-             ("m", "n", "l", "r", "rank", "obs_prob", "noise_ratio", "seed")]
+    truth = [f"{f.name} = {getattr(spec, f.name)}" for f in dataclasses.fields(spec)]
     truth.append("d_true = " + " ".join(f"{v:g}" for v in inst.d_true))
     truth.append(f"nnz = {log.nnz}")
     (outdir / "truth.txt").write_text("\n".join(truth) + "\n", encoding="utf-8")
@@ -205,12 +196,10 @@ def cmd_train(cfg: dict) -> int:
                            timestamp_format=cfg["timestamp_format"])
     cats = ingest_categories(categories, log)
     split = split_train_test(log, cfg["split_fraction"], seed=cfg["seed"])
-    test = PurchaseLog(users=split.test_users, items=split.test_items,
-                       slots=split.test_slots, m=log.m, n=log.n, l=log.l)
-    export_log(split.train, test, cats, outdir / "split.bin")
+    export_log(split.train, split.test, cats, outdir / "split.bin")
 
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
-    state, report = fit(split.train, cats, _solver_config(cfg), init=init)
+    state, report = fit(split.train, cats, _from_config(SolverConfig, cfg), init=init)
     save_model(state, outdir / "model.bin")
     (outdir / "fit_report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     write_resolved(cfg, outdir, "train")
@@ -219,18 +208,25 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: dict) -> int:
-    outdir = _outdir(cfg)
+def _load_artifacts(outdir: Path):
+    """``(model, test, rec)`` from the ``model.bin`` and ``split.bin`` that
+    ``train`` wrote, with ``rec`` the recency index of the training log;
+    a model whose dimensions differ from the split's is one ConfigError."""
     model = load_model(outdir / "model.bin")
     train, test, cats = load_log(outdir / "split.bin")
-    if test.nnz == 0:
-        raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     if (model.m, model.n, model.r, model.l) != (train.m, train.n, cats.r, train.l):
         raise ConfigError(
             f"model dims ({model.m}x{model.n}, r={model.r}, l={model.l}) do not match "
             f"the artifacts ({train.m}x{train.n}, r={cats.r}, l={train.l})"
         )
-    rec = build_recency_index(train, cats)
+    return model, test, build_recency_index(train, cats)
+
+
+def cmd_evaluate(cfg: dict) -> int:
+    outdir = _outdir(cfg)
+    model, test, rec = _load_artifacts(outdir)
+    if test.nnz == 0:
+        raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     tu, ti, tk = test.users, test.items, test.slots
     cat_pct, cat_ranks = category_prediction_metric(model, rec, tu, ti, tk)
     time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=cfg["tau"])
@@ -261,13 +257,11 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_recommend(cfg: dict, user: int, slot: int, topn: int) -> int:
     outdir = _outdir(cfg)
-    model = load_model(outdir / "model.bin")
-    train, _, cats = load_log(outdir / "split.bin")
+    model, _, rec = _load_artifacts(outdir)
     if not 0 <= user < model.m:
         raise ConfigError(f"user must be in [0, {model.m}), got {user}")
     if not 0 <= slot:
         raise ConfigError(f"slot must be >= 0, got {slot}")
-    rec = build_recency_index(train, cats)
     ranking = recommend_topn(model, rec, user, slot, topn)
     lines = ["rank,item,score"]
     lines.extend(f"{pos},{item},{value:.6f}" for pos, (item, value) in enumerate(ranking, 1))

@@ -45,12 +45,15 @@ def _sorted_labels(labels):
 
 
 class PairStructure(NamedTuple):
-    """Distinct (user, item) pairs of a log plus the triplet -> pair map."""
+    """Distinct (user, item) pairs of a log plus the triplet -> pair map.
+    Pairs are sorted by (user, item), so they form the CSR pattern of the
+    user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``."""
 
     index: np.ndarray  # len nnz, pair id of each triplet
     users: np.ndarray  # len n_pairs
-    items: np.ndarray  # len n_pairs
+    items: np.ndarray  # len n_pairs, the CSR column indices
     counts: np.ndarray  # len n_pairs, purchases per pair
+    indptr: np.ndarray  # len m + 1, the CSR row pointer
 
 
 @dataclass(eq=False)
@@ -83,11 +86,13 @@ class PurchaseLog:
             boundary = np.append(True, np.diff(
                 _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
             starts = np.nonzero(boundary)[0]
+            users = self.users[starts]
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
-                users=self.users[starts],
+                users=users,
                 items=self.items[starts],
                 counts=np.diff(np.append(starts, self.nnz)),
+                indptr=np.searchsorted(users, np.arange(self.m + 1)),
             )
         return self._pairs
 
@@ -331,18 +336,10 @@ def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:
 
 @dataclass(eq=False)
 class SplitSpec:
-    """Per-user holdout split.  ``train`` keeps the full log's dimensions."""
+    """Per-user holdout split.  Both logs keep the full log's dimensions."""
 
     train: PurchaseLog
-    test_users: np.ndarray
-    test_items: np.ndarray
-    test_slots: np.ndarray
-    fraction: float
-    seed: int
-
-    @property
-    def n_test(self) -> int:
-        return self.test_users.shape[0]
+    test: PurchaseLog
 
 
 def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
@@ -363,25 +360,20 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
             continue
         held_mask[lo + rng.choice(cnt, size=held, replace=False)] = True
 
-    # masking keeps the log's (user, item, slot) order
-    train = PurchaseLog(
-        users=log.users[~held_mask],
-        items=log.items[~held_mask],
-        slots=log.slots[~held_mask],
-        m=log.m,
-        n=log.n,
-        l=log.l,
-        user_labels=log.user_labels,
-        item_labels=log.item_labels,
-    )
-    return SplitSpec(
-        train=train,
-        test_users=log.users[held_mask],
-        test_items=log.items[held_mask],
-        test_slots=log.slots[held_mask],
-        fraction=fraction,
-        seed=seed,
-    )
+    def part(keep):
+        # masking keeps the log's (user, item, slot) order
+        return PurchaseLog(
+            users=log.users[keep],
+            items=log.items[keep],
+            slots=log.slots[keep],
+            m=log.m,
+            n=log.n,
+            l=log.l,
+            user_labels=log.user_labels,
+            item_labels=log.item_labels,
+        )
+
+    return SplitSpec(train=part(~held_mask), test=part(held_mask))
 
 
 # ---------------------------------------------------------------------------

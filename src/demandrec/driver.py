@@ -34,7 +34,7 @@ from .utility import (
     MatrixOperator,
     SolverConfig,
     compute_targets,
-    hinge_objective,
+    objective,
     randomized_svd,
     update_X,
 )
@@ -92,25 +92,18 @@ class FitReport:
 
 
 def evaluate_objective(
-    X: FactoredUtilityMatrix,
-    d,
-    log: PurchaseLog,
-    cats: CategoryMap,
-    rec: RecencyIndex,
-    cfg: SolverConfig,
+    X: FactoredUtilityMatrix, d, rec: RecencyIndex, cfg: SolverConfig
 ) -> float:
-    """Joint objective at (X, d), never touching all m*n*l cells."""
-    targets = compute_targets(log, cats, rec, d)
-    return hinge_objective(X, targets, cfg.eta) + cfg.lam * float(X.sigma.sum())
+    """Joint objective at (X, d) on ``rec``'s log, never touching all m*n*l cells."""
+    return objective(X, compute_targets(rec, d), cfg)
 
 
 def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     """Start X from a randomized SVD of the purchase-count matrix
     sum_k p_ijk, rescaled to unit spectral norm."""
     pairs = log.pairs()
-    indptr = np.searchsorted(pairs.users, np.arange(log.m + 1))
     counts = sp.csr_matrix(
-        (pairs.counts.astype(float), pairs.items, indptr), shape=(log.m, log.n)
+        (pairs.counts.astype(float), pairs.items, pairs.indptr), shape=(log.m, log.n)
     )
     rng = np.random.default_rng(cfg.seed)
     U, sig, V = randomized_svd(
@@ -146,7 +139,7 @@ def fit(
         X = init_utility(log, cfg)
         d = np.zeros(cats.r)
 
-    f = evaluate_objective(X, d, log, cats, rec, cfg)
+    f = evaluate_objective(X, d, rec, cfg)
     history = [f]
     flags: tuple = ()
     seconds = []
@@ -154,11 +147,10 @@ def fit(
     iteration = 0
     for iteration in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
-        worksets = build_worksets(log, cats, rec, X)
-        d, flags = update_durations(worksets)
-        targets = compute_targets(log, cats, rec, d)
+        d, flags = update_durations(build_worksets(rec, X))
+        targets = compute_targets(rec, d)
         X = update_X(X, targets, cfg)
-        f_new = hinge_objective(X, targets, cfg.eta) + cfg.lam * float(X.sigma.sum())
+        f_new = objective(X, targets, cfg)
         seconds.append(time.perf_counter() - t0)
         if f_new > f + 1e-8 * max(1.0, abs(f)):
             raise SolverError(

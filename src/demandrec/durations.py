@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import CategoryMap, PurchaseLog, RecencyIndex
+from .data import RecencyIndex
 
 
 @dataclass(eq=False)
@@ -41,25 +41,20 @@ class CategoryWorkSet:
         return self.s.shape[0]
 
 
-def build_worksets(
-    log: PurchaseLog,
-    cats: CategoryMap,
-    rec: RecencyIndex,
-    X,
-) -> list[CategoryWorkSet]:
-    """One workset per category from the current utilities.
+def build_worksets(rec: RecencyIndex, X) -> list[CategoryWorkSet]:
+    """One workset per category of ``rec`` from the current utilities.
 
     Every finite-recency positive triplet lands in exactly one workset;
     infinite-recency ones only contribute their flat loss.
     """
-    pairs = log.pairs()
+    pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
     z_trip = z_pair[pairs.index]
     t_trip = rec.triplet_recency()
     order, bounds = rec.category_slices()
 
     worksets = []
-    for cat in range(cats.r):
+    for cat in range(rec.r):
         idx = order[bounds[cat] : bounds[cat + 1]]
         z = z_trip[idx]
         t = t_trip[idx]

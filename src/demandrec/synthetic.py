@@ -158,10 +158,9 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
         # dedupe keeping first-draw order, then reject already-present cells
         _, first = np.unique(draw, return_index=True)
         draw = draw[np.sort(first)]
-        pos = np.minimum(np.searchsorted(existing, draw), existing.shape[0] - 1)
-        draw = draw[existing[pos] != draw]
+        draw = draw[~_isin_sorted(draw, existing)]
         if picked:
-            draw = draw[~np.isin(draw, np.concatenate(picked))]
+            draw = draw[~_isin_sorted(draw, np.sort(np.concatenate(picked)))]
         draw = draw[: count - n_picked]
         picked.append(draw)
         n_picked += draw.shape[0]
@@ -176,6 +175,14 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     )
     assert noisy.nnz == log.nnz + count
     return replace(inst, log=noisy)
+
+
+def _isin_sorted(values, keys):
+    """``np.isin(values, keys)`` for ascending ``keys``, by binary search."""
+    if keys.shape[0] == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, values), keys.shape[0] - 1)
+    return keys[pos] == values
 
 
 def duration_error(d_est, d_true) -> float:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .data import CategoryMap, PurchaseLog, RecencyIndex
+from .data import PairStructure, RecencyIndex
 from .errors import ConfigError, SolverError
 
 _MAX_HALVINGS = 10
@@ -107,8 +107,6 @@ class FactoredUtilityMatrix:
 
     def pair_values(self, pair_users, pair_items) -> np.ndarray:
         """x_ij at the given index pairs."""
-        if self.rank == 0:
-            return np.zeros(pair_users.shape[0])
         return kernels.pair_values(self.U, self.sigma, self.V, pair_users, pair_items)
 
     def row_scores(self, user: int) -> np.ndarray:
@@ -136,64 +134,31 @@ class HingeTargets:
     """Per-triplet margin targets plus the pair structure they live on."""
 
     a: np.ndarray  # len nnz, target 1 + max(0, d_c - t)
-    pair_index: np.ndarray
-    pair_users: np.ndarray
-    pair_items: np.ndarray
-    pair_counts: np.ndarray
+    pairs: PairStructure
     m: int
     n: int
     l: int
-    _pattern: tuple | None = field(default=None, repr=False)
-
-    @property
-    def nnz(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.pair_users.shape[0]
-
-    @property
-    def max_count(self) -> int:
-        return int(self.pair_counts.max())
-
-    def csr_pattern(self):
-        """(indptr, indices) of the positive-pair sparsity, built once."""
-        if self._pattern is None:
-            indptr = np.searchsorted(self.pair_users, np.arange(self.m + 1))
-            self._pattern = (indptr, self.pair_items)
-        return self._pattern
 
 
-def compute_targets(
-    log: PurchaseLog, cats: CategoryMap, rec: RecencyIndex, d
-) -> HingeTargets:
+def compute_targets(rec: RecencyIndex, d) -> HingeTargets:
     """Hinge targets a_ijk = 1 + max(0, d_c - t_ick) for every positive
-    triplet; infinite recency gives the plain margin 1."""
+    triplet of ``rec``'s log; infinite recency gives the plain margin 1."""
     d = np.asarray(d, dtype=float)
-    if d.shape != (cats.r,):
-        raise ConfigError(f"duration vector has shape {d.shape}, expected ({cats.r},)")
+    if d.shape != (rec.r,):
+        raise ConfigError(f"duration vector has shape {d.shape}, expected ({rec.r},)")
     if d.min() < 0:
         raise ConfigError("durations must be nonnegative")
     t = rec.triplet_recency()
     a = 1.0 + np.maximum(0.0, d[rec.triplet_categories()] - t)
-    pairs = log.pairs()
-    return HingeTargets(
-        a=a,
-        pair_index=pairs.index,
-        pair_users=pairs.users,
-        pair_items=pairs.items,
-        pair_counts=pairs.counts,
-        m=log.m,
-        n=log.n,
-        l=log.l,
-    )
+    log = rec.log
+    return HingeTargets(a=a, pairs=log.pairs(), m=log.m, n=log.n, l=log.l)
 
 
 def auto_step(targets: HingeTargets, eta: float) -> float:
     """1 / L with L = 2 (1 - eta) l + 2 eta max_ij n_ij, a global bound on
     the curvature of h, so the fixed step is always safe."""
-    return 1.0 / (2.0 * (1.0 - eta) * targets.l + 2.0 * eta * targets.max_count)
+    max_count = int(targets.pairs.counts.max())
+    return 1.0 / (2.0 * (1.0 - eta) * targets.l + 2.0 * eta * max_count)
 
 
 class GradStepOperator:
@@ -262,16 +227,14 @@ def gradient_step(
             f"step size {gamma} too large (dense scale {scale:.3g} <= -1); "
             "use gamma = 0 for the automatic step"
         )
-    z_pair = X.pair_values(targets.pair_users, targets.pair_items)
-    hinge_sums, _ = kernels.hinge_stats(
-        targets.a, z_pair, targets.pair_index, targets.n_pairs
-    )
+    pairs = targets.pairs
+    z_pair = X.pair_values(pairs.users, pairs.items)
+    hinge_sums, _ = kernels.hinge_stats(targets.a, z_pair, pairs.index, pairs.counts.shape[0])
     vals = (
-        2.0 * gamma * (1.0 - eta) * targets.pair_counts * z_pair
+        2.0 * gamma * (1.0 - eta) * pairs.counts * z_pair
         + 2.0 * gamma * eta * hinge_sums
     )
-    indptr, indices = targets.csr_pattern()
-    S = sp.csr_matrix((vals, indices, indptr), shape=(targets.m, targets.n))
+    S = sp.csr_matrix((vals, pairs.items, pairs.indptr), shape=(targets.m, targets.n))
     return GradStepOperator(scale, X, S)
 
 
@@ -306,14 +269,16 @@ def soft_threshold(sigma: np.ndarray, amount: float):
 def hinge_objective(X: FactoredUtilityMatrix, targets: HingeTargets, eta: float) -> float:
     """h(X): weighted hinge losses at positives plus squared shrinkage of
     everything unlabeled, computed from the factors and the sparse pairs."""
-    z_pair = X.pair_values(targets.pair_users, targets.pair_items)
-    _, hinge_sq = kernels.hinge_stats(
-        targets.a, z_pair, targets.pair_index, targets.n_pairs
-    )
-    zero_part = targets.l * X.frob_sq() - float(
-        (targets.pair_counts * z_pair * z_pair).sum()
-    )
+    pairs = targets.pairs
+    z_pair = X.pair_values(pairs.users, pairs.items)
+    _, hinge_sq = kernels.hinge_stats(targets.a, z_pair, pairs.index, pairs.counts.shape[0])
+    zero_part = targets.l * X.frob_sq() - float((pairs.counts * z_pair * z_pair).sum())
     return eta * hinge_sq + (1.0 - eta) * zero_part
+
+
+def objective(X: FactoredUtilityMatrix, targets: HingeTargets, cfg: SolverConfig) -> float:
+    """The joint objective h(X) + lam ||X||_* that every block update lowers."""
+    return hinge_objective(X, targets, cfg.eta) + cfg.lam * float(X.sigma.sum())
 
 
 def update_X(
@@ -327,7 +292,7 @@ def update_X(
     """
     gamma = cfg.gamma if cfg.gamma > 0 else auto_step(targets, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    obj = hinge_objective(X, targets, cfg.eta) + cfg.lam * X.sigma.sum()
+    obj = objective(X, targets, cfg)
     halvings = 0
     accepted = 0
     while accepted < cfg.inner_iters:
@@ -335,7 +300,7 @@ def update_X(
         U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, cfg.power_iters, rng)
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
-        cand_obj = hinge_objective(cand, targets, cfg.eta) + cfg.lam * sig_new.sum()
+        cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
             halvings += 1
             if halvings > _MAX_HALVINGS:

@@ -39,7 +39,7 @@ from demandrec.utility import (
     auto_step,
     compute_targets,
     gradient_step,
-    hinge_objective,
+    objective,
     update_X,
 )
 from helpers import make_cats, make_log, model_from_dense, random_triplets
@@ -183,7 +183,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
         r = int(rng.integers(1, 4))
         cats = make_cats(rng.integers(0, r, size=n), r=r)
         rec = build_recency_index(log, cats)
-        targets = compute_targets(log, cats, rec, rng.uniform(0.0, l, size=r))
+        targets = compute_targets(rec, rng.uniform(0.0, l, size=r))
         X_dense = rng.uniform(0.0, 1.0, size=(m, n))
         # full-width sketch block keeps the randomized SVD exact, so any
         # remaining gap is genuine algorithmic disagreement
@@ -192,7 +192,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
             power_iters=4, inner_iters=5, tol=1e-12,
         )
         X1 = update_X(model_from_dense(X_dense, [0.0] * r, l).X, targets, cfg)
-        got = hinge_objective(X1, targets, cfg.eta) + cfg.lam * X1.sigma.sum()
+        got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
             X_dense, trips, targets.a, cfg.eta, cfg.lam, gamma, log.l,
@@ -215,7 +215,7 @@ def test_criterion_6c_gradient_matches_finite_differences():
         log = make_log(trips, m=m, n=n)
         cats = make_cats(rng.integers(0, r, size=n), r=r)
         rec = build_recency_index(log, cats)
-        targets = compute_targets(log, cats, rec, rng.uniform(0.0, l, size=r))
+        targets = compute_targets(rec, rng.uniform(0.0, l, size=r))
         X_dense = rng.uniform(-0.5, 1.5, size=(m, n))
         cfg = SolverConfig(eta=0.35)
         gamma = auto_step(targets, cfg.eta)
@@ -281,7 +281,7 @@ def test_criterion_8_durations_help_time_prediction(reference_fit):
     inst, state, _, _ = reference_fit
     split = split_train_test(inst.log, 0.1, seed=0)
     rec = build_recency_index(split.train, inst.cats)
-    tu, ti, tk = split.test_users, split.test_items, split.test_slots
+    tu, ti, tk = split.test.users, split.test.items, split.test.slots
     trained_pct, _ = time_prediction_metric(state, rec, tu, ti, tk, tau=0.5)
     flat = dataclasses.replace(state, d=np.zeros_like(state.d))
     flat_pct, _ = time_prediction_metric(flat, rec, tu, ti, tk, tau=0.5)

@@ -9,7 +9,7 @@ from demandrec.cli import build_parser, main, parse_config_file, CONFIG_SCHEMA
 from demandrec.data import ingest_purchases
 from demandrec.driver import load_model, save_model
 from demandrec.synthetic import SynthSpec, generate
-from demandrec.utility import SolverConfig
+from demandrec.utility import FactoredUtilityMatrix, SolverConfig
 from helpers import triplet_list
 
 SMALL = [
@@ -274,6 +274,17 @@ class TestRecommend:
         code = run(pipeline_dir, "recommend", "--user", "0", "--slot", "0", "--topn", "0")
         assert code == 2
         assert "error:config:" in capsys.readouterr().err
+
+    def test_model_dims_mismatch_is_one_config_error(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "split.bin").write_bytes((pipeline_dir / "split.bin").read_bytes())
+        model = load_model(pipeline_dir / "model.bin")
+        X = FactoredUtilityMatrix(model.X.U, model.X.sigma, model.X.V[:-5])
+        save_model(dataclasses.replace(model, X=X), tmp_path / "model.bin")
+        capsys.readouterr()
+        assert run(tmp_path, "recommend", "--user", "0", "--slot", "5", "--topn", "4") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert f"model dims ({model.m}x{model.n - 5}, r={model.r}, l={model.l})" in err[0]
 
 
 class TestRankDemo:

@@ -137,9 +137,7 @@ class TestExportLoad:
         log = ingest_purchases(write(tmp_path, "p.csv", FIXTURE_ROWS))
         cats = CategoryMap(assignment=np.arange(log.n) % 2, r=2)
         split = split_train_test(log, 0.3, seed=1)
-        test = PurchaseLog(users=split.test_users, items=split.test_items,
-                           slots=split.test_slots, m=log.m, n=log.n, l=log.l)
-        return split.train, test, cats
+        return split.train, split.test, cats
 
     def write_raw(self, path, dims, train, test, assignment, version=1):
         """A bundle with a valid digest but arbitrary contents."""
@@ -411,7 +409,7 @@ class TestPinnedOutputs:
         got = (
             _digest(log.users, log.items, log.slots, [log.m, log.n, log.l]),
             _digest(train.users, train.items, train.slots, [train.m, train.n, train.l]),
-            _digest(split.test_users, split.test_items, split.test_slots),
+            _digest(split.test.users, split.test.items, split.test.slots),
             _digest(build_recency_index(train, inst.cats).triplet_recency()),
         )
         assert got == self.PINNED[noise_ratio]
@@ -422,7 +420,7 @@ class TestSplit:
         trips = [(0, j, j) for j in range(10)]
         log = make_log(trips, m=1, n=10)
         split = split_train_test(log, 0.1, seed=0)
-        assert split.n_test == 1
+        assert split.test.nnz == 1
         assert split.train.nnz == 9
 
     def test_same_seed_identical(self):
@@ -430,14 +428,14 @@ class TestSplit:
         log = make_log(random_triplets(rng, 20, 15, 30, 400), m=20, n=15)
         a = split_train_test(log, 0.2, seed=3)
         b = split_train_test(log, 0.2, seed=3)
-        assert np.array_equal(a.test_users, b.test_users)
-        assert np.array_equal(a.test_items, b.test_items)
-        assert np.array_equal(a.test_slots, b.test_slots)
+        assert np.array_equal(a.test.users, b.test.users)
+        assert np.array_equal(a.test.items, b.test.items)
+        assert np.array_equal(a.test.slots, b.test.slots)
         c = split_train_test(log, 0.2, seed=4)
         assert not (
-            np.array_equal(a.test_users, c.test_users)
-            and np.array_equal(a.test_items, c.test_items)
-            and np.array_equal(a.test_slots, c.test_slots)
+            np.array_equal(a.test.users, c.test.users)
+            and np.array_equal(a.test.items, c.test.items)
+            and np.array_equal(a.test.slots, c.test.slots)
         )
 
     def test_partition_is_exact(self):
@@ -447,8 +445,8 @@ class TestSplit:
         split = split_train_test(log, 0.25, seed=1)
         train = set(triplet_list(split.train))
         test = set(
-            zip(split.test_users.tolist(), split.test_items.tolist(),
-                split.test_slots.tolist())
+            zip(split.test.users.tolist(), split.test.items.tolist(),
+                split.test.slots.tolist())
         )
         assert train | test == set(trips)
         assert not train & test
@@ -483,8 +481,8 @@ class TestSplit:
             start = stop
         got = {
             triplet_list(log).index((u, i, k))
-            for u, i, k in zip(split.test_users.tolist(), split.test_items.tolist(),
-                               split.test_slots.tolist())
+            for u, i, k in zip(split.test.users.tolist(), split.test.items.tolist(),
+                               split.test.slots.tolist())
         }
         assert got == expected
 
@@ -511,3 +509,14 @@ class TestPairs:
             p = pairs.index[pos]
             assert pairs.users[p] == log.users[pos]
             assert pairs.items[p] == log.items[pos]
+        # CSR rows: user u owns pairs indptr[u]:indptr[u + 1]; in the second
+        # log users 0 and 3 and the last two own none
+        sparse = make_log([t for t in trips if t[0] not in (0, 3)], m=10, n=6)
+        for case in (log, sparse):
+            pairs = case.pairs()
+            owned = [u for u, _ in oracles.pair_counts(triplet_list(case))]
+            assert pairs.indptr.shape == (case.m + 1,)
+            assert pairs.indptr[0] == 0 and pairs.indptr[-1] == len(owned)
+            for u in range(case.m):
+                row = pairs.users[pairs.indptr[u]:pairs.indptr[u + 1]]
+                assert (row == u).all() and row.shape[0] == owned.count(u)

@@ -34,7 +34,7 @@ class TestEvaluateObjective:
         rec = build_recency_index(log, cats)
         X = FactoredUtilityMatrix.zeros(log.m, log.n)
         cfg = SolverConfig(eta=0.37, lam=2.0)
-        got = evaluate_objective(X, np.zeros(cats.r), log, cats, rec, cfg)
+        got = evaluate_objective(X, np.zeros(cats.r), rec, cfg)
         assert got == pytest.approx(0.37 * log.nnz, rel=1e-12)
 
     def test_matches_cell_by_cell_evaluation(self):
@@ -45,7 +45,7 @@ class TestEvaluateObjective:
         X = model_from_dense(X_dense, [0.0] * cats.r, log.l).X
         d = rng.uniform(0.0, 3.0, size=cats.r)
         cfg = SolverConfig(eta=0.6, lam=1.3)
-        got = evaluate_objective(X, d, log, cats, rec, cfg)
+        got = evaluate_objective(X, d, rec, cfg)
         expected = oracles.dense_objective(
             X_dense, d, trips, assignment, log.l, cfg.eta, cfg.lam
         )

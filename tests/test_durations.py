@@ -46,7 +46,7 @@ class TestBuildWorksets:
         cats = make_cats(assignment, r=r)
         rec = build_recency_index(log, cats)
         X = model_from_dense(np.full((log.m, log.n), x_value), [0.0] * r, log.l).X
-        return build_worksets(log, cats, rec, X)
+        return build_worksets(rec, X)
 
     def test_breakpoint_equals_recency_when_z_at_most_one(self):
         (ws,) = self.build(1.0, [(0, 0, 0), (0, 0, 5)], [0], r=1)
@@ -72,7 +72,7 @@ class TestBuildWorksets:
         cats = make_cats(assignment, r=3)
         rec = build_recency_index(log, cats)
         X = model_from_dense(rng.random((10, 8)), [0.0] * 3, log.l).X
-        sets = build_worksets(log, cats, rec, X)
+        sets = build_worksets(rec, X)
         n_inf = int(np.isinf(rec.triplet_recency()).sum())
         assert sum(ws.size for ws in sets) + n_inf == log.nnz
         for ws in sets:
@@ -172,7 +172,7 @@ class TestUpdateDurations:
         rec = build_recency_index(log, cats)
         X_dense = rng.uniform(0.0, 1.5, size=(6, 9))
         X = model_from_dense(X_dense, [0.0] * 3, log.l).X
-        sets = build_worksets(log, cats, rec, X)
+        sets = build_worksets(rec, X)
         d, _ = update_durations(sets)
         for cat in range(3):
             # records rebuilt fully independently from raw triplets
@@ -196,6 +196,6 @@ class TestUpdateDurations:
         inst = simulate_purchases(x_true, spec)
         rec = build_recency_index(inst.log, inst.cats)
         X = model_from_dense(x_true, [0.0] * 3, inst.log.l).X
-        d, flags = update_durations(build_worksets(inst.log, inst.cats, rec, X))
+        d, flags = update_durations(build_worksets(rec, X))
         assert flags == ()
         assert np.array_equal(d, true_durations(3))

@@ -16,6 +16,7 @@ from demandrec.utility import (
     compute_targets,
     gradient_step,
     hinge_objective,
+    objective,
     randomized_svd,
     soft_threshold,
     update_X,
@@ -30,7 +31,7 @@ def build_setup(rng, m, n, l, r, count, d=None):
     rec = build_recency_index(log, cats)
     if d is None:
         d = rng.uniform(0.0, 8.0, size=r)
-    targets = compute_targets(log, cats, rec, d)
+    targets = compute_targets(rec, d)
     return log, cats, rec, targets, trips, assignment.tolist(), np.asarray(d, float)
 
 
@@ -73,13 +74,13 @@ class TestComputeTargets:
         log = make_log([(0, 0, 0), (0, 0, 3)], m=1, n=1)
         cats = make_cats([0], r=1)
         rec = build_recency_index(log, cats)
-        targets = compute_targets(log, cats, rec, [10.0])
+        targets = compute_targets(rec, [10.0])
         assert targets.a.tolist() == [1.0, 8.0]
 
     def test_infinite_recency_gives_unit_target(self):
         log = make_log([(0, 0, 7)], m=1, n=1)
         cats = make_cats([0], r=1)
-        targets = compute_targets(log, cats, build_recency_index(log, cats), [10.0])
+        targets = compute_targets(build_recency_index(log, cats), [10.0])
         assert targets.a.tolist() == [1.0]
 
     def test_targets_match_brute_force(self):
@@ -97,9 +98,9 @@ class TestComputeTargets:
         cats = make_cats([0], r=1)
         rec = build_recency_index(log, cats)
         with pytest.raises(ConfigError, match="shape"):
-            compute_targets(log, cats, rec, [1.0, 2.0])
+            compute_targets(rec, [1.0, 2.0])
         with pytest.raises(ConfigError, match="nonnegative"):
-            compute_targets(log, cats, rec, [-1.0])
+            compute_targets(rec, [-1.0])
 
 
 class TestFactoredMatrix:
@@ -146,7 +147,7 @@ class TestGradientStep:
         gamma = auto_step(targets, cfg.eta)
         op = gradient_step(X, targets, cfg)
         expected = op.scale * X.dense()
-        for u, i, c in zip(targets.pair_users, targets.pair_items, targets.pair_counts):
+        for u, i, c in zip(targets.pairs.users, targets.pairs.items, targets.pairs.counts):
             expected[u, i] += 2.0 * gamma * (1.0 - cfg.eta) * c * 2.0
         np.testing.assert_allclose(op.dense(), expected, atol=1e-12)
 
@@ -260,7 +261,7 @@ class TestObjective:
     def test_auto_step_formula(self):
         rng = np.random.default_rng(34)
         log, cats, rec, targets, *_ = build_setup(rng, 6, 5, 8, 2, 60)
-        max_count = int(targets.pair_counts.max())
+        max_count = int(targets.pairs.counts.max())
         expected = 1.0 / (2.0 * 0.5 * log.l + 2.0 * 0.5 * max_count)
         assert auto_step(targets, 0.5) == pytest.approx(expected, rel=1e-12)
 
@@ -287,7 +288,7 @@ class TestUpdateX:
             inner_iters=6, tol=1e-12,
         )
         X1 = update_X(X0, targets, cfg)
-        got = hinge_objective(X1, targets, cfg.eta) + cfg.lam * X1.sigma.sum()
+        got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
             X_dense, trips, targets.a, cfg.eta, cfg.lam, gamma, log.l,
@@ -300,10 +301,10 @@ class TestUpdateX:
         log, cats, rec, targets, *_ = build_setup(rng, 10, 9, 6, 3, 80)
         X = model_from_dense(rng.uniform(0.0, 1.0, size=(10, 9)), [0.0] * 3, 6).X
         cfg = SolverConfig(lam=0.5, inner_iters=1, max_rank=6, tol=1e-12)
-        obj = hinge_objective(X, targets, cfg.eta) + cfg.lam * X.sigma.sum()
+        obj = objective(X, targets, cfg)
         for _ in range(8):
             X = update_X(X, targets, cfg)
-            new = hinge_objective(X, targets, cfg.eta) + cfg.lam * X.sigma.sum()
+            new = objective(X, targets, cfg)
             assert new <= obj + 1e-10 * max(1.0, abs(obj))
             obj = new
 
@@ -325,7 +326,7 @@ class TestUpdateX:
         log = make_log(trips, m=6, n=5)
         cats = make_cats([0] * 5, r=1)
         rec = build_recency_index(log, cats)
-        targets = compute_targets(log, cats, rec, [0.0])
+        targets = compute_targets(rec, [0.0])
         X_dense = rng.uniform(0.5, 1.0, size=(6, 5))
         X0 = model_from_dense(X_dense, [0.0], 6).X
         X1 = update_X(X0, targets, SolverConfig(lam=0.1, inner_iters=10, max_rank=5))
