@@ -47,13 +47,19 @@ def _sorted_labels(labels):
 class PairStructure(NamedTuple):
     """Distinct (user, item) pairs of a log plus the triplet -> pair map.
     Pairs are sorted by (user, item), so they form the CSR pattern of the
-    user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``."""
+    user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``.
+    ``item_order`` lists the pairs in (item, user) order, which gives the CSR
+    pattern of the item x user transpose: item j owns pairs
+    ``item_order[item_indptr[j]:item_indptr[j + 1]]``."""
 
     index: np.ndarray  # len nnz, pair id of each triplet
     users: np.ndarray  # len n_pairs
     items: np.ndarray  # len n_pairs, the CSR column indices
     counts: np.ndarray  # len n_pairs, purchases per pair
     indptr: np.ndarray  # len m + 1, the CSR row pointer
+    item_order: np.ndarray  # len n_pairs, pair ids in (item, user) order
+    item_users: np.ndarray  # len n_pairs, users[item_order]: the transpose's columns
+    item_indptr: np.ndarray  # len n + 1, the transpose's row pointer
 
 
 @dataclass(eq=False)
@@ -80,19 +86,26 @@ class PurchaseLog:
         return self.users.shape[0]
 
     def pairs(self) -> PairStructure:
-        """Distinct (user, item) pairs; cached after the first call."""
+        """Distinct (user, item) pairs and both CSR patterns; cached after
+        the first call, so every call returns the same arrays."""
         if self._pairs is None:
             # a temporary key array, freed before the pair arrays are built
             boundary = np.append(True, np.diff(
                 _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
             starts = np.nonzero(boundary)[0]
             users = self.users[starts]
+            items = self.items[starts]
+            # pairs are distinct, so the (item, user) keys are too
+            item_order = np.argsort(_encode_keys(items, users, 0, (self.n, self.m, 1)))
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
                 users=users,
-                items=self.items[starts],
+                items=items,
                 counts=np.diff(np.append(starts, self.nnz)),
                 indptr=np.searchsorted(users, np.arange(self.m + 1)),
+                item_order=item_order,
+                item_users=users[item_order],
+                item_indptr=np.searchsorted(items[item_order], np.arange(self.n + 1)),
             )
         return self._pairs
 

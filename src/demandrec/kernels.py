@@ -11,10 +11,21 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # pair_values: entries of a factored matrix U diag(sigma) V^T at index pairs.
+# The products (u_pj sigma_j) v_pj are added up from zero in j order, which is
+# the order of einsum("pk,k,pk->p", U[pu], sigma, V[pi]), so the two agree bit
+# for bit.  Gathering one factor column at a time keeps the transient at a few
+# pair-length vectors instead of two pairs x rank copies.
 
 
 def pair_values(U, sigma, V, pair_users, pair_items):
-    return np.einsum("pk,k,pk->p", U[pair_users], sigma, V[pair_items])
+    UT = np.ascontiguousarray((U * sigma).T)
+    VT = np.ascontiguousarray(V.T)
+    out = np.zeros(len(pair_users))
+    for j in range(sigma.shape[0]):
+        prod = UT[j][pair_users]
+        prod *= VT[j][pair_items]
+        out += prod
+    return out
 
 
 # ---------------------------------------------------------------------------

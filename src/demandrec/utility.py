@@ -11,6 +11,11 @@ sparse correction supported on purchased pairs, so it is applied implicitly:
 block products cost O((m + n) k b) for the factored part plus O(nnz_pairs b)
 for the sparse part, and the proximal step is a randomized SVD followed by
 singular-value soft-thresholding.  The full matrix is never materialized.
+
+The values x_ij at the purchased pairs are computed once per iterate: the
+objective, the gradient step and the duration worksets all ask for them on
+the log's cached pair arrays, and :meth:`FactoredUtilityMatrix.pair_values`
+keeps its last result for those arrays.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ class FactoredUtilityMatrix:
         self.U = np.ascontiguousarray(self.U, dtype=np.float64)
         self.sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
         self.V = np.ascontiguousarray(self.V, dtype=np.float64)
+        self._last_values = None  # (U, sigma, V, pair_users, pair_items, values)
 
     @property
     def m(self) -> int:
@@ -106,8 +112,20 @@ class FactoredUtilityMatrix:
         return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
 
     def pair_values(self, pair_users, pair_items) -> np.ndarray:
-        """x_ij at the given index pairs."""
-        return kernels.pair_values(self.U, self.sigma, self.V, pair_users, pair_items)
+        """x_ij at the given index pairs, as a read-only array.
+
+        The result for the last pair arrays is kept and returned again while
+        the factors and both arrays are the same objects (``is``); the cache
+        holds them, so their identities cannot be reused meanwhile.
+        """
+        key = (self.U, self.sigma, self.V, pair_users, pair_items)
+        last = self._last_values
+        if last is not None and all(a is b for a, b in zip(key, last)):
+            return last[-1]
+        values = kernels.pair_values(*key)
+        values.flags.writeable = False
+        self._last_values = (*key, values)
+        return values
 
     def row_scores(self, user: int) -> np.ndarray:
         """Utilities of every item for a user id or for each id of an array."""
@@ -165,14 +183,16 @@ class GradStepOperator:
     """Implicit m x n matrix  G = scale * X + S  with S sparse.
 
     This is the gradient-step matrix X - gamma * grad h(X): the unlabeled
-    term shrinks X uniformly while purchases add local corrections.
+    term shrinks X uniformly while purchases add local corrections.  ``ST``
+    is S transposed, in CSR form.
     """
 
-    def __init__(self, scale: float, X: FactoredUtilityMatrix, S: sp.csr_matrix):
+    def __init__(self, scale: float, X: FactoredUtilityMatrix, S: sp.csr_matrix,
+                 ST: sp.csr_matrix):
         self.scale = scale
         self.X = X
         self.S = S
-        self.ST = S.T.tocsr()
+        self.ST = ST
 
     @property
     def shape(self):
@@ -235,7 +255,9 @@ def gradient_step(
         + 2.0 * gamma * eta * hinge_sums
     )
     S = sp.csr_matrix((vals, pairs.items, pairs.indptr), shape=(targets.m, targets.n))
-    return GradStepOperator(scale, X, S)
+    ST = sp.csr_matrix((vals[pairs.item_order], pairs.item_users, pairs.item_indptr),
+                       shape=(targets.n, targets.m))
+    return GradStepOperator(scale, X, S, ST)
 
 
 def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None):
@@ -302,6 +324,9 @@ def update_X(
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
+            # free the rejected step, and the pair values it cached, before
+            # the retry sketches the next one
+            del cand, op, U, V
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise SolverError(

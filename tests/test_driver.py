@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
+from demandrec import kernels, utility
 from demandrec.data import build_recency_index
 from demandrec.driver import (
     evaluate_objective,
@@ -109,6 +111,31 @@ class TestFit:
         assert state.d[1] == 0.0
 
 
+class TestPairValueReuse:
+    def test_one_kernel_call_per_iterate(self, monkeypatch):
+        log, cats, *_ = small_instance(seed=59, m=15, n=12, l=8, r=3, count=150)
+        calls = []  # (function name, gamma keyword)
+        # init_utility looks randomized_svd up in its own module, so only
+        # update_X's sketches are counted here
+        for module, name in ((kernels, "pair_values"), (utility, "randomized_svd"),
+                             (utility, "gradient_step")):
+            def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append((_name, kwargs.get("gamma")))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        # a fixed step near the dense part's stability limit overshoots the
+        # hinges, which eta = 0.9 weighs heavily, and forces halvings
+        cfg = SolverConfig(outer_iters=3, inner_iters=4, lam=0.5, eta=0.9, seed=1,
+                           tol=1e-12, gamma=0.9 / ((1.0 - 0.9) * log.l))
+        fit(log, cats, cfg)
+        count = {name: [n for n, _ in calls].count(name)
+                 for name in ("pair_values", "randomized_svd", "gradient_step")}
+        assert len({g for n, g in calls if n == "gradient_step"}) > 1  # halvings
+        assert count["randomized_svd"] == count["gradient_step"] > 3
+        assert count["pair_values"] == 1 + count["randomized_svd"]
+
+
 class TestInitUtility:
     def test_unit_spectral_norm_and_determinism(self):
         log, cats, *_ = small_instance(seed=57, count=80)
@@ -140,6 +167,15 @@ class TestModelFile:
         assert back.iterations == state.iterations
         assert back.duration_flags == state.duration_flags
         assert (back.m, back.n, back.l, back.r) == (state.m, state.n, state.l, state.r)
+
+    def test_pair_value_cache_never_reaches_the_file(self, tmp_path):
+        state, path, log, _ = self.fitted(tmp_path)
+        pairs = log.pairs()
+        state.X.pair_values(pairs.users, pairs.items)
+        fresh = FactoredUtilityMatrix(state.X.U, state.X.sigma, state.X.V)
+        again = tmp_path / "model2.bin"
+        save_model(dataclasses.replace(state, X=fresh), again)
+        assert path.read_bytes() == again.read_bytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         _, path, *_ = self.fitted(tmp_path)

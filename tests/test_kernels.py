@@ -31,6 +31,20 @@ class TestPairValues:
         got = kernels.pair_values(U, sigma, V, pu, pi)
         assert np.allclose(got, dense[pu, pi], rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    def test_bitwise_equal_to_einsum(self, k):
+        rng = np.random.default_rng(1)
+        U, sigma, V, pu, pi = random_pairs(rng, k=k, npairs=500)
+        ref = np.einsum("pk,k,pk->p", U[pu], sigma, V[pi])
+        assert np.array_equal(kernels.pair_values(U, sigma, V, pu, pi), ref)
+
+    def test_empty_pairs(self):
+        U, sigma, V, *_ = random_pairs(np.random.default_rng(3), k=10)
+        none = np.zeros(0, dtype=np.int64)
+        got = kernels.pair_values(U, sigma, V, none, none)
+        assert got.shape == (0,)
+        assert np.array_equal(got, np.einsum("pk,k,pk->p", U[none], sigma, V[none]))
+
 
 class TestHingeStats:
     def brute(self, targets, pair_x, pair_index, n_pairs):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
+from demandrec import kernels
 from demandrec.data import build_recency_index
 from demandrec.errors import ConfigError, SolverError
 from demandrec.utility import (
@@ -130,6 +131,48 @@ class TestFactoredMatrix:
         assert X.frob_sq() == 0.0
 
 
+class TestPairValueCache:
+    def instance(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((9, 5))
+        X = model_from_dense(dense, [0.0], 4).X
+        users = rng.integers(0, 9, size=30)
+        items = rng.integers(0, 5, size=30)
+        return X, dense, users, items
+
+    def test_values_are_read_only(self):
+        X, _, users, items = self.instance(41)
+        z = X.pair_values(users, items)
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+        assert X.pair_values(users, items)[0] == z[0]
+
+    def test_same_arrays_reuse_other_arrays_recompute(self, monkeypatch):
+        X, dense, users, items = self.instance(42)
+        calls = []
+        original = kernels.pair_values
+        monkeypatch.setattr(kernels, "pair_values",
+                            lambda *args: calls.append(1) or original(*args))
+        first = X.pair_values(users, items)
+        assert X.pair_values(users, items) is first
+        assert len(calls) == 1
+        # equal contents in new arrays are not the same arrays: recomputed
+        again = X.pair_values(users.copy(), items)
+        assert again is not first and np.array_equal(again, first)
+        other = X.pair_values(items, users % 5)
+        np.testing.assert_allclose(other, dense[items, users % 5], atol=1e-10)
+        assert len(calls) == 3
+        # the cache holds the last pair arrays only
+        X.pair_values(users, items)
+        assert len(calls) == 4
+
+    def test_new_factors_recompute(self):
+        X, dense, users, items = self.instance(43)
+        first = X.pair_values(users, items)
+        X.sigma = 2.0 * X.sigma
+        np.testing.assert_allclose(X.pair_values(users, items), 2.0 * first, rtol=1e-12)
+
+
 class TestGradientStep:
     def test_positives_only_leaves_dense_part_unscaled(self):
         rng = np.random.default_rng(23)
@@ -172,6 +215,22 @@ class TestGradientStep:
         np.testing.assert_allclose(op.matmat(B), dense @ B, atol=1e-10)
         C = rng.standard_normal((9, 3))
         np.testing.assert_allclose(op.rmatmat(C), dense.T @ C, atol=1e-10)
+
+    def test_transpose_matches_scipy(self):
+        rng = np.random.default_rng(40)
+        trips = [(u, j, k) for u, j, k in random_triplets(rng, 9, 8, 6, 70)
+                 if u not in (2, 5) and j not in (1, 6)]
+        # users 2, 5, 9 and 10 and items 1, 6 and 8 own no pair
+        log = make_log(trips, m=11, n=9)
+        cats = make_cats(rng.integers(0, 2, size=9), r=2)
+        targets = compute_targets(build_recency_index(log, cats), [1.0, 2.5])
+        X = model_from_dense(rng.standard_normal((11, 9)), [0.0] * 2, log.l).X
+        op = gradient_step(X, targets, SolverConfig(eta=0.3))
+        ref = op.S.T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.ST, name), getattr(ref, name))
+        C = rng.standard_normal((11, 4))
+        assert np.array_equal(op.rmatmat(C), op.scale * X.rmatmat(C) + ref @ C)
 
     def test_oversized_step_rejected(self):
         rng = np.random.default_rng(27)
