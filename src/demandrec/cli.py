@@ -20,6 +20,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import synthetic
 from .data import (
     build_recency_index,
@@ -167,17 +169,29 @@ def _from_config(klass, cfg: dict):
     return klass(**{f.name: cfg[f.name] for f in dataclasses.fields(klass)})
 
 
+# rows per formatting block of _write_int_csv
+_WRITE_BLOCK_ROWS = 1 << 16
+
+
+def _write_int_csv(path, *columns) -> None:
+    """Write equal-length integer columns as CSV rows; each block of rows is
+    formatted by one ``%``, so no Python code runs per row."""
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack([column[start:stop] for column in columns])
+            handle.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def cmd_synth(cfg: dict) -> int:
     spec = _from_config(synthetic.SynthSpec, cfg)
     inst = synthetic.generate(spec)
     outdir = _outdir(cfg)
     log = inst.log
-    with open(outdir / "purchases.csv", "w", encoding="utf-8") as handle:
-        for u, i, k in zip(log.users, log.items, log.slots):
-            handle.write(f"{u},{i},{k}\n")
-    with open(outdir / "categories.csv", "w", encoding="utf-8") as handle:
-        for item, cat in enumerate(inst.cats.assignment):
-            handle.write(f"{item},{cat}\n")
+    _write_int_csv(outdir / "purchases.csv", log.users, log.items, log.slots)
+    assignment = inst.cats.assignment
+    _write_int_csv(outdir / "categories.csv", np.arange(assignment.shape[0]), assignment)
     truth = [f"{f.name} = {getattr(spec, f.name)}" for f in dataclasses.fields(spec)]
     truth.append("d_true = " + " ".join(f"{v:g}" for v in inst.d_true))
     truth.append(f"nnz = {log.nnz}")

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -26,22 +28,12 @@ from datetime import date
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import kernels
 from .errors import DataFormatError
 
 TIMESTAMP_FORMATS = ("days", "iso")
-
-
-def _sorted_labels(labels):
-    """Deterministic label order: numeric when every label parses as an
-    integer, plain lexicographic otherwise.  Independent of input order."""
-    uniq = sorted(set(labels))
-    try:
-        uniq.sort(key=int)
-    except ValueError:
-        pass
-    return uniq
 
 
 class PairStructure(NamedTuple):
@@ -60,6 +52,15 @@ class PairStructure(NamedTuple):
     item_order: np.ndarray  # len n_pairs, pair ids in (item, user) order
     item_users: np.ndarray  # len n_pairs, users[item_order]: the transpose's columns
     item_indptr: np.ndarray  # len n + 1, the transpose's row pointer
+
+    def csr(self, values):
+        """The m x n CSR matrix holding ``values`` (one per pair) at the
+        pairs, and its n x m transpose, both on the patterns above."""
+        shape = (self.indptr.shape[0] - 1, self.item_indptr.shape[0] - 1)
+        S = sp.csr_matrix((values, self.items, self.indptr), shape=shape)
+        ST = sp.csr_matrix((values[self.item_order], self.item_users, self.item_indptr),
+                           shape=shape[::-1])
+        return S, ST
 
 
 @dataclass(eq=False)
@@ -138,7 +139,8 @@ def _build_log(users, items, slots, m, n, l=None, user_labels=None, item_labels=
         l = int(slots.max()) + 1
     radices = (m, n, l)
     keys = np.sort(_encode_keys(users, items, slots, radices))
-    users, items, slots = _decode_keys(keys[np.append(True, keys[1:] != keys[:-1])], radices)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]  # frees the sorted copy
+    users, items, slots = _decode_keys(keys, radices)
     return PurchaseLog(
         users=users,
         items=items,
@@ -151,16 +153,161 @@ def _build_log(users, items, slots, m, n, l=None, user_labels=None, item_labels=
     )
 
 
-def _parse_timestamp(text, timestamp_format, where):
-    if timestamp_format == "days":
-        try:
-            return int(text)
-        except ValueError:
-            raise DataFormatError(f"{where}: bad epoch-day timestamp {text!r}") from None
+# ---------------------------------------------------------------------------
+# CSV ingest.  A purchase file of canonical integers (every field exactly as
+# str(int) prints it) is parsed by one np.loadtxt pass straight to int64
+# columns, and np.unique with return_inverse gives each column's distinct
+# values and a dense code per row.  Any other purchase file, and every
+# category file, is read by csv.reader in small blocks, whose fields are
+# coded through a dict of the distinct strings.  Either way only distinct
+# values go through Python: labels, stripping, timestamps.  Bad rows are
+# found on the arrays; the line an error names comes from re-reading the file
+# row by row.
+
+_PURCHASE_FIELDS = "user_id,item_id,timestamp"
+_CATEGORY_FIELDS = "item_id,category_id"
+# rows per csv.reader block: blocks below the garbage collector's first
+# threshold (700 new containers) made the string path 2-3x faster than
+# blocks of 65,536 rows
+_BLOCK_ROWS = 512
+
+
+def _printed_width(values) -> int:
+    """``len(str(v))`` summed over an int64 array (int64's minimum counts
+    short, which only makes a file look non-canonical)."""
+    width = values.size + int(np.count_nonzero(values < 0))
+    magnitudes = np.abs(values) if width > values.size else values
+    power, top = 10, int(magnitudes.max())
+    while power <= top:
+        width += int(np.count_nonzero(magnitudes >= power))
+        power *= 10
+    return width
+
+
+def _int_table(path, n_fields):
+    """The rows of a CSV file as an ``(rows, n_fields)`` int64 array when each
+    row is ``n_fields`` canonical integers joined by ',' and ended by '\\n'
+    (the last one optional); None for any other file, such as one with
+    labels, quotes, blank rows or CRLF endings.
+
+    np.loadtxt also reads '+5', ' 5 ', '007', '-0', '\\r\\n' and blank lines,
+    but each of those is longer than the printed value it parses to, so the
+    file is canonical exactly when its size is the printed width of the
+    parsed values.  Float forms such as '1e3', which can be shorter, are
+    refused: numpy versions that still read them as integers warn, and the
+    warning is raised here."""
+    size = os.path.getsize(path)  # first: a missing file raises as open() does
     try:
-        return date.fromisoformat(text).toordinal()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            table = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != n_fields:
+        return None
+    width = n_fields * table.shape[0] + _printed_width(table)  # with commas and newlines
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            width -= 1
+    return table if width == size else None
+
+
+def _blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _csv_rows(path, fields):
+    """``(location, stripped fields)`` of each non-blank row of a CSV file,
+    read row by row with csv.reader.  A row whose field count differs from
+    that of ``fields`` (the column names, comma-separated) raises
+    DataFormatError naming its line."""
+    n_fields = fields.count(",") + 1
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if _blank(row):
+                continue
+            if len(row) != n_fields:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {fields}, got {len(row)} fields"
+                )
+            yield f"{path}:{lineno}", [value.strip() for value in row]
+
+
+class _Codes(dict):
+    """Distinct strings -> dense codes in order of first sight."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _string_columns(path, fields, raise_row_error):
+    """Each column of a CSV file as ``(values, codes)``: its distinct stripped
+    fields in code-point order, and the index into ``values`` of each
+    non-blank row's field.  csv.reader handles quotes and line endings; a
+    block of its rows at a time is coded, so only the distinct fields outlive
+    their block.  A row with the wrong field count calls ``raise_row_error``."""
+    n_fields = fields.count(",") + 1
+    seen = [_Codes() for _ in range(n_fields)]
+    parts = [[np.empty(0, dtype=np.intp)] for _ in range(n_fields)]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            if set(map(len, block)) != {n_fields}:
+                if not all(_blank(row) for row in block if len(row) != n_fields):
+                    raise_row_error()
+                block = [row for row in block if len(row) == n_fields]
+            for column, codes, part in zip(zip(*block), seen, parts):
+                part.append(np.fromiter(map(codes.__getitem__, column), dtype=np.intp,
+                                        count=len(column)))
+    columns = []
+    for codes, part in zip(seen, parts):
+        # strip only the distinct fields, then merge those that strip alike
+        stripped = np.array([value.strip() for value in codes], dtype=str)
+        values, inverse = np.unique(stripped, return_inverse=True)
+        columns.append((values, inverse[np.concatenate(part)]))
+    return columns
+
+
+def _labels(values, codes):
+    """``(labels, codes)`` of a column from its distinct sorted ``values`` and
+    per-row ``codes``: the values as strings, in numeric order when every one
+    parses as an integer and in code-point order otherwise, with the codes
+    renumbered to match.  Independent of input order."""
+    if values.dtype.kind == "i":  # canonical integers, already numeric order
+        return list(map(str, values.tolist())), codes
+    labels = values.tolist()
+    try:
+        numbers = [int(label) for label in labels]
     except ValueError:
-        raise DataFormatError(f"{where}: bad ISO date {text!r}") from None
+        return labels, codes
+    # a stable sort, so labels of one number ('007', '7') keep code-point order
+    order = sorted(range(len(labels)), key=numbers.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [labels[i] for i in order], rank[codes]
+
+
+def _parse_timestamp(text, timestamp_format, where) -> int:
+    try:
+        if timestamp_format == "iso":
+            return date.fromisoformat(text).toordinal()
+        day = int(text)
+        if -(2**63) <= day < 2**63:
+            return day
+    except ValueError:
+        pass
+    kind = "ISO date" if timestamp_format == "iso" else "epoch-day timestamp"
+    raise DataFormatError(f"{where}: bad {kind} {text!r}")
+
+
+def _raise_purchase_row_error(path, timestamp_format):
+    """Raise the error of the first bad row of a purchase CSV, naming its line."""
+    for where, (_, _, text) in _csv_rows(path, _PURCHASE_FIELDS):
+        _parse_timestamp(text, timestamp_format, where)
+    raise DataFormatError(f"{path}: bad purchase rows")  # not reached
 
 
 def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> PurchaseLog:
@@ -170,7 +317,9 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
     ``timestamp_format``.  They are shifted so the earliest becomes slot 0 and
     binned by ``granularity`` (in days).  Ids may be arbitrary strings; they
     are re-indexed densely in a deterministic, input-order-independent way.
-    Duplicate (user, item, slot) rows collapse to a single triplet.
+    Duplicate (user, item, slot) rows collapse to a single triplet.  A file
+    of canonical integers with epoch-day timestamps is parsed straight to
+    int64; any other file is read as strings, with the same result.
     """
     if not 0.0 < granularity < math.inf:
         raise DataFormatError(f"granularity must be finite and positive, got {granularity}")
@@ -178,33 +327,28 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
         raise DataFormatError(
             f"timestamp_format must be one of {TIMESTAMP_FORMATS}, got {timestamp_format!r}"
         )
-    raw_users = []
-    raw_items = []
-    stamps = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected user_id,item_id,timestamp, got {len(row)} fields"
-                )
-            raw_users.append(row[0].strip())
-            raw_items.append(row[1].strip())
-            stamps.append(
-                _parse_timestamp(row[2].strip(), timestamp_format, f"{path}:{lineno}")
-            )
-    if not raw_users:
-        raise DataFormatError(f"{path}: no purchase records")
 
-    user_labels = _sorted_labels(raw_users)
-    item_labels = _sorted_labels(raw_items)
-    user_code = {lab: i for i, lab in enumerate(user_labels)}
-    item_code = {lab: i for i, lab in enumerate(item_labels)}
-    users = np.fromiter((user_code[u] for u in raw_users), dtype=np.int64)
-    items = np.fromiter((item_code[i] for i in raw_items), dtype=np.int64)
-    stamps = np.asarray(stamps, dtype=np.int64)
+    def row_error():
+        _raise_purchase_row_error(path, timestamp_format)
+
+    table = _int_table(path, 3) if timestamp_format == "days" else None
+    if table is not None:
+        users, items = (np.unique(column, return_inverse=True) for column in table.T[:2])
+        stamps = table[:, 2].copy()
+        del table
+    else:
+        users, items, (texts, codes) = _string_columns(path, _PURCHASE_FIELDS, row_error)
+        if codes.shape[0] == 0:
+            raise DataFormatError(f"{path}: no purchase records")
+        try:
+            days = [_parse_timestamp(text, timestamp_format, path) for text in texts.tolist()]
+        except DataFormatError:
+            row_error()
+        stamps = np.array(days, dtype=np.int64)[codes]
+    user_labels, users = _labels(*users)
+    item_labels, items = _labels(*items)
     slots = np.floor((stamps - stamps.min()) / float(granularity)).astype(np.int64)
+    del stamps
     return _build_log(
         users,
         items,
@@ -231,6 +375,16 @@ class CategoryMap:
             raise DataFormatError("category assignment out of range")
 
 
+def _raise_category_row_error(path, item_labels):
+    """Raise the error of the first bad row of a category CSV, naming its line."""
+    known = set(item_labels)
+    first = {}
+    for where, (item, cat) in _csv_rows(path, _CATEGORY_FIELDS):
+        if item in known and first.setdefault(item, cat) != cat:
+            raise DataFormatError(f"{where}: conflicting categories for item {item!r}")
+    raise DataFormatError(f"{path}: bad category rows")  # not reached
+
+
 def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
     """Read an ``item_id,category_id`` CSV covering every item of ``log``.
 
@@ -239,39 +393,37 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
     not cover are an error.
     """
     item_labels = log.item_labels or [str(i) for i in range(log.n)]
-    item_code = {lab: i for i, lab in enumerate(item_labels)}
-    raw = {}
-    unknown = 0
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected item_id,category_id, got {len(row)} fields"
-                )
-            item, cat = row[0].strip(), row[1].strip()
-            if item not in item_code:
-                unknown += 1
-                continue
-            prev = raw.get(item)
-            if prev is not None and prev != cat:
-                raise DataFormatError(
-                    f"{path}:{lineno}: conflicting categories for item {item!r}"
-                )
-            raw[item] = cat
-    missing = [lab for lab in item_labels if lab not in raw]
-    if missing:
-        shown = ", ".join(map(str, missing[:10]))
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
+
+    def row_error():
+        _raise_category_row_error(path, item_labels)
+
+    (names, codes), (cat_values, cat_codes) = _string_columns(
+        path, _CATEGORY_FIELDS, row_error
+    )
+    code_of = {label: i for i, label in enumerate(item_labels)}
+    items = np.array([code_of.get(name, -1) for name in names.tolist()],
+                     dtype=np.int64)[codes]
+    known = items >= 0
+    unknown = known.shape[0] - int(np.count_nonzero(known))
+    items, cat_codes = items[known], cat_codes[known]
+    covered = np.zeros(log.n, dtype=bool)
+    covered[items] = True
+    # one distinct (item, category) key per covered item, unless an item has two
+    keys = np.sort(_encode_keys(items, cat_codes, 0, (log.n, cat_values.shape[0], 1)))
+    distinct = np.count_nonzero(keys[1:] != keys[:-1]) + (keys.shape[0] > 0)
+    if distinct != np.count_nonzero(covered):
+        row_error()
+    missing = np.flatnonzero(~covered)
+    if missing.shape[0]:
+        shown = ", ".join(item_labels[i] for i in missing[:10])
+        more = f" (+{missing.shape[0] - 10} more)" if missing.shape[0] > 10 else ""
         raise DataFormatError(f"{path}: items without category: {shown}{more}")
     if unknown:
         warnings.warn(f"{path}: ignored {unknown} rows for items not in the log")
-    cat_labels = _sorted_labels(raw.values())
-    cat_code = {lab: i for i, lab in enumerate(cat_labels)}
-    assignment = np.fromiter(
-        (cat_code[raw[lab]] for lab in item_labels), dtype=np.int64
-    )
+    used, cat_codes = np.unique(cat_codes, return_inverse=True)
+    cat_labels, cat_codes = _labels(cat_values[used], cat_codes)
+    assignment = np.empty(log.n, dtype=np.int64)
+    assignment[items] = cat_codes
     return CategoryMap(assignment=assignment, r=len(cat_labels), category_labels=cat_labels)
 
 

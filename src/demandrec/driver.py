@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import (
     CategoryMap,
@@ -102,12 +101,10 @@ def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     """Start X from a randomized SVD of the purchase-count matrix
     sum_k p_ijk, rescaled to unit spectral norm."""
     pairs = log.pairs()
-    counts = sp.csr_matrix(
-        (pairs.counts.astype(float), pairs.items, pairs.indptr), shape=(log.m, log.n)
-    )
+    counts, counts_t = pairs.csr(pairs.counts.astype(float))
     rng = np.random.default_rng(cfg.seed)
     U, sig, V = randomized_svd(
-        MatrixOperator(counts), cfg.max_rank, cfg.oversample, cfg.power_iters, rng
+        MatrixOperator(counts, counts_t), cfg.max_rank, cfg.oversample, cfg.power_iters, rng
     )
     keep = sig > 0
     U, sig, V = U[:, keep], sig[keep], V[:, keep]

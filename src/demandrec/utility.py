@@ -15,14 +15,15 @@ singular-value soft-thresholding.  The full matrix is never materialized.
 The values x_ij at the purchased pairs are computed once per iterate: the
 objective, the gradient step and the duration worksets all ask for them on
 the log's cached pair arrays, and :meth:`FactoredUtilityMatrix.pair_values`
-keeps its last result for those arrays.
+keeps its last result for those arrays.  Likewise :meth:`HingeTargets.hinge_stats`
+keeps the hinge sums of the last pair values it saw.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,6 +157,21 @@ class HingeTargets:
     m: int
     n: int
     l: int
+    _last_hinge: tuple | None = field(default=None, repr=False)  # (z_pair, sums, total)
+
+    def hinge_stats(self, z_pair):
+        """Per-pair sums of max(a - x, 0) and the total of its squares at the
+        pair values ``z_pair``.  The result for the last array is kept while
+        it is the same object (``is``), so the gradient step and the
+        objective of one iterate share one pass; the read-only arrays of
+        :meth:`FactoredUtilityMatrix.pair_values` cannot change meanwhile."""
+        last = self._last_hinge
+        if last is None or last[0] is not z_pair:
+            pairs = self.pairs
+            last = (z_pair, *kernels.hinge_stats(self.a, z_pair, pairs.index,
+                                                 pairs.counts.shape[0]))
+            self._last_hinge = last
+        return last[1], last[2]
 
 
 def compute_targets(rec: RecencyIndex, d) -> HingeTargets:
@@ -209,11 +225,14 @@ class GradStepOperator:
 
 
 class MatrixOperator:
-    """Adapter giving a dense or scipy-sparse matrix the operator interface."""
+    """Adapter giving a dense or scipy-sparse matrix the operator interface.
+    ``AT``, the transpose, is derived from ``A`` unless given."""
 
-    def __init__(self, A):
+    def __init__(self, A, AT=None):
         self.A = A
-        self.AT = A.T.tocsr() if sp.issparse(A) else A.T
+        if AT is None:
+            AT = A.T.tocsr() if sp.issparse(A) else A.T
+        self.AT = AT
 
     @property
     def shape(self):
@@ -249,15 +268,12 @@ def gradient_step(
         )
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
-    hinge_sums, _ = kernels.hinge_stats(targets.a, z_pair, pairs.index, pairs.counts.shape[0])
+    hinge_sums, _ = targets.hinge_stats(z_pair)
     vals = (
         2.0 * gamma * (1.0 - eta) * pairs.counts * z_pair
         + 2.0 * gamma * eta * hinge_sums
     )
-    S = sp.csr_matrix((vals, pairs.items, pairs.indptr), shape=(targets.m, targets.n))
-    ST = sp.csr_matrix((vals[pairs.item_order], pairs.item_users, pairs.item_indptr),
-                       shape=(targets.n, targets.m))
-    return GradStepOperator(scale, X, S, ST)
+    return GradStepOperator(scale, X, *pairs.csr(vals))
 
 
 def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None):
@@ -293,7 +309,7 @@ def hinge_objective(X: FactoredUtilityMatrix, targets: HingeTargets, eta: float)
     everything unlabeled, computed from the factors and the sparse pairs."""
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
-    _, hinge_sq = kernels.hinge_stats(targets.a, z_pair, pairs.index, pairs.counts.shape[0])
+    _, hinge_sq = targets.hinge_stats(z_pair)
     zero_part = targets.l * X.frob_sq() - float((pairs.counts * z_pair * z_pair).sum())
     return eta * hinge_sq + (1.0 - eta) * zero_part
 
@@ -324,9 +340,10 @@ def update_X(
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
-            # free the rejected step, and the pair values it cached, before
-            # the retry sketches the next one
+            # free the rejected step, and the pair values and hinge sums
+            # cached for it, before the retry sketches the next one
             del cand, op, U, V
+            targets._last_hinge = None
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise SolverError(

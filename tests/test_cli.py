@@ -49,6 +49,25 @@ class TestSynth:
         assert sorted(rows) == triplet_list(generate(spec).log)
         ingest_purchases(tmp_path / "purchases.csv")
 
+    def test_csv_files_match_row_by_row_rendering(self, tmp_path):
+        assert run(tmp_path, "synth", "--seed", "4") == 0
+        inst = generate(SynthSpec(m=25, n=20, l=40, r=2, rank=3, obs_prob=0.8, seed=4))
+        log = inst.log
+        rows = zip(log.users.tolist(), log.items.tolist(), log.slots.tolist())
+        assert (tmp_path / "purchases.csv").read_text() == "".join(
+            f"{u},{i},{k}\n" for u, i, k in rows)
+        assert (tmp_path / "categories.csv").read_text() == "".join(
+            f"{item},{cat}\n" for item, cat in enumerate(inst.cats.assignment.tolist()))
+
+    def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        from demandrec import cli
+
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 3)
+        columns = (np.arange(7), np.arange(7) * -3, np.full(7, 10**12))
+        cli._write_int_csv(tmp_path / "x.csv", *columns)
+        assert (tmp_path / "x.csv").read_text() == "".join(
+            f"{a},{b},{c}\n" for a, b, c in zip(*(column.tolist() for column in columns)))
+
     def test_truth_file_lists_durations(self, tmp_path):
         assert run(tmp_path, "synth") == 0
         truth = (tmp_path / "truth.txt").read_text()
@@ -188,6 +207,25 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:data:") and "int64" in err[0]
+
+    @pytest.mark.parametrize("name, line", [
+        ("purchases.csv", "7,8,later\n"),
+        ("categories.csv", "7\n"),
+    ])
+    def test_bad_row_deep_in_large_file_is_one_data_error(self, tmp_path, capsys, name, line):
+        rng = np.random.default_rng(31)
+        rows = {
+            "purchases.csv": [f"{u},{i},{k}\n" for u, i, k in
+                              rng.integers(0, 500, size=(80_000, 3)).tolist()],
+            "categories.csv": [f"{i % 500},{i % 500 % 4}\n" for i in range(60_000)],
+        }
+        rows[name][49_999] = line
+        for file, lines in rows.items():
+            (tmp_path / file).write_text("".join(lines))
+        assert run(tmp_path, "train") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:data:") and f"{name}:50000: " in err[0]
 
     def test_malformed_purchases(self, tmp_path, capsys):
         (tmp_path / "purchases.csv").write_text("alice,soap\n")

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -520,3 +522,201 @@ class TestPairs:
             for u in range(case.m):
                 row = pairs.users[pairs.indptr[u]:pairs.indptr[u + 1]]
                 assert (row == u).all() and row.shape[0] == owned.count(u)
+
+
+def _ingest_digest(log, cats):
+    """sha256 of an ingested log, its labels and its category map."""
+    h = hashlib.sha256()
+    for array in (log.users, log.items, log.slots, [log.m, log.n, log.l], cats.assignment):
+        h.update(np.asarray(array, dtype=np.int64).tobytes())
+    for labels in (log.user_labels, log.item_labels, cats.category_labels):
+        h.update("\n".join(labels).encode() + b"\0")
+    return h.hexdigest()
+
+
+def write_seeded_files(tmp_path, kind, rows=4000):
+    """A seeded purchase CSV and its category CSV; ``kind`` picks the field
+    forms: canonical integers with epoch days, the same with ISO dates,
+    integer labels in non-canonical forms, or string labels."""
+    rng = np.random.default_rng(17)
+    users, items, days, forms = (rng.integers(0, top, size=rows).tolist()
+                                 for top in (300, 120, 90, 3))
+
+    def label(value, form, prefix, spec):
+        if kind == "numeric":  # '7', '007' or '+7': one number, three labels
+            return (f"{value}", f"{value:03d}", f"+{value}")[form]
+        return f"{prefix}{value:{spec}}" if kind == "string" else str(value)
+
+    purchases, categories = [], {}
+    for u, i, d, f in zip(users, items, days, forms):
+        item = label(i, 2 - f, "sku-", "x")
+        stamp = (date(2021, 3, 1) + timedelta(days=d)).isoformat() if kind == "iso" else 18000 + d
+        purchases.append(f"{label(u, f, 'user', 'd')},{item},{stamp}\n")
+        categories[item] = f"c{i % 7}" if kind == "string" else str(i % 7)
+    categories["9999"] = "3"  # an item that is not in the log
+    return (write(tmp_path, "p.csv", "".join(purchases)),
+            write(tmp_path, "c.csv", "".join(f"{k},{v}\n" for k, v in categories.items())))
+
+
+class TestIngestPaths:
+    """Canonical-integer files are parsed straight to int64, every other file
+    as strings; both paths give what the row-by-row csv.reader ingest gave."""
+
+    # sha256 of the ingested log, labels and category map of each seeded
+    # file, recorded with the row-by-row ingest that the array ingest replaced
+    PINNED = {
+        # days and iso hold the same purchases, so they read the same log
+        "days": "729900ac4f014b0eaa795fd9914afb52806c01ce14e6841f9243a2894a85ee14",
+        "iso": "729900ac4f014b0eaa795fd9914afb52806c01ce14e6841f9243a2894a85ee14",
+        "numeric": "488dfe5384e6e5fb3b45607f850369bd796c7e9eaec20f270b0ef019171b00c4",
+        "string": "1bf568aeb0f7a7d043e4f747572c98d36fdc32a60edfba8503ebf4217b307e91",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_seeded_files_match_pinned_digests(self, tmp_path, kind):
+        purchases, categories = write_seeded_files(tmp_path, kind)
+        log = ingest_purchases(purchases, timestamp_format="iso" if kind == "iso" else "days")
+        with pytest.warns(UserWarning, match="ignored 1 rows"):
+            cats = ingest_categories(categories, log)
+        assert _ingest_digest(log, cats) == self.PINNED[kind]
+
+    # (purchases, categories) -> (user labels, item labels, triplets,
+    # category labels, assignment), as the row-by-row ingest read them
+    EDGE_CASES = {
+        "zero_padded": (("007,1,0\n7,1,0\n7,2,3\n10,1,1\n", "1,a\n2,b\n"), (
+            ["007", "7", "10"], ["1", "2"], [(0, 0, 0), (1, 0, 0), (1, 1, 3), (2, 0, 1)],
+            ["a", "b"], [0, 1])),
+        "plus_sign": (("+5,1,0\n5,1,1\n4,+1,2\n", "1,x\n+1,y\n"), (
+            ["4", "+5", "5"], ["+1", "1"], [(0, 0, 2), (1, 1, 0), (2, 1, 1)],
+            ["x", "y"], [1, 0])),
+        "spaces": ((" 5 ,1,0\n5,1,1\n6, 2,2\n", "1,x\n2, x\n"), (
+            ["5", "6"], ["1", "2"], [(0, 0, 0), (0, 0, 1), (1, 1, 2)], ["x"], [0, 0])),
+        "underscore": (("1_000,1,0\n1000,2,1\n999,1,2\n", "1,x\n2,y\n"), (
+            ["999", "1000", "1_000"], ["1", "2"], [(0, 0, 2), (1, 1, 1), (2, 0, 0)],
+            ["x", "y"], [0, 1])),
+        "negative_zero": (("-0,1,0\n0,1,1\n-3,2,2\n", "1,x\n2,y\n"), (
+            ["-3", "-0", "0"], ["1", "2"], [(0, 1, 2), (1, 0, 0), (2, 0, 1)],
+            ["x", "y"], [0, 1])),
+        "hash_row": (("#,1,0\n1,1,1\n# note,2,2\n", "1,x\n2,x\n"), (
+            ["#", "# note", "1"], ["1", "2"], [(0, 0, 0), (1, 1, 2), (2, 0, 1)],
+            ["x"], [0, 0])),
+        "crlf": (("3,2,3\r\n1,5,6\r\n", "2,0\r\n5,1\r\n"), (
+            ["1", "3"], ["2", "5"], [(0, 1, 3), (1, 0, 0)], ["0", "1"], [0, 1])),
+        "blank_rows": (("3,2,3\n\n1,5,6\n   \n", "2,0\n\n5,1\n"), (
+            ["1", "3"], ["2", "5"], [(0, 1, 3), (1, 0, 0)], ["0", "1"], [0, 1])),
+        "quoted_comma": (('"a,b",1,0\nc,1,1\n"c",2,2\n', '1,"x,y"\n2,z\n'), (
+            ["a,b", "c"], ["1", "2"], [(0, 0, 0), (1, 0, 1), (1, 1, 2)], ["x,y", "z"], [0, 1])),
+        "float_form": (("1e3,1,0\n05,1,1\n", "1,x\n"), (
+            ["05", "1e3"], ["1"], [(0, 0, 1), (1, 0, 0)], ["x"], [0])),
+        "noncanonical_category_keys": (
+            ("1,2,3\n4,5,6\n4,9,6\n", "+2,0\n02,3\n2,10\n5,010\n9,9\n 9 ,9\n"), (
+                ["1", "4"], ["2", "5", "9"], [(0, 0, 0), (1, 1, 3), (1, 2, 3)],
+                ["9", "010", "10"], [2, 1, 0])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_match_row_by_row_ingest(self, tmp_path, case):
+        (purchases, categories), expected = self.EDGE_CASES[case]
+        (tmp_path / "p.csv").write_bytes(purchases.encode())
+        (tmp_path / "c.csv").write_bytes(categories.encode())
+        log = ingest_purchases(tmp_path / "p.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rows for items not in the log
+            cats = ingest_categories(tmp_path / "c.csv", log)
+        got = (log.user_labels, log.item_labels, triplet_list(log),
+               cats.category_labels, cats.assignment.tolist())
+        assert got == expected
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("1,2,3\n40,-5,60\n", True),
+        ("1,2,3\n40,-5,60", True),
+        ("0,0,0\n", True),
+        ("9223372036854775807,1,2\n", True),
+        ("1,2,3\r\n", False),
+        ("1,2,3\n\n", False),
+        ("+1,2,3\n", False),
+        ("01,2,3\n", False),
+        ("-0,2,3\n", False),
+        (" 1,2,3\n", False),
+        ("1,2,3 \n", False),
+        ("1_0,2,3\n", False),
+        ('"1",2,3\n', False),
+        ("1,2\n", False),
+        ("1,2,3,4\n", False),
+        ("1,2,3\n1,2\n", False),
+        ("-9223372036854775808,1,2\n", False),
+        ("99999999999999999999,1,2\n", False),
+        ("", False),
+        # float forms are shorter than their value; '05' and '01' pad the width
+        ("1e3,1,0\n05,1,1\n", False),
+        ("1,1,1e3\n01,1,5\n", False),
+    ])
+    def test_only_canonical_integers_take_the_int64_path(self, tmp_path, text, canonical):
+        from demandrec.data import _int_table
+
+        (tmp_path / "p.csv").write_bytes(text.encode())
+        table = _int_table(tmp_path / "p.csv", 3)
+        assert (table is not None) == canonical
+        if canonical:
+            rows = [[int(v) for v in line.split(",")] for line in text.split()]
+            assert table.tolist() == rows
+
+    def test_float_timestamp_is_a_bad_row(self, tmp_path):
+        purchases = write(tmp_path, "p.csv", "1,1,1e3\n01,1,5\n")
+        with pytest.raises(DataFormatError, match=r"p\.csv:1: bad epoch-day timestamp '1e3'"):
+            ingest_purchases(purchases)
+
+    @staticmethod
+    def large_files(tmp_path, bad_purchase=None, bad_category=None, line=50_000):
+        """100,000 integer purchase rows and 60,000 category rows, with a
+        bad row replacing row ``line`` of either."""
+        rng = np.random.default_rng(23)
+        table = np.column_stack([rng.integers(0, 2000, 100_000) for _ in range(3)])
+        purchases = [f"{u},{i},{k}\n" for u, i, k in table.tolist()]
+        categories = [f"{i % 2000},{i % 2000 % 7}\n" for i in range(60_000)]
+        if bad_purchase is not None:
+            purchases[line - 1] = bad_purchase
+        if bad_category is not None:
+            categories[line - 1] = bad_category
+        return (write(tmp_path, "p.csv", "".join(purchases)),
+                write(tmp_path, "c.csv", "".join(categories)))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("12,13\n", "expected user_id,item_id,timestamp, got 2 fields"),
+        ("12,13,14,15\n", "got 4 fields"),
+        ("12,13,soon\n", "bad epoch-day timestamp 'soon'"),
+    ])
+    def test_bad_purchase_row_in_large_file_names_its_line(self, tmp_path, bad, message):
+        purchases, _ = self.large_files(tmp_path, bad_purchase=bad)
+        with pytest.raises(DataFormatError, match=r"p\.csv:50000: ") as info:
+            ingest_purchases(purchases)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("12\n", "expected item_id,category_id, got 1 fields"),
+        ("12,6\n", "conflicting categories for item '12'"),
+    ])
+    def test_bad_category_row_in_large_file_names_its_line(self, tmp_path, bad, message):
+        purchases, categories = self.large_files(tmp_path, bad_category=bad)
+        log = ingest_purchases(purchases)
+        with pytest.raises(DataFormatError, match=r"c\.csv:50000: ") as info:
+            ingest_categories(categories, log)
+        assert message in str(info.value)
+
+    def test_peak_memory_per_row(self, tmp_path):
+        """The row-by-row ingest peaked at 209 bytes per row here, in lists of
+        Python strings; the int64 columns need under half of that."""
+        rows = 200_000
+        rng = np.random.default_rng(29)
+        table = np.column_stack([rng.integers(0, 20_000, rows), rng.integers(0, 5_000, rows),
+                                 rng.integers(18_000, 18_200, rows)])
+        path = write(tmp_path, "p.csv", "".join(f"{u},{i},{k}\n" for u, i, k in table.tolist()))
+        del table
+        tracemalloc.start()
+        try:
+            log = ingest_purchases(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.nnz > 0.99 * rows
+        assert peak / rows < 100

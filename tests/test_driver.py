@@ -7,7 +7,7 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
-from demandrec import kernels, utility
+from demandrec import driver, kernels, utility
 from demandrec.data import build_recency_index
 from demandrec.driver import (
     evaluate_objective,
@@ -136,7 +136,60 @@ class TestPairValueReuse:
         assert count["pair_values"] == 1 + count["randomized_svd"]
 
 
+    def test_one_hinge_pass_per_iterate(self, monkeypatch):
+        """The gradient step and the objective of one iterate share one
+        hinge_stats pass; only the retry after a rejected step repeats the
+        pass of the iterate it falls back to."""
+        log, cats, *_ = small_instance(seed=59, m=15, n=12, l=8, r=3, count=150)
+        calls = []  # (function name, gamma keyword)
+        for module, name in ((kernels, "hinge_stats"), (utility, "randomized_svd"),
+                             (utility, "gradient_step")):
+            def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append((_name, kwargs.get("gamma")))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        cfg = SolverConfig(outer_iters=3, inner_iters=4, lam=0.5, eta=0.9, seed=1,
+                           tol=1e-12, gamma=0.9 / ((1.0 - 0.9) * log.l))
+        _, report = fit(log, cats, cfg)
+        gammas = [g for n, g in calls if n == "gradient_step"]
+        halvings = sum(later < earlier for earlier, later in zip(gammas, gammas[1:]))
+        count = {name: [n for n, _ in calls].count(name)
+                 for name in ("hinge_stats", "randomized_svd")}
+        assert halvings > 0
+        # the starting objective, then per outer iteration the objective of its
+        # first iterate, and one pass per candidate and per retry
+        assert count["hinge_stats"] == (
+            1 + report.iterations + count["randomized_svd"] + halvings)
+
+
 class TestInitUtility:
+    def test_transpose_from_pair_order_matches_scipy(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        trips = [(u, j, k) for u, j, k in random_triplets(rng, 9, 8, 6, 70)
+                 if u not in (2, 5) and j not in (1, 6)]
+        # users 2, 5, 9 and 10 and items 1, 6 and 8 own no pair
+        log = make_log(trips, m=11, n=9)
+        cfg = SolverConfig(max_rank=4, seed=5)
+        operators = []
+        original = driver.MatrixOperator
+
+        def spy(A, AT=None, derive=False):
+            operators.append((A, AT))
+            return original(A, None if derive else AT)
+
+        monkeypatch.setattr(driver, "MatrixOperator", spy)
+        X = init_utility(log, cfg)
+        (A, AT), = operators
+        ref = A.T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(AT, name), getattr(ref, name))
+        monkeypatch.setattr(driver, "MatrixOperator",
+                            lambda A, AT=None: spy(A, AT, derive=True))
+        X_ref = init_utility(log, cfg)
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(X, name), getattr(X_ref, name))
+
     def test_unit_spectral_norm_and_determinism(self):
         log, cats, *_ = small_instance(seed=57, count=80)
         cfg = SolverConfig(max_rank=4, seed=5)
