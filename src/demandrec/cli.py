@@ -63,6 +63,17 @@ _SOLVER_HELP = {
     "seed": "top-level seed; every stage derives its stream from it",
 }
 
+# help text of each SynthSpec field but seed, which SolverConfig supplies
+_SYNTH_HELP = {
+    "m": "synthetic user count",
+    "n": "synthetic item count",
+    "l": "synthetic time slot count",
+    "r": "synthetic category count",
+    "rank": "latent rank of the synthetic utility matrix",
+    "obs_prob": "probability an eligible purchase is observed",
+    "noise_ratio": "noisy positives to add, as a fraction of nnz",
+}
+
 # key, default, help; types are inferred from the defaults
 CONFIG_SCHEMA = [
     ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)"),
@@ -72,13 +83,8 @@ CONFIG_SCHEMA = [
     ("split_fraction", 0.1, "per-user fraction of records held out for testing"),
     ("init_model", "", "optional saved model to warm-start train from"),
     *((f.name, f.default, _SOLVER_HELP[f.name]) for f in dataclasses.fields(SolverConfig)),
-    ("m", 1000, "synthetic user count"),
-    ("n", 1000, "synthetic item count"),
-    ("l", 200, "synthetic time slot count"),
-    ("r", 10, "synthetic category count"),
-    ("rank", 10, "latent rank of the synthetic utility matrix"),
-    ("obs_prob", 0.5, "probability an eligible purchase is observed"),
-    ("noise_ratio", 0.0, "noisy positives to add, as a fraction of nnz"),
+    *((f.name, f.default, _SYNTH_HELP[f.name])
+      for f in dataclasses.fields(synthetic.SynthSpec) if f.name != "seed"),
     ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)"),
     ("dump_records", False, "also write per-record metric values as CSV"),
     ("demo_m", 50, "rank demo: rows"),

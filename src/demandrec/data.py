@@ -39,28 +39,21 @@ TIMESTAMP_FORMATS = ("days", "iso")
 class PairStructure(NamedTuple):
     """Distinct (user, item) pairs of a log plus the triplet -> pair map.
     Pairs are sorted by (user, item), so they form the CSR pattern of the
-    user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``.
-    ``item_order`` lists the pairs in (item, user) order, which gives the CSR
-    pattern of the item x user transpose: item j owns pairs
-    ``item_order[item_indptr[j]:item_indptr[j + 1]]``."""
+    m x n user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``.
+    Products with the transpose use scipy's CSC view ``.T`` of that matrix,
+    which shares its arrays."""
 
     index: np.ndarray  # len nnz, pair id of each triplet
     users: np.ndarray  # len n_pairs
     items: np.ndarray  # len n_pairs, the CSR column indices
     counts: np.ndarray  # len n_pairs, purchases per pair
     indptr: np.ndarray  # len m + 1, the CSR row pointer
-    item_order: np.ndarray  # len n_pairs, pair ids in (item, user) order
-    item_users: np.ndarray  # len n_pairs, users[item_order]: the transpose's columns
-    item_indptr: np.ndarray  # len n + 1, the transpose's row pointer
+    n: int  # the log's item count, so trailing items without pairs keep their columns
 
-    def csr(self, values):
-        """The m x n CSR matrix holding ``values`` (one per pair) at the
-        pairs, and its n x m transpose, both on the patterns above."""
-        shape = (self.indptr.shape[0] - 1, self.item_indptr.shape[0] - 1)
-        S = sp.csr_matrix((values, self.items, self.indptr), shape=shape)
-        ST = sp.csr_matrix((values[self.item_order], self.item_users, self.item_indptr),
-                           shape=shape[::-1])
-        return S, ST
+    def csr(self, values) -> sp.csr_matrix:
+        """The m x n CSR matrix holding ``values`` (one per pair) at the pairs."""
+        return sp.csr_matrix((values, self.items, self.indptr),
+                             shape=(self.indptr.shape[0] - 1, self.n))
 
 
 @dataclass(eq=False)
@@ -87,7 +80,7 @@ class PurchaseLog:
         return self.users.shape[0]
 
     def pairs(self) -> PairStructure:
-        """Distinct (user, item) pairs and both CSR patterns; cached after
+        """Distinct (user, item) pairs and their CSR pattern; cached after
         the first call, so every call returns the same arrays."""
         if self._pairs is None:
             # a temporary key array, freed before the pair arrays are built
@@ -95,18 +88,13 @@ class PurchaseLog:
                 _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
             starts = np.nonzero(boundary)[0]
             users = self.users[starts]
-            items = self.items[starts]
-            # pairs are distinct, so the (item, user) keys are too
-            item_order = np.argsort(_encode_keys(items, users, 0, (self.n, self.m, 1)))
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
                 users=users,
-                items=items,
+                items=self.items[starts],
                 counts=np.diff(np.append(starts, self.nnz)),
                 indptr=np.searchsorted(users, np.arange(self.m + 1)),
-                item_order=item_order,
-                item_users=users[item_order],
-                item_indptr=np.searchsorted(items[item_order], np.arange(self.n + 1)),
+                n=self.n,
             )
         return self._pairs
 

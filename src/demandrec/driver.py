@@ -101,11 +101,9 @@ def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     """Start X from a randomized SVD of the purchase-count matrix
     sum_k p_ijk, rescaled to unit spectral norm."""
     pairs = log.pairs()
-    counts, counts_t = pairs.csr(pairs.counts.astype(float))
+    counts = MatrixOperator(pairs.csr(pairs.counts.astype(float)))
     rng = np.random.default_rng(cfg.seed)
-    U, sig, V = randomized_svd(
-        MatrixOperator(counts, counts_t), cfg.max_rank, cfg.oversample, cfg.power_iters, rng
-    )
+    U, sig, V = randomized_svd(counts, cfg.max_rank, cfg.oversample, cfg.power_iters, rng)
     keep = sig > 0
     U, sig, V = U[:, keep], sig[keep], V[:, keep]
     if sig.shape[0]:

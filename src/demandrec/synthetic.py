@@ -26,10 +26,10 @@ from .errors import ConfigError, DataFormatError
 class SynthSpec:
     """Shape and knobs of one synthetic instance."""
 
-    m: int
-    n: int
-    l: int
-    r: int
+    m: int = 1000
+    n: int = 1000
+    l: int = 200
+    r: int = 10
     rank: int = 10
     obs_prob: float = 0.5
     noise_ratio: float = 0.0

@@ -154,8 +154,6 @@ class HingeTargets:
 
     a: np.ndarray  # len nnz, target 1 + max(0, d_c - t)
     pairs: PairStructure
-    m: int
-    n: int
     l: int
     _last_hinge: tuple | None = field(default=None, repr=False)  # (z_pair, sums, total)
 
@@ -185,7 +183,7 @@ def compute_targets(rec: RecencyIndex, d) -> HingeTargets:
     t = rec.triplet_recency()
     a = 1.0 + np.maximum(0.0, d[rec.triplet_categories()] - t)
     log = rec.log
-    return HingeTargets(a=a, pairs=log.pairs(), m=log.m, n=log.n, l=log.l)
+    return HingeTargets(a=a, pairs=log.pairs(), l=log.l)
 
 
 def auto_step(targets: HingeTargets, eta: float) -> float:
@@ -199,16 +197,14 @@ class GradStepOperator:
     """Implicit m x n matrix  G = scale * X + S  with S sparse.
 
     This is the gradient-step matrix X - gamma * grad h(X): the unlabeled
-    term shrinks X uniformly while purchases add local corrections.  ``ST``
-    is S transposed, in CSR form.
+    term shrinks X uniformly while purchases add local corrections.
+    Products with the transpose use ``S.T``, scipy's CSC view of S.
     """
 
-    def __init__(self, scale: float, X: FactoredUtilityMatrix, S: sp.csr_matrix,
-                 ST: sp.csr_matrix):
+    def __init__(self, scale: float, X: FactoredUtilityMatrix, S: sp.csr_matrix):
         self.scale = scale
         self.X = X
         self.S = S
-        self.ST = ST
 
     @property
     def shape(self):
@@ -218,21 +214,18 @@ class GradStepOperator:
         return self.scale * self.X.matmat(B) + self.S @ B
 
     def rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return self.scale * self.X.rmatmat(B) + self.ST @ B
+        return self.scale * self.X.rmatmat(B) + self.S.T @ B
 
     def dense(self) -> np.ndarray:
         return self.scale * self.X.dense() + self.S.toarray()
 
 
 class MatrixOperator:
-    """Adapter giving a dense or scipy-sparse matrix the operator interface.
-    ``AT``, the transpose, is derived from ``A`` unless given."""
+    """Adapter giving a dense or scipy-sparse matrix the operator interface;
+    ``A.T`` is a view for both, so no transpose is stored."""
 
-    def __init__(self, A, AT=None):
+    def __init__(self, A):
         self.A = A
-        if AT is None:
-            AT = A.T.tocsr() if sp.issparse(A) else A.T
-        self.AT = AT
 
     @property
     def shape(self):
@@ -242,7 +235,7 @@ class MatrixOperator:
         return self.A @ B
 
     def rmatmat(self, B):
-        return self.AT @ B
+        return self.A.T @ B
 
 
 def gradient_step(
@@ -273,7 +266,7 @@ def gradient_step(
         2.0 * gamma * (1.0 - eta) * pairs.counts * z_pair
         + 2.0 * gamma * eta * hinge_sums
     )
-    return GradStepOperator(scale, X, *pairs.csr(vals))
+    return GradStepOperator(scale, X, pairs.csr(vals))
 
 
 def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None):

@@ -137,6 +137,13 @@ class TestConfigResolution:
             assert defaults[field.name] == value
             assert type(defaults[field.name]) is type(value)
 
+    def test_synth_keys_match_synth_spec(self):
+        defaults = {key: default for key, default, _ in CONFIG_SCHEMA}
+        for field in dataclasses.fields(SynthSpec):
+            value = getattr(SynthSpec(), field.name)
+            assert defaults[field.name] == value
+            assert type(defaults[field.name]) is type(value)
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "synth" in capsys.readouterr().out
