@@ -40,8 +40,9 @@ class PairStructure(NamedTuple):
     """Distinct (user, item) pairs of a log plus the triplet -> pair map.
     Pairs are sorted by (user, item), so they form the CSR pattern of the
     m x n user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``.
-    Products with the transpose use scipy's CSC view ``.T`` of that matrix,
-    which shares its arrays."""
+    ``items`` and ``indptr`` are held in the index dtype scipy picks for that
+    pattern, so every matrix of :meth:`csr` and its CSC view ``.T`` (used for
+    products with the transpose) share them."""
 
     index: np.ndarray  # len nnz, pair id of each triplet
     users: np.ndarray  # len n_pairs
@@ -88,12 +89,17 @@ class PurchaseLog:
                 _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
             starts = np.nonzero(boundary)[0]
             users = self.users[starts]
+            items = self.items[starts]
+            indptr = np.searchsorted(users, np.arange(self.m + 1))
+            # the choice scipy's CSR constructor makes for these arrays
+            index_dtype = sp.get_index_dtype((items, indptr), maxval=max(self.m, self.n),
+                                             check_contents=True)
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
                 users=users,
-                items=self.items[starts],
+                items=items.astype(index_dtype, copy=False),
                 counts=np.diff(np.append(starts, self.nnz)),
-                indptr=np.searchsorted(users, np.arange(self.m + 1)),
+                indptr=indptr.astype(index_dtype, copy=False),
                 n=self.n,
             )
         return self._pairs

@@ -13,18 +13,27 @@ import numpy as np
 # pair_values: entries of a factored matrix U diag(sigma) V^T at index pairs.
 # The products (u_pj sigma_j) v_pj are added up from zero in j order, which is
 # the order of einsum("pk,k,pk->p", U[pu], sigma, V[pi]), so the two agree bit
-# for bit.  Gathering one factor column at a time keeps the transient at a few
-# pair-length vectors instead of two pairs x rank copies.
+# for bit.  Pairs go in blocks, one factor column at a time, which keeps the
+# transient at a few block-length vectors.  Each index block is widened to
+# intp once: numpy gathers about three times slower with the int32 indices of
+# the log's CSR pattern, as it converts them on every gather.
+
+_PAIR_BLOCK = 1 << 16
 
 
 def pair_values(U, sigma, V, pair_users, pair_items):
     UT = np.ascontiguousarray((U * sigma).T)
     VT = np.ascontiguousarray(V.T)
     out = np.zeros(len(pair_users))
-    for j in range(sigma.shape[0]):
-        prod = UT[j][pair_users]
-        prod *= VT[j][pair_items]
-        out += prod
+    for start in range(0, out.shape[0], _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        users = pair_users[block].astype(np.intp, copy=False)
+        items = pair_items[block].astype(np.intp, copy=False)
+        acc = out[block]
+        for j in range(sigma.shape[0]):
+            prod = UT[j][users]
+            prod *= VT[j][items]
+            acc += prod
     return out
 
 
@@ -35,7 +44,9 @@ def pair_values(U, sigma, V, pair_users, pair_items):
 
 
 def hinge_stats(targets, pair_x, pair_index, n_pairs):
-    gap = np.maximum(targets - pair_x[pair_index], 0.0)
+    gap = pair_x[pair_index]  # one triplet-length array, updated in place
+    np.subtract(targets, gap, out=gap)
+    np.maximum(gap, 0.0, out=gap)
     sums = np.bincount(pair_index, weights=gap, minlength=n_pairs)
     return sums, float(gap @ gap)
 

@@ -11,6 +11,9 @@ sparse correction supported on purchased pairs, so it is applied implicitly:
 block products cost O((m + n) k b) for the factored part plus O(nnz_pairs b)
 for the sparse part, and the proximal step is a randomized SVD followed by
 singular-value soft-thresholding.  The full matrix is never materialized.
+Each step's SVD is one sketch warm-started from the current iterate's right
+singular vectors, without power iterations, so a step multiplies by the
+operator once and by its transpose once.
 
 The values x_ij at the purchased pairs are computed once per iterate: the
 objective, the gradient step and the duration worksets all ask for them on
@@ -43,6 +46,8 @@ class SolverConfig:
     Lipschitz bound.  ``tol`` stops both the inner proximal loop and the
     outer alternation on relative objective change; ``tol = inf`` disables
     the check.  ``eta = 1`` is allowed as the positives-only edge case.
+    ``power_iters`` governs only the cold Gaussian sketch that initializes
+    X; every proximal step sketches warm from the current X without them.
     """
 
     eta: float = 0.5
@@ -269,17 +274,26 @@ def gradient_step(
     return GradStepOperator(scale, X, pairs.csr(vals))
 
 
-def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None):
-    """Rank-``rank`` SVD of an implicit operator via a Gaussian range finder
-    with re-orthonormalized subspace iterations.  Deterministic given the
-    rng state; never materializes the operator."""
+def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None,
+                   start=None):
+    """Rank-``rank`` SVD of an implicit operator via a range finder with
+    re-orthonormalized subspace iterations.  Deterministic given the rng
+    state; never materializes the operator.
+
+    The range finder's n x block input (block = rank + oversample, capped at
+    the operator's dimensions) is Gaussian by default.  An n x c start block
+    ``start`` supplies its first min(c, block) columns, and block - c
+    Gaussian columns fill the rest; a start block spanning most of the
+    wanted right singular subspace makes power iterations unnecessary.
+    """
     m, n = op.shape
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     rank = min(rank, m, n)
     block = min(rank + oversample, m, n)
     rng = np.random.default_rng(rng)
-    omega = rng.standard_normal((n, block))
+    start = np.empty((n, 0)) if start is None else start[:, :block]
+    omega = np.hstack([start, rng.standard_normal((n, block - start.shape[1]))])
     Q, _ = np.linalg.qr(op.matmat(omega))
     for _ in range(power_iters):
         Z, _ = np.linalg.qr(op.rmatmat(Q))
@@ -317,9 +331,14 @@ def update_X(
 ) -> FactoredUtilityMatrix:
     """Proximal-gradient descent on h(X) + lam ||X||_* at fixed durations.
 
-    Each accepted step is randomized-SVD + soft-thresholding of the implicit
-    gradient-step matrix.  If a step raises the objective the step size is
-    halved and the step retried; repeated failures abort.
+    Each step soft-thresholds a randomized SVD of the implicit gradient-step
+    matrix.  Consecutive iterates share most of their singular subspace, so
+    the sketch starts from the current iterate's V (padded with Gaussian
+    columns from the seeded rng) and runs no power iterations: subspace
+    iteration continued across steps (Halko, Martinsson and Tropp 2011,
+    section 4.5).  A step costs one product with the operator and one with
+    its transpose.  If a step raises the objective the step size is halved
+    and the step retried; repeated failures abort.
     """
     gamma = cfg.gamma if cfg.gamma > 0 else auto_step(targets, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
@@ -328,14 +347,16 @@ def update_X(
     accepted = 0
     while accepted < cfg.inner_iters:
         op = gradient_step(X, targets, cfg, gamma=gamma)
-        U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, cfg.power_iters, rng)
+        U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, power_iters=0,
+                                   rng=rng, start=X.V)
+        del op  # its sparse matrix is not needed to score the candidate
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
             # free the rejected step, and the pair values and hinge sums
             # cached for it, before the retry sketches the next one
-            del cand, op, U, V
+            del cand, U, V
             targets._last_hinge = None
             halvings += 1
             if halvings > _MAX_HALVINGS:

@@ -524,6 +524,16 @@ class TestPairs:
                 assert (row == u).all() and row.shape[0] == owned.count(u)
 
 
+    def test_csr_shares_the_pattern(self):
+        rng = np.random.default_rng(12)
+        log = make_log(random_triplets(rng, 8, 6, 10, 150), m=8, n=6)
+        pairs = log.pairs()
+        S = pairs.csr(np.ones(pairs.counts.shape[0]))
+        for matrix in (S, S.T):
+            assert np.shares_memory(matrix.indices, pairs.items)
+            assert np.shares_memory(matrix.indptr, pairs.indptr)
+
+
 def _ingest_digest(log, cats):
     """sha256 of an ingested log, its labels and its category map."""
     h = hashlib.sha256()

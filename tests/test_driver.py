@@ -92,6 +92,19 @@ class TestFit:
         assert report2.objective_history[0] <= report1.final_objective + tol
         assert report2.final_objective <= report1.final_objective + tol
 
+    def test_warm_start_from_a_model_wider_than_the_sketch(self):
+        # rank 8 > max_rank 2 + oversample 1: the first sketch starts from the
+        # model's three leading right singular vectors
+        log, cats, *_ = small_instance(seed=54, m=12, n=10, l=6, r=2, count=120)
+        state1, _ = fit(log, cats, SolverConfig(outer_iters=3, lam=0.5, max_rank=8, seed=2))
+        assert state1.X.rank == 8
+        cfg = SolverConfig(outer_iters=2, lam=3.0, max_rank=2, oversample=1, seed=2)
+        state2, report2 = fit(log, cats, cfg, init=state1)
+        assert state2.X.rank == 2
+        hist = report2.objective_history
+        for prev, new in zip(hist, hist[1:]):
+            assert new <= prev + 1e-8 * max(1.0, abs(prev))
+
     def test_warm_start_dimension_mismatch_rejected(self):
         log, cats, *_ = small_instance(seed=55)
         state, _ = fit(log, cats, SolverConfig(outer_iters=1, tol=math.inf))
@@ -161,6 +174,28 @@ class TestPairValueReuse:
         # first iterate, and one pass per candidate and per retry
         assert count["hinge_stats"] == (
             1 + report.iterations + count["randomized_svd"] + halvings)
+
+
+    def test_two_operator_products_per_sketch(self, monkeypatch):
+        """Every proximal step, accepted or retried after a halving, multiplies
+        by the gradient-step operator once and by its transpose once."""
+        log, cats, *_ = small_instance(seed=59, m=15, n=12, l=8, r=3, count=150)
+        calls = []  # (function name, gamma keyword)
+        for owner, name in ((utility.GradStepOperator, "matmat"),
+                            (utility.GradStepOperator, "rmatmat"),
+                            (utility, "randomized_svd"), (utility, "gradient_step")):
+            def wrapper(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls.append((_name, kwargs.get("gamma")))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        cfg = SolverConfig(outer_iters=3, inner_iters=4, lam=0.5, eta=0.9, seed=1,
+                           tol=1e-12, gamma=0.9 / ((1.0 - 0.9) * log.l))
+        fit(log, cats, cfg)
+        count = {name: [n for n, _ in calls].count(name)
+                 for name in ("matmat", "rmatmat", "randomized_svd")}
+        assert len({g for n, g in calls if n == "gradient_step"}) > 1  # halvings
+        assert count["matmat"] == count["rmatmat"] == count["randomized_svd"] > 3
 
 
 class TestInitUtility:

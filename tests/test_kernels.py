@@ -38,6 +38,15 @@ class TestPairValues:
         ref = np.einsum("pk,k,pk->p", U[pu], sigma, V[pi])
         assert np.array_equal(kernels.pair_values(U, sigma, V, pu, pi), ref)
 
+    def test_blocks_of_int32_pairs_match_einsum(self, monkeypatch):
+        # the int32 indices of a CSR pattern, over blocks of uneven length
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 64)
+        rng = np.random.default_rng(2)
+        U, sigma, V, pu, pi = random_pairs(rng, k=10, npairs=500)
+        ref = np.einsum("pk,k,pk->p", U[pu], sigma, V[pi])
+        got = kernels.pair_values(U, sigma, V, pu.astype(np.int32), pi.astype(np.int32))
+        assert np.array_equal(got, ref)
+
     def test_empty_pairs(self):
         U, sigma, V, *_ = random_pairs(np.random.default_rng(3), k=10)
         none = np.zeros(0, dtype=np.int64)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
-from demandrec import kernels
+from demandrec import kernels, utility
 from demandrec.data import build_recency_index
 from demandrec.errors import ConfigError, SolverError
 from demandrec.utility import (
@@ -291,6 +291,32 @@ class TestRandomizedSvd:
         np.testing.assert_allclose(U.T @ U, np.eye(6), atol=1e-10)
         np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
 
+    def test_full_width_warm_sketch_is_exact(self):
+        # a start block padded to the operator's width spans its whole row
+        # space, so one sketch without power iterations is the exact SVD
+        rng = np.random.default_rng(60)
+        A = rng.standard_normal((30, 12))
+        start, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        U, sigma, V = randomized_svd(MatrixOperator(A), rank=5, oversample=10,
+                                     power_iters=0, rng=3, start=start)
+        Ue, se, Vte = np.linalg.svd(A, full_matrices=False)
+        np.testing.assert_allclose(sigma, se[:5], rtol=0, atol=1e-10)
+        np.testing.assert_allclose((U * sigma) @ V.T, (Ue[:, :5] * se[:5]) @ Vte[:5],
+                                   rtol=0, atol=1e-10)
+
+    def test_start_block_wider_than_the_sketch_is_truncated(self):
+        rng = np.random.default_rng(61)
+        A = rng.standard_normal((20, 15))
+        start = rng.standard_normal((15, 8))
+        # rank 2 + oversample 1 keeps three start columns and draws nothing,
+        # so the rng seed does not matter
+        wide = randomized_svd(MatrixOperator(A), rank=2, oversample=1, power_iters=0,
+                              rng=0, start=start)
+        cut = randomized_svd(MatrixOperator(A), rank=2, oversample=1, power_iters=0,
+                             rng=1, start=start[:, :3])
+        for a, b in zip(wide, cut):
+            assert np.array_equal(a, b)
+
 
 class TestSoftThreshold:
     def test_shrinks_and_truncates(self):
@@ -379,6 +405,37 @@ class TestUpdateX:
         np.testing.assert_allclose(X1.U.T @ X1.U, np.eye(k), atol=1e-8)
         np.testing.assert_allclose(X1.V.T @ X1.V, np.eye(k), atol=1e-8)
         assert (np.diff(X1.sigma) <= 1e-12).all()
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_step_sketches_from_the_current_V(self, monkeypatch, rank):
+        """The first sketch multiplies the step operator by X's V followed by
+        Gaussian columns from the seeded rng; a rank-0 iterate gets an
+        all-Gaussian block."""
+        rng = np.random.default_rng(40)
+        log, cats, rec, targets, *_ = build_setup(rng, 9, 8, 6, 2, 60)
+        if rank:
+            U, _ = np.linalg.qr(rng.standard_normal((9, rank)))
+            V, _ = np.linalg.qr(rng.standard_normal((8, rank)))
+            X0 = FactoredUtilityMatrix(U, np.array([1.5, 1.0, 0.5]), V)
+        else:
+            X0 = FactoredUtilityMatrix.zeros(9, 8)
+        blocks = []
+        original = utility.GradStepOperator.matmat
+
+        def matmat(op, B):
+            blocks.append(B.copy())
+            return original(op, B)
+
+        monkeypatch.setattr(utility.GradStepOperator, "matmat", matmat)
+        cfg = SolverConfig(lam=0.1, max_rank=3, oversample=2, inner_iters=1, seed=11)
+        update_X(X0, targets, cfg)
+        first_run = len(blocks)
+        update_X(X0, targets, cfg)
+        gauss = np.random.default_rng(cfg.seed).standard_normal((8, 5 - rank))
+        assert np.array_equal(blocks[0], np.hstack([X0.V, gauss]))
+        assert len(blocks) == 2 * first_run
+        for a, b in zip(blocks[:first_run], blocks[first_run:]):
+            assert np.array_equal(a, b)
 
     def test_user_without_purchases_shrinks_toward_zero(self):
         rng = np.random.default_rng(39)
