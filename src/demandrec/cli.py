@@ -14,7 +14,6 @@ writes the resolved configuration beside its outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 import warnings
@@ -180,11 +179,14 @@ def _from_config(klass, cfg: dict):
 _WRITE_BLOCK_ROWS = 1 << 16
 
 
-def _write_int_csv(path, *columns) -> None:
-    """Write equal-length integer columns as CSV rows; each block of rows is
+def _write_int_csv(path, *columns, header: str = "", end: str = "\n") -> None:
+    """Write equal-length integer columns as CSV rows, after a ``header``
+    line if one is given, each line ending in ``end``; each block of rows is
     formatted by one ``%``, so no Python code runs per row."""
-    row = ",".join(["%d"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
+    row = ",".join(["%d"] * len(columns)) + end
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if header:
+            handle.write(header + end)
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
             block = np.column_stack([column[start:stop] for column in columns])
@@ -266,11 +268,12 @@ def cmd_evaluate(cfg: dict) -> int:
     )
     (outdir / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if cfg["dump_records"]:
-        with open(outdir / "records.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user", "item", "slot", "category_rank", "time_error", "item_rank"])
-            columns = (tu, ti, tk, cat_ranks, time_errors, item_ranks)
-            writer.writerows(zip(*(map(int, column) for column in columns)))
+        # records.csv has CRLF line ends, the csv module's default dialect
+        _write_int_csv(
+            outdir / "records.csv", tu, ti, tk,
+            *(column.astype(np.int64) for column in (cat_ranks, time_errors, item_ranks)),
+            header="user,item,slot,category_rank,time_error,item_rank", end="\r\n",
+        )
     write_resolved(cfg, outdir, "evaluate")
     print(report.to_text())
     return 0

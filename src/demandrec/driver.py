@@ -122,13 +122,18 @@ def fit(
 
     Returns ``(ModelState, FitReport)``.  Deterministic: the same inputs and
     seed reproduce the model exactly.  ``init`` warm-starts from a previous
-    state.
+    state, cut to its ``cfg.max_rank`` leading singular triplets.
     """
     rec = build_recency_index(log, cats)
     if init is not None:
         if init.m != log.m or init.n != log.n or init.r != cats.r:
             raise SolverError("warm-start state does not match the data dimensions")
         X = init.X
+        if X.rank > cfg.max_rank:
+            # the first objective must be the truncated model's: no step can
+            # win back what cutting to the rank cap adds
+            k = cfg.max_rank
+            X = FactoredUtilityMatrix(X.U[:, :k], X.sigma[:k], X.V[:, :k])
         d = init.d.copy()
     else:
         X = init_utility(log, cfg)

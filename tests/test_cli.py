@@ -1,13 +1,20 @@
 """End-to-end command-line tests, all run in process via main(argv)."""
 
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
-from demandrec.cli import build_parser, main, parse_config_file, CONFIG_SCHEMA
+from demandrec.cli import _load_artifacts, build_parser, main, parse_config_file, CONFIG_SCHEMA
 from demandrec.data import ingest_purchases
 from demandrec.driver import load_model, save_model
+from demandrec.evaluate import (
+    category_prediction_metric,
+    item_prediction_metric,
+    time_prediction_metric,
+)
 from demandrec.synthetic import SynthSpec, generate
 from demandrec.utility import FactoredUtilityMatrix, SolverConfig
 from helpers import triplet_list
@@ -259,6 +266,35 @@ class TestEvaluate:
             (pipeline_dir / "metrics.txt").read_text().splitlines()[0].split("=")[1]
         )
         assert len(lines) == 1 + n_records
+
+    @pytest.mark.filterwarnings("ignore:tau = ")
+    def test_records_csv_matches_the_csv_module(self, pipeline_dir, tmp_path):
+        for name in ("model.bin", "split.bin"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        assert run(tmp_path, "evaluate", "--set", "dump_records=true") == 0
+        model, test, rec = _load_artifacts(tmp_path)
+        tu, ti, tk = test.users, test.items, test.slots
+        columns = (
+            tu, ti, tk,
+            category_prediction_metric(model, rec, tu, ti, tk)[1],
+            time_prediction_metric(model, rec, tu, ti, tk)[1],
+            item_prediction_metric(model, rec, tu, ti, tk, 10, seed=0)[1],
+        )
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["user", "item", "slot", "category_rank", "time_error", "item_rank"])
+        writer.writerows(zip(*(map(int, column) for column in columns)))
+        assert (tmp_path / "records.csv").read_bytes() == want.getvalue().encode()
+
+    def test_tau_above_every_utility_is_one_warning(self, pipeline_dir, tmp_path, capsys):
+        for name in ("model.bin", "split.bin"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate", "--set", "tau=1000") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: tau = 1000.0 ") and "time_pct is 100" in err[0]
+        assert "time_pct = 100.0" in (tmp_path / "metrics.txt").read_text()
 
     def test_missing_artifacts(self, tmp_path, capsys):
         assert run(tmp_path, "evaluate") == 2

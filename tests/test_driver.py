@@ -105,6 +105,19 @@ class TestFit:
         for prev, new in zip(hist, hist[1:]):
             assert new <= prev + 1e-8 * max(1.0, abs(prev))
 
+    def test_warm_start_above_the_rank_cap_is_truncated_first(self):
+        # at lam=0.5 the cut from rank 8 to 2 raises the objective more than
+        # any step-size halving wins back, unless the start is cut first
+        log, cats, *_ = small_instance(seed=54, m=12, n=10, l=6, r=2, count=120)
+        state1, _ = fit(log, cats, SolverConfig(outer_iters=3, lam=0.5, max_rank=8, seed=2))
+        assert state1.X.rank == 8
+        cfg = SolverConfig(outer_iters=2, lam=0.5, max_rank=2, oversample=1, seed=2)
+        state2, report2 = fit(log, cats, cfg, init=state1)
+        assert state2.X.rank <= 2
+        hist = report2.objective_history
+        for prev, new in zip(hist, hist[1:]):
+            assert new <= prev + 1e-8 * max(1.0, abs(prev))
+
     def test_warm_start_dimension_mismatch_rejected(self):
         log, cats, *_ = small_instance(seed=55)
         state, _ = fit(log, cats, SolverConfig(outer_iters=1, tol=math.inf))

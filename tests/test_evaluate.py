@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import pytest
 import oracles
 from demandrec import evaluate
 from demandrec.data import build_recency_index
+from demandrec.driver import ModelState
 from demandrec.evaluate import (
     MetricReport,
     _distance_to_predicted,
+    _draw_others,
     category_prediction_metric,
     item_prediction_metric,
     predict_demand,
@@ -19,7 +22,7 @@ from demandrec.evaluate import (
     score,
     time_prediction_metric,
 )
-from demandrec.utility import SolverConfig
+from demandrec.utility import FactoredUtilityMatrix, SolverConfig
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
 
@@ -165,6 +168,64 @@ def oracle_category_ranks(X, d, assignment, trips, tu, ti, tk):
     return np.array(ranks, dtype=float)
 
 
+def model_from_factors(U, V, d, l):
+    """ModelState whose utilities are exactly (U @ V.T): sigma is all ones,
+    so an all-zero row of V gives items of zero utility."""
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+    return ModelState(
+        X=FactoredUtilityMatrix(U, np.ones(U.shape[1]), V),
+        d=np.asarray(d, dtype=float),
+        config=SolverConfig(),
+        objective_history=[],
+        iterations=0,
+        duration_flags=(),
+        l=l,
+    )
+
+
+def category_case(name):
+    """(model, rec, trips, tu, ti, tk) of one category-metric edge case."""
+    rng = np.random.default_rng(20)
+    m, n, l, r = 4, 12, 15, 3
+    assignment = np.arange(n) % r
+    U, V = rng.uniform(-1.0, 1.0, size=(m, 3)), rng.uniform(-1.0, 1.0, size=(n, 3))
+    d = np.array([0.0, 0.0, 4.0])
+    if name == "zero_utility_ties":
+        # zero-utility items tie exactly within and across the penalty-free
+        # categories 0 and 1, and every other utility is negative
+        U, V = np.abs(U), -np.abs(V)
+        V[[0, 3, 4, 7, 8]] = 0.0
+    elif name == "rounding_ties":
+        # user 0 at slot 1: category 0 has penalty 1, so items 1 (z = 0) and
+        # 2 (z = 2**-60) both score -1, tied with item 0 of category 1
+        m, n, l, r = 1, 5, 6, 2
+        assignment = np.array([1, 0, 0, 1, 1])
+        U, V = [[1.0]], [[-1.0], [0.0], [2.0**-60], [-0.5], [-2.0]]
+        d = np.array([2.0, 0.0])
+    elif name == "rank_0":
+        U, V = np.zeros((m, 0)), np.zeros((n, 0))
+    elif name == "one_item_and_empty_category":
+        # category 3 holds item 11 alone; category 2 holds no item
+        r = 4
+        assignment = np.where(assignment == 2, 0, assignment)
+        assignment[11] = 3
+        d = np.array([3.0, 1.0, 2.0, 5.0])
+    cats = make_cats(assignment, r=r)
+    trips = random_triplets(rng, m, n, l, 3 * n) if m > 1 else [(0, 1, 0), (0, 3, 2)]
+    rec = build_recency_index(make_log(trips, m=m, n=n), cats)
+    model = model_from_factors(U, V, d, l)
+    if name == "one_user_many_slots":
+        tk = list(range(l))
+        tu, ti = [2] * l, [(3 * k) % n for k in range(l)]
+    elif name == "rounding_ties":
+        tu, ti, tk = [0, 0, 0, 0], [2, 1, 0, 3], [1, 1, 0, 3]
+    else:
+        tu = [k % m for k in range(2 * n)]
+        ti = list(range(n)) * 2
+        tk = [(5 * k) % l for k in range(2 * n)]
+    return model, rec, trips, tu, ti, tk
+
+
 class TestCategoryMetric:
     def test_perfect_model_scores_best(self):
         # every item its own category; test item strictly on top
@@ -196,6 +257,39 @@ class TestCategoryMetric:
         want = oracle_category_ranks(X, model.d, cats.assignment, trips, tu, ti, tk)
         assert np.array_equal(ranks, want)
         assert pct == pytest.approx(want.mean() / model.n * 100.0)
+
+    @pytest.mark.parametrize("case", [
+        "zero_utility_ties", "rounding_ties", "rank_0", "one_user_many_slots",
+        "one_item_and_empty_category",
+    ])
+    def test_edge_cases_match_oracle(self, case, scoring_blocks):
+        model, rec, trips, tu, ti, tk = category_case(case)
+        _, ranks = category_prediction_metric(model, rec, tu, ti, tk)
+        want = oracle_category_ranks(
+            model.X.dense(), model.d, rec.cats.assignment, trips, tu, ti, tk
+        )
+        assert np.array_equal(ranks, want)
+
+    def test_scores_no_full_row_without_ties(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        model, rec, X, log, cats = random_setup(rng, nnz=50)
+
+        def refuse(*args):
+            raise AssertionError("a record without ties took the full-row path")
+
+        monkeypatch.setattr(evaluate, "_category_ranks_full", refuse)
+        _, ranks = category_prediction_metric(model, rec, log.users, log.items, log.slots)
+        want = oracle_category_ranks(
+            X, model.d, cats.assignment, triplet_list(log), log.users, log.items, log.slots
+        )
+        assert np.array_equal(ranks, want)
+
+    def test_rounding_tie_takes_the_smaller_id(self):
+        # z = 0 and z = 2**-60 both score -1 under penalty 1: the best item
+        # is the smaller id (1), so item 0's tie counts and item 2's does not
+        model, rec, trips, _, _, _ = category_case("rounding_ties")
+        _, ranks = category_prediction_metric(model, rec, [0, 0], [2, 2], [1, 0])
+        assert ranks.tolist() == [3.0, 1.0]
 
     def test_rejects_empty_and_mismatched(self):
         rng = np.random.default_rng(7)
@@ -282,12 +376,33 @@ class TestTimeMetric:
             want = min((abs(k - s) for s in predicted), default=model.l)
             assert errors[pos] == want
 
+    def test_warns_when_tau_is_above_every_best_utility(self):
+        model, rec = self.fixture()
+        with pytest.warns(UserWarning, match="time_pct is 100"):
+            pct, _ = time_prediction_metric(model, rec, [0, 0], [0, 1], [3, 7], tau=0.9)
+        assert pct == 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            time_prediction_metric(model, rec, [0, 0], [0, 1], [3, 7], tau=0.89)
+
     def test_default_tau_from_config(self):
         model, rec = self.fixture()
         model.config = SolverConfig(tau=0.5)
         pct, _ = time_prediction_metric(model, rec, [0], [0], [9])
         explicit, _ = time_prediction_metric(model, rec, [0], [0], [9], tau=0.5)
         assert pct == explicit
+
+
+def record_draws(monkeypatch):
+    """A list that collects every sample block the item metric draws."""
+    seen = []
+
+    def spy(*args):
+        seen.append(_draw_others(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluate, "_draw_others", spy)
+    return seen
 
 
 class TestItemMetric:
@@ -325,6 +440,60 @@ class TestItemMetric:
         second = item_prediction_metric(model, rec, tu, ti, tk, 4, seed=7)
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("n, draws", [(20, 7), (20, 15), (20, 19), (5, 0), (2, 1), (1, 0)])
+    def test_draws_are_distinct_and_exclude_the_target(self, n, draws):
+        rng = np.random.default_rng(17)
+        items = np.arange(400) % n
+        others = _draw_others(rng, items, n, draws)
+        assert others.shape == (400, draws)
+        assert ((others >= 0) & (others < n)).all()
+        assert not (others == items[:, None]).any()
+        for row in others:
+            assert np.unique(row).shape[0] == draws
+
+    @pytest.mark.parametrize("draws", [7, 15])  # sorted draws; random keys
+    def test_draw_counts_are_uniform(self, draws):
+        n, rows = 20, 20_000
+        rng = np.random.default_rng(18)
+        items = rng.integers(0, n, size=rows)
+        counts = np.bincount(_draw_others(rng, items, n, draws).ravel(), minlength=n)
+        expected = (rows - np.bincount(items, minlength=n)) * draws / (n - 1)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 43.8  # the 0.999 quantile at 19 degrees of freedom
+
+    def test_draws_and_ranks_do_not_depend_on_scoring_blocks(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        model, rec, _, log, _ = random_setup(rng, m=8, n=12, l=20, nnz=80)
+        seen = record_draws(monkeypatch)
+        monkeypatch.setattr(evaluate, "_DRAW_CELLS", 6 * 7)  # chunks of 7 records
+        runs = []
+        for cells in (2**18, 45):
+            monkeypatch.setattr(evaluate, "_BLOCK_CELLS", cells)
+            seen.clear()
+            _, ranks = item_prediction_metric(
+                model, rec, log.users, log.items, log.slots, 6, seed=4
+            )
+            runs.append((np.concatenate(seen), ranks))
+        assert len(seen) > 1
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_ranks_match_brute_force_on_the_drawn_samples(self, monkeypatch, scoring_blocks):
+        rng = np.random.default_rng(21)
+        model, rec, _, log, _ = random_setup(rng, m=8, n=12, l=20, nnz=80)
+        seen = record_draws(monkeypatch)
+        tu, ti, tk = log.users, log.items, log.slots
+        _, ranks = item_prediction_metric(model, rec, tu, ti, tk, 5, seed=6)
+        for pos, sample in enumerate(np.concatenate(seen)):
+            u, i, k = int(tu[pos]), int(ti[pos]), int(tk[pos])
+            pool = [i, *sample.tolist()]
+            scores = np.array([score(model, rec, u, j, k) for j in pool])
+            want = 1 + sum(
+                s > scores[0] or (s == scores[0] and j < i)
+                for j, s in zip(pool[1:], scores[1:])
+            )
+            assert ranks[pos] == want
 
     @pytest.mark.parametrize("bad", [0, -2, 10])
     def test_rejects_bad_sample_size(self, bad):
@@ -382,13 +551,15 @@ def _digest(array):
 
 
 class TestPinnedMetrics:
-    """sha256 of the three metrics' raw outputs on a small seeded instance,
-    recorded before the metrics were scored in row blocks: the draw order,
-    the tie-breaking and the time errors must not move."""
+    """sha256 of the three metrics' raw outputs on a small seeded instance.
+    The category and time digests were recorded before the metrics were
+    scored in row blocks, so their tie-breaking and errors must not move;
+    the item digest, since the item metric draws all its samples in chunks,
+    pins the draw order."""
 
     PINNED = ("f3d41021eaaa284fa2aec3d9b5c7357e3a602fbfa3134c1bbc4eb1f7436bc064",
               "f95feb4ed94bb480b71fc5a1996c01ed8926f69fa0f6f94445963c253abadf04",
-              "d00c7fc4ac7f8af8e117c4f582ba2e159411dfef6baa1a03aeae3c5772782ebc")
+              "3132dbaa816338e4e277e6d27bde8a6832b73ba2d3d70622431d20795d93f915")
 
     def test_outputs_match_pinned_digests(self, scoring_blocks):
         rng = np.random.default_rng(16)
