@@ -231,10 +231,13 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_artifacts(outdir: Path):
+def _load_artifacts(outdir: Path, user: int | None = None):
     """``(model, test, rec)`` from the ``model.bin`` and ``split.bin`` that
-    ``train`` wrote, with ``rec`` the recency index of the training log;
-    a model whose dimensions differ from the split's is one ConfigError."""
+    ``train`` wrote, with ``rec`` the recency index of the training log.
+    Given a ``user``, ``rec`` indexes that user's training rows only, which
+    answer every query about the user alike.  A model whose dimensions
+    differ from the split's, or a user outside ``[0, m)``, is one
+    ConfigError."""
     model = load_model(outdir / "model.bin")
     train, test, cats = load_log(outdir / "split.bin")
     if (model.m, model.n, model.r, model.l) != (train.m, train.n, cats.r, train.l):
@@ -242,6 +245,10 @@ def _load_artifacts(outdir: Path):
             f"model dims ({model.m}x{model.n}, r={model.r}, l={model.l}) do not match "
             f"the artifacts ({train.m}x{train.n}, r={cats.r}, l={train.l})"
         )
+    if user is not None:
+        if not 0 <= user < model.m:
+            raise ConfigError(f"user must be in [0, {model.m}), got {user}")
+        train = train.user_log(user)
     return model, test, build_recency_index(train, cats)
 
 
@@ -280,10 +287,10 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_recommend(cfg: dict, user: int, slot: int, topn: int) -> int:
+    """Write the top-N list of one user at one slot; the recency index
+    holds only that user's training rows."""
     outdir = _outdir(cfg)
-    model, _, rec = _load_artifacts(outdir)
-    if not 0 <= user < model.m:
-        raise ConfigError(f"user must be in [0, {model.m}), got {user}")
+    model, _, rec = _load_artifacts(outdir, user)
     if not 0 <= slot:
         raise ConfigError(f"slot must be >= 0, got {slot}")
     ranking = recommend_topn(model, rec, user, slot, topn)

@@ -25,13 +25,15 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .errors import DataFormatError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TIMESTAMP_FORMATS = ("days", "iso")
 
@@ -53,6 +55,8 @@ class PairStructure(NamedTuple):
 
     def csr(self, values) -> sp.csr_matrix:
         """The m x n CSR matrix holding ``values`` (one per pair) at the pairs."""
+        import scipy.sparse as sp  # only the solver builds matrices
+
         return sp.csr_matrix((values, self.items, self.indptr),
                              shape=(self.indptr.shape[0] - 1, self.n))
 
@@ -84,6 +88,8 @@ class PurchaseLog:
         """Distinct (user, item) pairs and their CSR pattern; cached after
         the first call, so every call returns the same arrays."""
         if self._pairs is None:
+            import scipy.sparse as sp  # only the solver builds matrices
+
             # a temporary key array, freed before the pair arrays are built
             boundary = np.append(True, np.diff(
                 _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
@@ -103,6 +109,12 @@ class PurchaseLog:
                 n=self.n,
             )
         return self._pairs
+
+    def user_log(self, user: int) -> PurchaseLog:
+        """The triplets of one user, as a log of the same m, n and l."""
+        lo, hi = np.searchsorted(self.users, [user, user + 1])
+        return PurchaseLog(users=self.users[lo:hi], items=self.items[lo:hi],
+                           slots=self.slots[lo:hi], m=self.m, n=self.n, l=self.l)
 
 
 def _encode_keys(major, middle, minor, radices) -> np.ndarray:
@@ -451,7 +463,11 @@ class RecencyIndex:
         self._trip_recency = np.empty(log.nnz)
         self._trip_recency[order] = gaps
         self._trip_cats = trip_cats
-        self._event_keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        # the distinct keys after a sentinel -1 below every group, so that a
+        # search always lands on an entry, also in an empty log
+        distinct = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        self._event_keys = np.append(-1, keys[distinct])
         self._cat_order = None
         self._cat_bounds = None
 
@@ -486,7 +502,7 @@ class RecencyIndex:
         # every event slot is below l, so clamping keeps later slots exact
         pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
         prev = self._event_keys[np.maximum(pos, 0)]
-        return np.where((pos >= 0) & (prev >= group), slots - (prev - group), np.inf)[()]
+        return np.where(prev >= group, slots - (prev - group), np.inf)[()]
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:

@@ -9,13 +9,14 @@ The three holdout metrics follow a per-user 90/10 protocol: each test record
 purchase time) at slot t, with recency computed from training purchases
 only.  All are averages of "top percentage" style quantities, lower better.
 
-Top-N and the time metric score whole rows through ``_scores``; the metrics
-work in blocks of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
-The category and item metrics never build a record's score row: the first
-binary-searches each user's utilities, sorted within categories, and the
-second scores only the target and its sample.  The item metric draws all
-its samples in chunks of a fixed size, so the draws do not depend on the
-block size.
+Top-N scores one whole row through ``_scores``; the metrics work in blocks
+of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  No metric
+builds a record's score row.  The category and time metrics score each
+test user's utility row once: the first binary-searches it, sorted within
+categories, and the second reads each category's best utility from it.  The
+item metric scores only the target and its sample, and draws all its
+samples in chunks of a fixed size, so the draws do not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _slices(count: int, step: int) -> list[slice]:
 def _blocks(count: int, width: int) -> list[slice]:
     """Slices of ``range(count)``: blocks of ``_BLOCK_CELLS // width`` rows, at least one."""
     return _slices(count, max(1, _BLOCK_CELLS // width))
+
+
+def _category_segments(assignment: np.ndarray, r: int):
+    """``(by_cat, starts, ends)``: the item ids ordered by category, and
+    where each category's segment of that order starts and ends."""
+    counts = np.bincount(assignment, minlength=r)
+    ends = np.cumsum(counts)
+    return np.argsort(assignment, kind="stable"), ends - counts, ends
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
@@ -160,9 +169,7 @@ def category_prediction_metric(
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     n, r = model.n, model.r
-    by_cat = np.argsort(assignment, kind="stable")
-    ends = np.cumsum(np.bincount(assignment, minlength=r))
-    starts = ends - np.bincount(assignment, minlength=r)
+    by_cat, starts, ends = _category_segments(assignment, r)
     steps = int((ends - starts).max()).bit_length()
     order = np.argsort(tu, kind="stable")
     first = np.flatnonzero(np.diff(tu[order], prepend=-1))
@@ -232,28 +239,37 @@ def time_prediction_metric(
 
     Records are grouped by (user, category): within a group the predicted
     slots coincide, so the distance profile is computed once, from the
-    category's best utility minus its penalty at each slot.
+    category's best utility minus its penalty at each slot.  Each test
+    user's utility row is scored once, in blocks of at most
+    ``_BLOCK_CELLS`` cells, and every group of the user reads its
+    category's best utility from it.
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     tau = model.config.tau if tau is None else tau
     assignment = rec.cats.assignment
-    l = model.l
-    keys = _encode_keys(tu, assignment[ti], 0, (model.m, model.r, 1))
+    n, l, r = model.n, model.l, model.r
+    keys = _encode_keys(tu, assignment[ti], 0, (model.m, r, 1))
     order = np.argsort(keys, kind="stable")
     new_group = np.diff(keys[order], prepend=-1) != 0
     group_of = np.cumsum(new_group) - 1  # group of each record in sorted order
     bounds = np.append(np.nonzero(new_group)[0], tu.shape[0])
     users, cats = tu[order[new_group]], assignment[ti[order[new_group]]]
+    # the best utility of every category of each distinct user, one row
+    # each; a category that owns no item keeps -inf
+    distinct, user_of = np.unique(users, return_inverse=True)
+    by_cat, starts, ends = _category_segments(assignment, r)
+    owned = starts < ends
+    best = np.full((distinct.shape[0], r), -np.inf)
+    for blk in _blocks(distinct.shape[0], n):
+        zs = model.X.row_scores(distinct[blk])[:, by_cat]
+        best[blk, owned] = np.maximum.reduceat(zs, starts[owned], axis=1)
+    zmax = best[user_of, cats]
+    top = float(zmax.max())
     errors = np.empty(tu.shape[0])
-    top = -np.inf
-    for blk in _blocks(users.shape[0], max(model.n, l)):
+    for blk in _blocks(users.shape[0], l):
         gu, gc = users[blk], cats[blk]
-        # no purchase precedes slot 0, so these rows carry no penalty
-        utility = _scores(model, rec, gu, np.zeros_like(gu))
-        zmax = np.where(assignment == gc[:, None], utility, -np.inf).max(axis=1)
-        top = max(top, float(zmax.max()))
         t = rec.query(gu[:, None], gc[:, None], np.arange(l))
-        predicted = zmax[:, None] - np.maximum(0.0, model.d[gc, None] - t) > tau
+        predicted = zmax[blk, None] - np.maximum(0.0, model.d[gc, None] - t) > tau
         dist = _distance_to_predicted(predicted, l)
         recs = slice(bounds[blk.start], bounds[blk.stop])
         errors[order[recs]] = dist[group_of[recs] - blk.start, tk[order[recs]]]

@@ -27,13 +27,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .data import PairStructure, RecencyIndex
 from .errors import ConfigError, SolverError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _MAX_HALVINGS = 10
 

@@ -3,16 +3,22 @@
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demandrec
 from demandrec.cli import _load_artifacts, build_parser, main, parse_config_file, CONFIG_SCHEMA
-from demandrec.data import ingest_purchases
+from demandrec.data import build_recency_index, ingest_purchases, load_log
 from demandrec.driver import load_model, save_model
 from demandrec.evaluate import (
     category_prediction_metric,
     item_prediction_metric,
+    recommend_topn,
     time_prediction_metric,
 )
 from demandrec.synthetic import SynthSpec, generate
@@ -348,8 +354,31 @@ class TestRecommend:
         assert capsys.readouterr().out == first
 
     def test_user_out_of_range(self, pipeline_dir, capsys):
-        assert run(pipeline_dir, "recommend", "--user", "999", "--slot", "0") == 2
-        assert "error:config:" in capsys.readouterr().err
+        capsys.readouterr()
+        for user in ("999", "-1"):
+            assert run(pipeline_dir, "recommend", "--user", user, "--slot", "0") == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:config: user must be in"), err
+
+    def test_matches_the_full_train_index(self, pipeline_dir, tmp_path, capsys):
+        # the command indexes one user's train rows; the lists must equal
+        # those of the index over the whole train log, for every user
+        for name in ("model.bin", "split.bin"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        model = load_model(tmp_path / "model.bin")
+        train, _, cats = load_log(tmp_path / "split.bin")
+        full = build_recency_index(train, cats)
+        for user in range(model.m):
+            for slot in (0, 7, model.l - 1, model.l + 5):
+                assert run(tmp_path, "recommend", "--user", str(user), "--slot", str(slot),
+                           "--topn", str(model.n)) == 0
+                want = ["rank,item,score"] + [
+                    f"{pos},{item},{value:.6f}" for pos, (item, value)
+                    in enumerate(recommend_topn(model, full, user, slot, model.n), 1)
+                ]
+                got = (tmp_path / "recommendations.csv").read_text().splitlines()
+                assert got == want, (user, slot)
+        capsys.readouterr()
 
     def test_bad_topn(self, pipeline_dir, capsys):
         code = run(pipeline_dir, "recommend", "--user", "0", "--slot", "0", "--topn", "0")
@@ -366,6 +395,43 @@ class TestRecommend:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:config:"), err
         assert f"model dims ({model.m}x{model.n - 5}, r={model.r}, l={model.l})" in err[0]
+
+
+# Runs in a fresh interpreter: each command but train must leave
+# scipy.sparse unimported, and train, whose solver builds CSR matrices,
+# imports it.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import demandrec
+from demandrec.cli import main
+seen = {"import": "scipy.sparse" in sys.modules}
+for argv in map(str.split, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen[argv[0]] = "scipy.sparse" in sys.modules
+print(seen)
+"""
+
+
+def test_only_train_imports_scipy_sparse(pipeline_dir, tmp_path):
+    for name in ("model.bin", "split.bin"):
+        (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+    small = " ".join(SMALL)
+    commands = [
+        f"synth --output-dir {tmp_path / 'synth'} {small}",
+        f"evaluate --output-dir {tmp_path} {small}",
+        f"recommend --output-dir {tmp_path} {small} --user 1 --slot 3",
+        f"rank-demo --output-dir {tmp_path} {small}",
+        f"train --output-dir {tmp_path / 'synth'} {small}",
+    ]
+    src = str(Path(demandrec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", _IMPORT_PROBE, *commands],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str({"import": False, "synth": False, "evaluate": False,
+                                       "recommend": False, "rank-demo": False,
+                                       "train": True})
 
 
 class TestRankDemo:

@@ -364,6 +364,30 @@ class TestRecencyIndex:
         assert rec.query(1, 0, 5) == 3.0
         assert rec.query(1, 0, -3) == math.inf
 
+    def test_empty_log_answers_inf_everywhere(self):
+        empty = np.empty(0, dtype=np.int64)
+        log = PurchaseLog(users=empty, items=empty, slots=empty, m=3, n=4, l=5)
+        rec = build_recency_index(log, CategoryMap(np.array([0, 1, 0, 1]), r=2))
+        assert rec.triplet_recency().shape == (0,)
+        got = rec.query(np.arange(3)[:, None, None], np.arange(2)[None, :, None],
+                        np.array([-1, 0, 3, 5, 9]))
+        assert got.shape == (3, 2, 5) and np.all(got == math.inf)
+        assert rec.query(0, 0, 0) == math.inf
+
+    def test_user_log_answers_that_user_alike(self):
+        rng = np.random.default_rng(12)
+        trips = random_triplets(rng, m=6, n=7, l=12, count=90)
+        log = make_log(trips, m=8, n=7)  # users 6 and 7 have no purchases
+        cats = make_cats(rng.integers(0, 3, size=7), r=3)
+        full = build_recency_index(log, cats)
+        slots = np.arange(-1, log.l + 3)
+        for user in range(8):
+            part = log.user_log(user)
+            assert (part.m, part.n, part.l) == (log.m, log.n, log.l)
+            assert triplet_list(part) == [t for t in triplet_list(log) if t[0] == user]
+            got = build_recency_index(part, cats).query(user, np.arange(3)[:, None], slots)
+            assert np.array_equal(got, full.query(user, np.arange(3)[:, None], slots))
+
     def test_key_space_beyond_int64_rejected(self):
         # m * n * (l + 1) > 2**63: the keys would wrap, and query(1999, 0, 1)
         # read inf where 1.0 is right

@@ -393,6 +393,79 @@ class TestTimeMetric:
         assert pct == explicit
 
 
+def reference_time_errors(model, rec, tu, ti, tk, tau):
+    """The time metric's errors from one full score row per (user,
+    category) group, taken at slot 0, where no purchase precedes and the
+    penalty is exactly 0.0."""
+    tu, ti, tk = (np.asarray(a, dtype=np.int64) for a in (tu, ti, tk))
+    assignment = rec.cats.assignment
+    errors = np.empty(tu.shape[0])
+    for u, c in set(zip(tu.tolist(), assignment[ti].tolist())):
+        utility = evaluate._scores(model, rec, np.array([u]), np.array([0]))[0]
+        zmax = np.where(assignment == c, utility, -np.inf).max()
+        t = rec.query(u, c, np.arange(model.l))
+        predicted = zmax - np.maximum(0.0, model.d[c] - t) > tau
+        dist = _distance_to_predicted(predicted, model.l)
+        mine = (tu == u) & (assignment[ti] == c)
+        errors[mine] = dist[tk[mine]]
+    return errors
+
+
+class TestTimeMetricOracle:
+    """The metric against one full score row per group, with tau at, just
+    below and just above the groups' best utilities.  The factors are
+    multiples of 1/8, so every utility is exact however BLAS blocks the
+    rows, and a tau equal to a group's best is equal in both."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_group_rows(self, seed, scoring_blocks):
+        rng = np.random.default_rng(30 + seed)
+        # r = 4 with items in categories 0-2 only: category 3 owns no item
+        m, n, l = 7, 11, 14
+        U = rng.integers(-8, 9, size=(m, 3)) / 8.0
+        V = rng.integers(-8, 9, size=(n, 3)) / 8.0
+        X = U @ V.T
+        model = model_from_factors(U, V, rng.uniform(0.0, 8.0, size=4), l)
+        log = make_log(random_triplets(rng, m, n, l, 60), m=m, n=n)
+        cats = make_cats(np.arange(n) % 3, r=4)
+        rec = build_recency_index(log, cats)
+        # every user but the last has records in two or three categories,
+        # and the records come in shuffled order
+        tu = np.repeat(np.arange(m - 1), 5)
+        ti = rng.integers(0, n, size=tu.shape[0])
+        ti[::5] = rng.integers(0, n // 3, size=m - 1) * 3  # category 0
+        ti[1::5] = rng.integers(0, n // 3, size=m - 1) * 3 + 1  # category 1
+        tk = rng.integers(0, l, size=tu.shape[0])
+        shuffle = rng.permutation(tu.shape[0])
+        tu, ti, tk = tu[shuffle], ti[shuffle], tk[shuffle]
+        group_max = [np.where(cats.assignment == cats.assignment[i], X[u], -np.inf).max()
+                     for u, i in zip(tu, ti)]
+        taus = [0.0]
+        for value in rng.choice(group_max, size=3, replace=False):
+            taus += [value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf)]
+        for tau in taus:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pct, errors = time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
+            want = reference_time_errors(model, rec, tu, ti, tk, tau)
+            assert np.array_equal(errors, want), tau
+            assert pct == float(want.mean() / l * 100.0)
+
+    def test_scores_each_test_user_once(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        model, rec, _, log, _ = random_setup(rng, m=5, n=9, l=10, nnz=45)
+        rows = []
+        row_scores = model.X.row_scores
+
+        def spy(users):
+            rows.extend(np.atleast_1d(users).tolist())
+            return row_scores(users)
+
+        monkeypatch.setattr(model.X, "row_scores", spy)
+        time_prediction_metric(model, rec, log.users, log.items, log.slots, tau=0.2)
+        assert sorted(rows) == sorted(set(log.users.tolist()))
+
+
 def record_draws(monkeypatch):
     """A list that collects every sample block the item metric draws."""
     seen = []
