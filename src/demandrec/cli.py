@@ -212,6 +212,7 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    solver_cfg = _from_config(SolverConfig, cfg)  # a bad setting writes nothing
     outdir = _outdir(cfg)
     purchases = Path(cfg["purchases"]) if cfg["purchases"] else outdir / "purchases.csv"
     categories = Path(cfg["categories"]) if cfg["categories"] else outdir / "categories.csv"
@@ -222,7 +223,7 @@ def cmd_train(cfg: dict) -> int:
     export_log(split.train, split.test, cats, outdir / "split.bin")
 
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
-    state, report = fit(split.train, cats, _from_config(SolverConfig, cfg), init=init)
+    state, report = fit(split.train, cats, solver_cfg, init=init)
     save_model(state, outdir / "model.bin")
     (outdir / "fit_report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     write_resolved(cfg, outdir, "train")

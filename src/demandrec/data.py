@@ -90,9 +90,12 @@ class PurchaseLog:
         if self._pairs is None:
             import scipy.sparse as sp  # only the solver builds matrices
 
-            # a temporary key array, freed before the pair arrays are built
-            boundary = np.append(True, np.diff(
-                _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))) != 0)
+            # a temporary key array, freed before the pair arrays are built;
+            # the mask also holds for a log without triplets
+            keys = _encode_keys(self.users, self.items, 0, (self.m, self.n, 1))
+            boundary = np.ones(keys.shape[0], dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+            del keys
             starts = np.nonzero(boundary)[0]
             users = self.users[starts]
             items = self.items[starts]

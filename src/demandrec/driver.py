@@ -27,7 +27,7 @@ from .data import (
     build_recency_index,
 )
 from .durations import build_worksets, update_durations
-from .errors import ModelFileError, SolverError
+from .errors import DataFormatError, ModelFileError, SolverError
 from .utility import (
     FactoredUtilityMatrix,
     MatrixOperator,
@@ -39,19 +39,18 @@ from .utility import (
 )
 
 _MAGIC = b"DRECMDL\x00"
-_VERSION = 2
+_VERSION = 3
 
 
 @dataclass(eq=False)
 class ModelState:
-    """Fitted model: factored utilities, durations, and provenance."""
+    """Fitted model: the factored utilities ``X``, the category durations
+    ``d``, the config that fitted them and the horizon ``l``; a score is
+    ``x_ij - max(0, d_c - t)``.  The fit's trajectory is its FitReport's."""
 
     X: FactoredUtilityMatrix
     d: np.ndarray
     config: SolverConfig
-    objective_history: list
-    iterations: int
-    duration_flags: tuple
     l: int
 
     @property
@@ -124,6 +123,8 @@ def fit(
     seed reproduce the model exactly.  ``init`` warm-starts from a previous
     state, cut to its ``cfg.max_rank`` leading singular triplets.
     """
+    if log.nnz == 0:
+        raise DataFormatError("purchase log contains no records")
     rec = build_recency_index(log, cats)
     if init is not None:
         if init.m != log.m or init.n != log.n or init.r != cats.r:
@@ -166,52 +167,16 @@ def fit(
             converged = iteration >= 2
             break
 
-    state = ModelState(
-        X=X,
-        d=d,
-        config=cfg,
-        objective_history=list(history),
-        iterations=iteration,
-        duration_flags=flags,
-        l=log.l,
-    )
-    report = FitReport(
-        converged=converged,
-        iterations=iteration,
-        objective_history=list(history),
-        duration_flags=flags,
-        seconds_per_iteration=seconds,
-        final_objective=f,
-    )
+    state = ModelState(X=X, d=d, config=cfg, l=log.l)
+    report = FitReport(converged=converged, iterations=iteration, objective_history=history,
+                       duration_flags=flags, seconds_per_iteration=seconds, final_objective=f)
     return state, report
 
 
 # ---------------------------------------------------------------------------
-# model file: the factors, durations, provenance and config text in the
-# checksummed container of ``data``.  save -> load -> save is byte-identical.
-
-
-def _config_text(cfg: SolverConfig) -> bytes:
-    fields = sorted(f.name for f in dataclasses.fields(cfg))
-    text = "".join(f"{name} = {getattr(cfg, name)!r}\n" for name in fields)
-    return text.encode()
-
-
-def _config_from_text(text: str) -> SolverConfig:
-    values = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    defaults = SolverConfig()
-    kwargs = {}
-    for key, val in values.items():
-        if not hasattr(defaults, key):
-            raise ModelFileError(f"unknown config key in model file: {key!r}")
-        kwargs[key] = type(getattr(defaults, key))(val)
-    return SolverConfig(**kwargs)
-
+# model file, version 3: the factors, durations and horizon, then one 0-d
+# entry per SolverConfig field, in the checksummed container of ``data``.
+# Older versions are refused.  save -> load -> save is byte-identical.
 
 _MODEL_SPEC = (
     ("U", "<f8", 2),
@@ -219,10 +184,10 @@ _MODEL_SPEC = (
     ("V", "<f8", 2),
     ("d", "<f8", 1),
     ("l", "<i8", 0),
-    ("history", "<f8", 1),
-    ("iterations", "<i8", 0),
-    ("flags", "<i8", 1),
-    ("config", "|u1", 1),  # last, so it ends right before the digest
+    # last, so the final entry ends right before the digest; a field's
+    # default gives its type, as for the CLI's config keys
+    *((f"cfg.{f.name}", "<f8" if isinstance(f.default, float) else "<i8", 0)
+      for f in dataclasses.fields(SolverConfig)),
 )
 
 
@@ -233,10 +198,8 @@ def save_model(state: ModelState, path) -> None:
         "V": state.X.V,
         "d": state.d,
         "l": state.l,
-        "history": state.objective_history,
-        "iterations": state.iterations,
-        "flags": state.duration_flags,
-        "config": np.frombuffer(_config_text(state.config), dtype=np.uint8),
+        **{f"cfg.{f.name}": getattr(state.config, f.name)
+           for f in dataclasses.fields(SolverConfig)},
     })
 
 
@@ -245,12 +208,7 @@ def load_model(path) -> ModelState:
     U, sigma, V = arrays["U"], arrays["sigma"], arrays["V"]
     if not U.shape[1] == sigma.shape[0] == V.shape[1]:
         raise ModelFileError(f"{path}: factor ranks disagree in model file")
-    return ModelState(
-        X=FactoredUtilityMatrix(U, sigma, V),
-        d=arrays["d"],
-        config=_config_from_text(arrays["config"].tobytes().decode()),
-        objective_history=arrays["history"].tolist(),
-        iterations=int(arrays["iterations"]),
-        duration_flags=tuple(arrays["flags"].tolist()),
-        l=int(arrays["l"]),
-    )
+    config = SolverConfig(**{f.name: arrays[f"cfg.{f.name}"].item()
+                             for f in dataclasses.fields(SolverConfig)})
+    return ModelState(X=FactoredUtilityMatrix(U, sigma, V), d=arrays["d"],
+                      config=config, l=int(arrays["l"]))

@@ -204,6 +204,8 @@ def rank_demo(seed: int, m: int = 50, n: int = 100, rank: int = 10):
     Gaussian time penalty H = max(0, d - t) yields B = X - H which is
     generically full rank.  Returns (singular values of X, of B).
     """
+    if min(m, n, rank) < 1:
+        raise ConfigError(f"rank demo m, n, rank must all be >= 1, got {m}, {n}, {rank}")
     rng = np.random.default_rng([seed, 4])
     U = rng.normal(1.0, 0.5, size=(m, rank))
     V = rng.normal(1.0, 0.5, size=(n, rank))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -86,6 +86,10 @@ class SolverConfig:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for f in fields(self):
+            # an integer setting is stored as int64 in the model file
+            if isinstance(f.default, int) and getattr(self, f.name) >= 2**63:
+                raise ConfigError(f"{f.name} must be below 2**63, got {getattr(self, f.name)}")
 
 
 @dataclass(eq=False)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from demandrec.data import CategoryMap, _build_log
+from demandrec.data import CategoryMap, _build_log, _write_arrays
 from demandrec.driver import ModelState
 from demandrec.utility import FactoredUtilityMatrix, SolverConfig
 
@@ -49,16 +49,27 @@ def model_from_dense(X_dense, d, l, cfg=None):
         )
     else:
         X = FactoredUtilityMatrix.zeros(*X_dense.shape)
-    return ModelState(
-        X=X,
-        d=np.asarray(d, dtype=float),
-        config=cfg or SolverConfig(),
-        objective_history=[],
-        iterations=0,
-        duration_flags=(),
-        l=l,
-    )
+    return ModelState(X=X, d=np.asarray(d, dtype=float), config=cfg or SolverConfig(), l=l)
 
 
 def triplet_list(log):
     return list(zip(log.users.tolist(), log.items.tolist(), log.slots.tolist()))
+
+
+# the entries of a version-2 model file: the config as "key = repr" text
+_V2_MODEL_SPEC = (
+    ("U", "<f8", 2), ("sigma", "<f8", 1), ("V", "<f8", 2), ("d", "<f8", 1),
+    ("l", "<i8", 0), ("history", "<f8", 1), ("iterations", "<i8", 0),
+    ("flags", "<i8", 1), ("config", "|u1", 1),
+)
+
+
+def write_version_2_model(state, path):
+    """Write ``state`` as the version-2 model file format laid it out."""
+    cfg = state.config
+    text = "".join(f"{name} = {getattr(cfg, name)!r}\n" for name in sorted(vars(cfg)))
+    _write_arrays(path, b"DRECMDL\x00", 2, _V2_MODEL_SPEC, {
+        "U": state.X.U, "sigma": state.X.sigma, "V": state.X.V, "d": state.d,
+        "l": state.l, "history": [1.0, 0.5], "iterations": 1, "flags": [],
+        "config": np.frombuffer(text.encode(), dtype=np.uint8),
+    })

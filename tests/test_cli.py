@@ -23,7 +23,7 @@ from demandrec.evaluate import (
 )
 from demandrec.synthetic import SynthSpec, generate
 from demandrec.utility import FactoredUtilityMatrix, SolverConfig
-from helpers import triplet_list
+from helpers import triplet_list, write_version_2_model
 
 SMALL = [
     "--set", "m=25", "--set", "n=20", "--set", "l=40", "--set", "r=2",
@@ -247,6 +247,18 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("error:data:") and f"{name}:50000: " in err[0]
 
+    @pytest.mark.parametrize("setting", [["--seed", str(2**63)],
+                                         ["--set", f"outer_iters={2**63}"]])
+    def test_integer_setting_beyond_int64_is_one_config_error(self, tmp_path, capsys,
+                                                              setting):
+        assert run(tmp_path, "synth") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "train", *setting) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert "below 2**63" in err[0]
+        assert not (tmp_path / "model.bin").exists() and not (tmp_path / "split.bin").exists()
+
     def test_malformed_purchases(self, tmp_path, capsys):
         (tmp_path / "purchases.csv").write_text("alice,soap\n")
         (tmp_path / "categories.csv").write_text("soap,bath\n")
@@ -323,6 +335,16 @@ class TestEvaluate:
             assert run(tmp_path, "evaluate") == 2, pos
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error:{kind}:"), (pos, err)
+
+    def test_version_2_model_is_one_model_error(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "split.bin").write_bytes((pipeline_dir / "split.bin").read_bytes())
+        write_version_2_model(load_model(pipeline_dir / "model.bin"), tmp_path / "model.bin")
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error:model:") and err[0].endswith(
+            "unsupported model file version 2"), err
 
     def test_model_horizon_mismatch_is_one_config_error(self, pipeline_dir, tmp_path, capsys):
         (tmp_path / "split.bin").write_bytes((pipeline_dir / "split.bin").read_bytes())
@@ -445,3 +467,11 @@ class TestRankDemo:
         assert len(lines) == 51
         sigma_x = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(np.diff(sigma_x) <= 1e-9)
+
+    @pytest.mark.parametrize("key", ["demo_m", "demo_n", "demo_rank"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_shape_is_one_config_error(self, tmp_path, capsys, key, value):
+        assert run(tmp_path, "rank-demo", "--set", f"{key}={value}") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert ">= 1" in err[0]

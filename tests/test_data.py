@@ -548,6 +548,15 @@ class TestPairs:
                 assert (row == u).all() and row.shape[0] == owned.count(u)
 
 
+    def test_empty_log_has_an_empty_pattern(self):
+        empty = np.empty(0, dtype=np.int64)
+        pairs = PurchaseLog(users=empty, items=empty, slots=empty, m=3, n=4, l=5).pairs()
+        for array in (pairs.index, pairs.users, pairs.items, pairs.counts):
+            assert array.shape == (0,)
+        assert pairs.indptr.shape == (4,) and not pairs.indptr.any()
+        S = pairs.csr(np.ones(0))
+        assert S.shape == (3, 4) and S.nnz == 0
+
     def test_csr_shares_the_pattern(self):
         rng = np.random.default_rng(12)
         log = make_log(random_triplets(rng, 8, 6, 10, 150), m=8, n=6)

@@ -176,9 +176,6 @@ def model_from_factors(U, V, d, l):
         X=FactoredUtilityMatrix(U, np.ones(U.shape[1]), V),
         d=np.asarray(d, dtype=float),
         config=SolverConfig(),
-        objective_history=[],
-        iterations=0,
-        duration_flags=(),
         l=l,
     )
 
