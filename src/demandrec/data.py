@@ -566,11 +566,15 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
 
 def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
     """Write ``arrays`` (name -> array-like) in ``spec`` order, cast to the
-    spec dtypes, to one checksummed file."""
+    spec dtypes, to one checksummed file.  An entry name takes at most 16
+    bytes: ``struct`` would cut a longer one and leave an unreadable file."""
     parts = [magic, struct.pack("<I", version)]
     for name, dtype, ndim in spec:
+        key = name.encode()
+        if len(key) > 16:
+            raise ValueError(f"entry name {name!r} is longer than 16 bytes")
         array = np.asarray(arrays[name], dtype=dtype)
-        parts.append(struct.pack("<16s3sB", name.encode(), dtype.encode(), ndim))
+        parts.append(struct.pack("<16s3sB", key, dtype.encode(), ndim))
         parts.append(struct.pack(f"<{ndim}Q", *array.shape))
         parts.append(array.tobytes())
     body = b"".join(parts)

@@ -167,6 +167,9 @@ def fit(
             converged = iteration >= 2
             break
 
+    # a fresh matrix on the same factors: the model does not keep the pair
+    # values last computed for this log alive
+    X = FactoredUtilityMatrix(X.U, X.sigma, X.V)
     state = ModelState(X=X, d=d, config=cfg, l=log.l)
     report = FitReport(converged=converged, iterations=iteration, objective_history=history,
                        duration_flags=flags, seconds_per_iteration=seconds, final_objective=f)

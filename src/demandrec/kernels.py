@@ -16,7 +16,8 @@ import numpy as np
 # for bit.  Pairs go in blocks, one factor column at a time, which keeps the
 # transient at a few block-length vectors.  Each index block is widened to
 # intp once: numpy gathers about three times slower with the int32 indices of
-# the log's CSR pattern, as it converts them on every gather.
+# the log's CSR pattern, as it converts them on every gather.  ``take`` gathers
+# the same values as fancy indexing with less overhead per call.
 
 _PAIR_BLOCK = 1 << 16
 
@@ -31,8 +32,8 @@ def pair_values(U, sigma, V, pair_users, pair_items):
         items = pair_items[block].astype(np.intp, copy=False)
         acc = out[block]
         for j in range(sigma.shape[0]):
-            prod = UT[j][users]
-            prod *= VT[j][items]
+            prod = UT[j].take(users)
+            prod *= VT[j].take(items)
             acc += prod
     return out
 

@@ -13,7 +13,10 @@ for the sparse part, and the proximal step is a randomized SVD followed by
 singular-value soft-thresholding.  The full matrix is never materialized.
 Each step's SVD is one sketch warm-started from the current iterate's right
 singular vectors, without power iterations, so a step multiplies by the
-operator once and by its transpose once.
+operator once and by its transpose once.  The rest of a sketch is dense
+algebra on tall-skinny blocks: CholeskyQR2 orthonormalizes them with matrix
+products, and the SVD is taken of a block x block triangle instead of the
+wide block x n projection.
 
 The values x_ij at the purchased pairs are computed once per iterate: the
 objective, the gradient step and the duration worksets all ask for them on
@@ -66,6 +69,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                # an integer setting is stored as int64 in the model file
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                if value >= 2**63:
+                    raise ConfigError(f"{f.name} must be below 2**63, got {value}")
+                object.__setattr__(self, f.name, int(value))
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not self.lam > 0.0:
@@ -86,10 +98,6 @@ class SolverConfig:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for f in fields(self):
-            # an integer setting is stored as int64 in the model file
-            if isinstance(f.default, int) and getattr(self, f.name) >= 2**63:
-                raise ConfigError(f"{f.name} must be below 2**63, got {getattr(self, f.name)}")
 
 
 @dataclass(eq=False)
@@ -274,24 +282,59 @@ def gradient_step(
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
     hinge_sums, _ = targets.hinge_stats(z_pair)
-    vals = (
-        2.0 * gamma * (1.0 - eta) * pairs.counts * z_pair
-        + 2.0 * gamma * eta * hinge_sums
-    )
+    # c1 * counts * z + c2 * hinge_sums in that order, built in place so no
+    # pair-length temporary relies on numpy eliding it
+    vals = 2.0 * gamma * (1.0 - eta) * pairs.counts
+    vals *= z_pair
+    vals += 2.0 * gamma * eta * hinge_sums
     return GradStepOperator(scale, X, pairs.csr(vals))
+
+
+# Largest entry of Q1^T Q1 - I accepted after the first CholeskyQR pass.  It
+# is about cond(Y)^2 * eps, so blocks past a condition number of about 1e8
+# fail it; below it the second pass restores orthogonality to rounding.
+_CHOLQR_GRAM_TOL = 0.5
+
+
+def orthonormalize(Y: np.ndarray):
+    """``Q, R`` with ``Y = Q R``, Q orthonormal and R upper triangular, for a
+    tall block Y.
+
+    CholeskyQR2 (Fukaya et al. 2014): two passes of R = chol(Y^T Y)^T,
+    Y <- Y R^-1, so Y is read by matrix products only, with R = R2 R1.  A
+    block the passes cannot orthonormalize (the Cholesky fails, values are
+    not finite, or the first pass is far from orthonormal: zero and
+    rank-deficient blocks, condition numbers past about 1e8) falls back to
+    Householder ``np.linalg.qr``.
+    """
+    try:
+        R = np.linalg.cholesky(Y.T @ Y).T
+        Q = Y @ np.linalg.inv(R)
+        gram = Q.T @ Q
+        if np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0) <= _CHOLQR_GRAM_TOL:
+            R2 = np.linalg.cholesky(gram).T
+            return Q @ np.linalg.inv(R2), R2 @ R
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.qr(Y)
 
 
 def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None,
                    start=None):
     """Rank-``rank`` SVD of an implicit operator via a range finder with
-    re-orthonormalized subspace iterations.  Deterministic given the rng
-    state; never materializes the operator.
+    re-orthonormalized subspace iterations (Halko, Martinsson and Tropp 2011).
+    Deterministic given the rng state; never materializes the operator.
 
     The range finder's n x block input (block = rank + oversample, capped at
     the operator's dimensions) is Gaussian by default.  An n x c start block
     ``start`` supplies its first min(c, block) columns, and block - c
     Gaussian columns fill the rest; a start block spanning most of the
     wanted right singular subspace makes power iterations unnecessary.
+
+    Every orthonormalization is :func:`orthonormalize`'s CholeskyQR2.  The
+    wide block x n matrix B = Q^T A is never factored: its transpose
+    A^T Q = Qb Rb is orthonormalized, and the SVD of the block x block
+    Rb^T = Ur S Vr^T gives A ~ (Q Ur) S (Qb Vr)^T.
     """
     m, n = op.shape
     if rank < 1:
@@ -301,13 +344,13 @@ def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rn
     rng = np.random.default_rng(rng)
     start = np.empty((n, 0)) if start is None else start[:, :block]
     omega = np.hstack([start, rng.standard_normal((n, block - start.shape[1]))])
-    Q, _ = np.linalg.qr(op.matmat(omega))
+    Q, _ = orthonormalize(op.matmat(omega))
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(op.rmatmat(Q))
-        Q, _ = np.linalg.qr(op.matmat(Z))
-    B = op.rmatmat(Q).T
-    Ub, sig, Vt = np.linalg.svd(B, full_matrices=False)
-    return Q @ Ub[:, :rank], sig[:rank], Vt[:rank].T
+        Z, _ = orthonormalize(op.rmatmat(Q))
+        Q, _ = orthonormalize(op.matmat(Z))
+    Qb, Rb = orthonormalize(op.rmatmat(Q))
+    Ur, sig, Vrt = np.linalg.svd(Rb.T)
+    return Q @ Ur[:, :rank], sig[:rank], Qb @ Vrt[:rank].T
 
 
 def soft_threshold(sigma: np.ndarray, amount: float):

@@ -15,6 +15,7 @@ from demandrec.data import (
     PurchaseLog,
     _SPLIT_SPEC,
     _build_log,
+    _read_arrays,
     _write_arrays,
     build_recency_index,
     export_log,
@@ -230,6 +231,19 @@ class TestExportLoad:
         out = self.write_raw(tmp_path / "split.bin", [2, 2, 4, 1], [0, 0, 1], [], [0])
         with pytest.raises(DataFormatError, match="expected 2 category assignments"):
             load_log(out)
+
+    def test_entry_name_over_16_bytes_refused(self, tmp_path):
+        # the 16-byte name field would cut the name and the file could not
+        # be read back, so nothing is written
+        out = tmp_path / "arrays.bin"
+        spec = (("a_name_of_17_chars", "<i8", 0),)
+        with pytest.raises(ValueError, match="a_name_of_17_chars"):
+            _write_arrays(out, b"DRECTST\x00", 1, spec, {"a_name_of_17_chars": 0})
+        assert not out.exists()
+        spec = (("a_name_of_16_chr", "<i8", 0),)
+        _write_arrays(out, b"DRECTST\x00", 1, spec, {"a_name_of_16_chr": 5})
+        back = _read_arrays(out, b"DRECTST\x00", 1, spec, DataFormatError, "test file")
+        assert back["a_name_of_16_chr"] == 5
 
 
 class TestIngestCategories:

@@ -89,6 +89,13 @@ class TestFit:
         assert np.array_equal(a.d, b.d)
         assert ra.objective_history == rb.objective_history
 
+    def test_model_keeps_no_pair_values(self):
+        # the pair values cached for the fitting log would outlive the fit
+        # inside the model, one float per purchased pair
+        log, cats, *_ = small_instance(seed=53, count=60)
+        state, _ = fit(log, cats, SolverConfig(outer_iters=2, seed=9))
+        assert state.X._last_values is None
+
     def test_warm_start_does_not_increase_objective(self):
         log, cats, *_ = small_instance(seed=54, m=12, n=10, l=6, r=2, count=120)
         cfg = SolverConfig(outer_iters=3, lam=0.5, seed=2)
@@ -221,6 +228,27 @@ class TestPairValueReuse:
                  for name in ("matmat", "rmatmat", "randomized_svd")}
         assert len({g for n, g in calls if n == "gradient_step"}) > 1  # halvings
         assert count["matmat"] == count["rmatmat"] == count["randomized_svd"] > 3
+
+
+class TestSketchAlgebra:
+    def test_no_householder_fallback_in_a_moderate_fit(self, monkeypatch):
+        """Every range block of the cold sketch and of the warm proximal
+        steps is well conditioned, so CholeskyQR2 orthonormalizes all of
+        them without the Householder fallback."""
+        log, cats, *_ = small_instance(seed=65, m=300, n=200, l=30, r=4, count=6000)
+        blocks = []
+        fallbacks = []
+        for owner, name, calls in ((utility, "orthonormalize", blocks),
+                                   (np.linalg, "qr", fallbacks)):
+            def wrapper(*args, _original=getattr(owner, name), _calls=calls, **kwargs):
+                _calls.append(args[0].shape)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        cfg = SolverConfig(outer_iters=2, inner_iters=5, lam=0.5, seed=2, tol=1e-12)
+        fit(log, cats, cfg)
+        assert len(blocks) > 2 * cfg.power_iters + 2  # the cold sketch's and more
+        assert fallbacks == []
 
 
 class TestInitUtility:

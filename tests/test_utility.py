@@ -63,6 +63,25 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(seed=1.5),
+            dict(seed=2.0),
+            dict(max_rank=np.float64(3.0)),
+            dict(inner_iters="5"),
+            dict(oversample=True),
+        ],
+    )
+    def test_non_integral_int_fields_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = SolverConfig(seed=np.int64(7), max_rank=np.int32(4))
+        assert cfg == SolverConfig(seed=7, max_rank=4)
+        assert type(cfg.seed) is int and type(cfg.max_rank) is int
+
     def test_positives_only_weighting_allowed(self):
         assert SolverConfig(eta=1.0).eta == 1.0
 
@@ -251,6 +270,59 @@ class TestGradientStep:
         np.testing.assert_allclose(grad_lib, grad_fd, rtol=1e-5, atol=1e-5)
 
 
+def count_householder(monkeypatch):
+    """Record the shape of every ``np.linalg.qr`` call, the Householder
+    fallback of ``utility.orthonormalize``."""
+    calls = []
+    original = np.linalg.qr
+
+    def qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+def conditioned_block(rng, rows, singular_values):
+    u, _ = np.linalg.qr(rng.standard_normal((rows, len(singular_values))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(singular_values),) * 2))
+    return (u * singular_values) @ v.T
+
+
+class TestOrthonormalize:
+    def test_cholesky_qr2_on_a_graded_block(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        Y = conditioned_block(rng, 2000, np.logspace(0, -6, 20))
+        calls = count_householder(monkeypatch)
+        Q, R = utility.orthonormalize(Y)
+        assert calls == []
+        assert np.abs(Q.T @ Q - np.eye(20)).max() <= 1e-12
+        assert np.array_equal(R, np.triu(R))
+        np.testing.assert_allclose(Q @ R, Y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind", ["zero", "cond_1e12", "one_direction_1e12", "rank_deficient", "nan"])
+    def test_ill_conditioned_blocks_fall_back_to_householder(self, monkeypatch, kind):
+        rng = np.random.default_rng(62)
+        Y = {
+            "zero": lambda: np.zeros((300, 8)),
+            "cond_1e12": lambda: conditioned_block(rng, 300, np.logspace(0, -12, 8)),
+            # here the first Cholesky succeeds, but its pass leaves a Gram
+            # matrix far from the identity
+            "one_direction_1e12": lambda: conditioned_block(rng, 300, [1.0] * 7 + [1e-12]),
+            "rank_deficient": lambda: conditioned_block(rng, 300, [3.0, 1.0] + [0.0] * 6),
+            "nan": lambda: np.full((300, 8), np.nan),
+        }[kind]()
+        calls = count_householder(monkeypatch)
+        Q, R = utility.orthonormalize(Y)
+        assert calls == [(300, 8)]
+        assert Q.shape == (300, 8) and R.shape == (8, 8)
+        if kind != "nan":
+            np.testing.assert_allclose(Q.T @ Q, np.eye(8), atol=1e-12)
+            np.testing.assert_allclose(Q @ R, Y, rtol=0, atol=1e-12)
+
+
 class TestRandomizedSvd:
     def test_exact_low_rank_recovery(self):
         rng = np.random.default_rng(29)
@@ -303,6 +375,33 @@ class TestRandomizedSvd:
         np.testing.assert_allclose(sigma, se[:5], rtol=0, atol=1e-10)
         np.testing.assert_allclose((U * sigma) @ V.T, (Ue[:, :5] * se[:5]) @ Vte[:5],
                                    rtol=0, atol=1e-10)
+
+    def test_block_svd_matches_the_svd_of_the_wide_B(self, monkeypatch):
+        # the sketch factors Q^T A through the QR of A^T Q and the SVD of its
+        # triangle; the result must be the SVD of the explicit B = Q^T A
+        rng = np.random.default_rng(64)
+        A = rng.standard_normal((70, 50))
+        ranges = []
+        original = utility.orthonormalize
+
+        def spy(Y):
+            Q, R = original(Y)
+            ranges.append(Q)
+            return Q, R
+
+        monkeypatch.setattr(utility, "orthonormalize", spy)
+        U, sigma, V = randomized_svd(MatrixOperator(A), rank=6, oversample=9,
+                                     power_iters=1, rng=4)
+        Q = ranges[-2]  # the range basis that B is formed from
+        Ub, sb, Vbt = np.linalg.svd(Q.T @ A, full_matrices=False)
+        np.testing.assert_allclose(sigma, sb[:6], rtol=0, atol=1e-12)
+        np.testing.assert_allclose((U * sigma) @ V.T, ((Q @ Ub[:, :6]) * sb[:6]) @ Vbt[:6],
+                                   rtol=0, atol=1e-12)
+        # singular vectors agree up to sign
+        np.testing.assert_allclose(np.abs(np.sum(U * (Q @ Ub[:, :6]), axis=0)), 1.0,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.sum(V * Vbt[:6].T, axis=0)), 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_start_block_wider_than_the_sketch_is_truncated(self):
         rng = np.random.default_rng(61)
