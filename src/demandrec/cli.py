@@ -55,8 +55,6 @@ _SOLVER_HELP = {
     "gamma": "gradient step size (0 = choose automatically)",
     "max_rank": "rank cap for the factored utility matrix",
     "oversample": "extra sketch columns for the randomized SVD",
-    "power_iters": "power iterations of the randomized SVD that initializes X "
-                   "(proximal steps sketch warm, without them)",
     "inner_iters": "proximal gradient steps per utility update",
     "outer_iters": "alternating rounds over durations and utilities",
     "tol": "relative objective change that counts as converged",

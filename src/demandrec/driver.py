@@ -39,7 +39,7 @@ from .utility import (
 )
 
 _MAGIC = b"DRECMDL\x00"
-_VERSION = 3
+_VERSION = 4
 
 
 @dataclass(eq=False)
@@ -97,12 +97,12 @@ def evaluate_objective(
 
 
 def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
-    """Start X from a randomized SVD of the purchase-count matrix
+    """Start X from a cold Gaussian sketch of the purchase-count matrix
     sum_k p_ijk, rescaled to unit spectral norm."""
     pairs = log.pairs()
     counts = MatrixOperator(pairs.csr(pairs.counts.astype(float)))
     rng = np.random.default_rng(cfg.seed)
-    U, sig, V = randomized_svd(counts, cfg.max_rank, cfg.oversample, cfg.power_iters, rng)
+    U, sig, V = randomized_svd(counts, cfg.max_rank, cfg.oversample, rng)
     keep = sig > 0
     U, sig, V = U[:, keep], sig[keep], V[:, keep]
     if sig.shape[0]:
@@ -177,7 +177,7 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# model file, version 3: the factors, durations and horizon, then one 0-d
+# model file, version 4: the factors, durations and horizon, then one 0-d
 # entry per SolverConfig field, in the checksummed container of ``data``.
 # Older versions are refused.  save -> load -> save is byte-identical.
 

