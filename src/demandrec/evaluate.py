@@ -9,18 +9,21 @@ The three holdout metrics follow a per-user 90/10 protocol: each test record
 purchase time) at slot t, with recency computed from training purchases
 only.  All are averages of "top percentage" style quantities, lower better.
 
-Top-N scores one whole row through ``_scores``; the metrics work in blocks
-of at most ``_BLOCK_CELLS`` cells, so memory stays bounded.  No metric
-builds a record's score row.  The category and time metrics score each
-test user's utility row once: the first binary-searches it, sorted within
-categories, and the second reads each category's best utility from it.  The
-item metric scores only the target and its sample, and draws all its
-samples in chunks of a fixed size, so the draws do not depend on the block
-size.
+Top-N scores one whole row through ``_scores`` and selects from it: a
+partition finds the ``n_top``-th score, and only the items that tie or beat
+it are sorted, so a query costs O(n + c log c) for c such candidates, not
+O(n log n).  The metrics work in blocks of at most ``_BLOCK_CELLS`` cells,
+so memory stays bounded.  No metric builds a record's score row.  The
+category and time metrics score each test user's utility row once: the
+first binary-searches it, sorted within categories, and the second reads
+each category's best utility from it.  The item metric scores only the
+target and its sample, and draws all its samples in chunks of a fixed size,
+so the draws do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -68,9 +71,14 @@ def _category_segments(assignment: np.ndarray, r: int):
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
-    """Demand-aware score x_ij - max(0, d_c - t) of one query."""
-    z = float((model.X.U[user] * model.X.sigma) @ model.X.V[item])
-    return z - float(_penalties(model, rec, user, slot)[rec.cats.assignment[item]])
+    """Demand-aware score x_ij - max(0, d_c - t) of one query; only the
+    item's own category's recency is queried.  Items outside ``[0, n)`` and
+    users outside ``[0, m)`` raise ``ValueError``."""
+    if not 0 <= item < model.n:
+        raise ValueError(f"item ids must be in [0, {model.n})")
+    cat = rec.cats.assignment[item]
+    penalty = float(np.maximum(0.0, model.d[cat] - rec.query(user, cat, slot)))
+    return float((model.X.U[user] * model.X.sigma) @ model.X.V[item]) - penalty
 
 
 def predict_demand(
@@ -91,11 +99,25 @@ def recommend_topn(
     model: ModelState, rec: RecencyIndex, user: int, slot: int, n_top: int
 ):
     """Top ``n_top`` items for a user at a slot, highest score first, ties
-    broken toward the smaller item id.  Returns (item, score) pairs."""
-    if not 1 <= n_top <= model.n:
+    broken toward the smaller item id.  Returns (item, score) pairs.
+
+    The list is the first ``n_top`` of a stable argsort of ``-scores``,
+    NaNs last, without sorting the whole row: ``np.partition`` finds the
+    ``n_top``-th smallest ``-score``, every item that ties or beats it (and
+    every NaN, so a NaN there keeps all items) is a candidate, in ascending
+    id order, and only the candidates are stable-sorted.  The cost is
+    O(n + c log c) for c candidates: ``n_top``, the items tied at the
+    boundary and any NaNs, so only a row of mostly equal scores costs a
+    full sort.
+    """
+    if (isinstance(n_top, bool) or not isinstance(n_top, numbers.Integral)
+            or not 1 <= n_top <= model.n):
         raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
     scores = _scores(model, rec, user, slot)
-    order = np.argsort(-scores, kind="stable")[:n_top]
+    neg = -scores
+    kth = np.partition(neg, n_top - 1)[n_top - 1]
+    cands = np.flatnonzero(~(neg > kth))
+    order = cands[np.argsort(neg[cands], kind="stable")[:n_top]]
     return [(int(j), float(scores[j])) for j in order]
 
 

@@ -87,6 +87,43 @@ class TestScore:
                     got = score(model, rec, user, item, slot)
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_row_of_every_category_penalty(self, seed, monkeypatch):
+        # the one-category query gives bit-for-bit the penalty of the
+        # all-category row, and score asks for that one category only
+        rng = np.random.default_rng(30 + seed)
+        model, rec, _, _, cats = random_setup(rng, m=5, n=11, r=4)
+        cases = [(u, j, k) for u in range(model.m) for j in range(model.n)
+                 for k in (0, 6, model.l - 1, rec.log.l + 3)]
+        want = [float((model.X.U[u] * model.X.sigma) @ model.X.V[j])
+                - float(evaluate._penalties(model, rec, u, k)[cats.assignment[j]])
+                for u, j, k in cases]
+        query, sizes = rec.query, []
+
+        def spy(users, cats_, slots):
+            sizes.append(np.size(cats_))
+            return query(users, cats_, slots)
+
+        monkeypatch.setattr(rec, "query", spy)
+        assert [score(model, rec, u, j, k) for u, j, k in cases] == want
+        assert set(sizes) == {1}
+
+    @pytest.mark.parametrize("item", [-1, 6])
+    def test_item_out_of_range(self, item):
+        model = model_from_dense(np.arange(12.0).reshape(2, 6), np.zeros(2), l=8)
+        rec = build_recency_index(make_log([(0, 0, 0)], m=2, n=6), make_cats(np.arange(6) % 2))
+        with pytest.raises(ValueError, match=r"item ids must be in \[0, 6\)"):
+            score(model, rec, 0, item, 3)
+        with pytest.raises(ValueError, match=r"item ids must be in \[0, 6\)"):
+            predict_demand(model, rec, 0, item, 3)
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_user_out_of_range(self, user):
+        model = model_from_dense(np.arange(12.0).reshape(2, 6), np.zeros(2), l=8)
+        rec = build_recency_index(make_log([(0, 0, 0)], m=2, n=6), make_cats(np.arange(6) % 2))
+        with pytest.raises(ValueError, match=r"user ids must be in \[0, 2\)"):
+            score(model, rec, user, 0, 3)
+
 
 class TestPredictDemand:
     def setup_model(self):
@@ -148,12 +185,79 @@ class TestRecommendTopn:
                 for j, s in out:
                     assert s == pytest.approx(want[j], rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0, -1, 10])
+    @pytest.mark.parametrize("bad", [0, -1, 10, 2.5, 3.0, True, "3"])
     def test_rejects_bad_topn(self, bad):
         model = model_from_dense(np.zeros((2, 9)), np.zeros(1), l=5)
         rec = build_recency_index(make_log([(0, 0, 0)], m=2, n=9), make_cats([0] * 9))
-        with pytest.raises(ValueError, match="n_top"):
+        with pytest.raises(ValueError, match=r"n_top must be in \[1, 9\]"):
             recommend_topn(model, rec, 0, 1, bad)
+
+    def test_accepts_numpy_integer_topn(self):
+        model = model_from_dense(np.zeros((2, 9)), np.zeros(1), l=5)
+        rec = build_recency_index(make_log([(0, 0, 0)], m=2, n=9), make_cats([0] * 9))
+        assert [j for j, _ in recommend_topn(model, rec, 0, 1, np.int64(3))] == [0, 1, 2]
+
+    @staticmethod
+    def one_user(values):
+        """A one-user model whose scores are exactly ``values``."""
+        values = np.asarray(values, dtype=float)
+        n = values.shape[0]
+        model = model_from_factors([[1.0]], values[:, None], [0.0], l=8)
+        rec = build_recency_index(make_log([(0, 0, 0)], m=1, n=n), make_cats([0] * n))
+        return model, rec
+
+    @pytest.mark.parametrize("n_top, want", [(2, [1, 5]), (3, [1, 5, 0]), (4, [1, 5, 0, 2])])
+    def test_tie_across_the_boundary_goes_to_smaller_id(self, n_top, want):
+        # items 0, 2 and 4 tie at 0.3 behind 1 and 5: at n_top = 3 the third
+        # and fourth scores are equal, and the smaller id wins
+        values = [0.3, 0.9, 0.3, 0.1, 0.3, 0.8]
+        model, rec = self.one_user(values)
+        assert recommend_topn(model, rec, 0, 4, n_top) == [(j, values[j]) for j in want]
+
+    def test_all_equal_row(self):
+        model, rec = self.one_user(np.full(7, 0.25))
+        for n_top in range(1, 8):
+            out = recommend_topn(model, rec, 0, 3, n_top)
+            assert out == [(j, 0.25) for j in range(n_top)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quantized_scores_match_id_tiebreak(self, seed):
+        # small integer factors and durations make every score exact, with
+        # many ties within and across categories
+        rng = np.random.default_rng(seed)
+        m, n, l, r = 3, 17, 12, 3
+        U, V = rng.integers(-2, 3, size=(m, 2)), rng.integers(-2, 3, size=(n, 2))
+        model = model_from_factors(U, V, rng.integers(0, 5, size=r), l)
+        log = make_log(random_triplets(rng, m, n, l, 30), m=m, n=n)
+        rec = build_recency_index(log, make_cats(np.arange(n) % r, r=r))
+        for user in range(m):
+            for slot in (0, 5, l - 1):
+                s = [score(model, rec, user, j, slot) for j in range(n)]
+                want = sorted(range(n), key=lambda j: (-s[j], j))
+                for n_top in (1, 2, n - 1, n):
+                    out = recommend_topn(model, rec, user, slot, n_top)
+                    assert [j for j, _ in out] == want[:n_top]
+                    assert [v for _, v in out] == [s[j] for j in want[:n_top]]
+
+    @pytest.mark.parametrize("where", ["item", "user"])
+    def test_nan_factor_keeps_the_stable_argsort_order(self, where):
+        # a NaN in V makes one item's score NaN; a NaN in U makes the whole
+        # row NaN, so the n_top-th score itself is NaN
+        rng = np.random.default_rng(8)
+        U, V = rng.integers(-2, 3, size=(1, 2)).astype(float), rng.integers(-2, 3, size=(9, 2)).astype(float)
+        if where == "item":
+            V[4, 1] = np.nan
+        else:
+            U[0, 0] = np.nan
+        model = model_from_factors(U, V, [1.0, 0.0, 2.0], l=6)
+        rec = build_recency_index(make_log([(0, 2, 1), (0, 3, 3)], m=1, n=9),
+                                  make_cats(np.arange(9) % 3, r=3))
+        scores = evaluate._scores(model, rec, 0, 4)
+        assert np.isnan(scores).any()
+        order = np.argsort(-scores, kind="stable")
+        for n_top in range(1, 10):
+            out = recommend_topn(model, rec, 0, 4, n_top)
+            assert [j for j, _ in out] == order[:n_top].tolist()
 
 
 def oracle_category_ranks(X, d, assignment, trips, tu, ti, tk):
