@@ -5,8 +5,12 @@ The central object is a :class:`PurchaseLog`: a deduplicated, lexicographically
 sorted set of (user, item, slot) triplets with dense integer ids.  Slots are
 time bins of configurable granularity.  A :class:`RecencyIndex` answers "how
 many slots since user i last purchased anything in category c strictly before
-slot k", which is the time feature the solver and the predictor consume; its
-``query`` takes arrays that broadcast, so one call answers a whole batch.
+slot k", which is the time feature the solver and the predictor consume.  It
+has two halves, each built on first use: the solver reads per-triplet gaps
+and categories, and ``query`` binary-searches sorted event keys, taking
+arrays that broadcast, so one call answers a whole batch.  ``fit`` builds
+only the first half and :func:`build_recency_index`, for the callers that
+score, only the second.
 
 Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
 ``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
@@ -42,9 +46,11 @@ class PairStructure(NamedTuple):
     """Distinct (user, item) pairs of a log plus the triplet -> pair map.
     Pairs are sorted by (user, item), so they form the CSR pattern of the
     m x n user x item matrix: user u owns pairs ``indptr[u]:indptr[u + 1]``.
-    ``items`` and ``indptr`` are held in the index dtype scipy picks for that
-    pattern, so every matrix of :meth:`csr` and its CSC view ``.T`` (used for
-    products with the transpose) share them."""
+    ``users``, ``items``, ``counts`` and ``indptr`` are held in the index
+    dtype scipy picks for that pattern (int32 while the ids, the offsets and
+    the counts fit it), so every matrix of :meth:`csr` and its CSC view ``.T``
+    (used for products with the transpose) share ``items`` and ``indptr``.
+    ``index`` stays intp, the dtype ``bincount`` and gathers take as is."""
 
     index: np.ndarray  # len nnz, pair id of each triplet
     users: np.ndarray  # len n_pairs
@@ -99,15 +105,18 @@ class PurchaseLog:
             starts = np.nonzero(boundary)[0]
             users = self.users[starts]
             items = self.items[starts]
+            counts = np.diff(np.append(starts, self.nnz))
             indptr = np.searchsorted(users, np.arange(self.m + 1))
-            # the choice scipy's CSR constructor makes for these arrays
-            index_dtype = sp.get_index_dtype((items, indptr), maxval=max(self.m, self.n),
-                                             check_contents=True)
+            # the index dtype scipy's CSR constructor picks for these arrays,
+            # which also holds every count (a count is at most the triplets)
+            index_dtype = sp.get_index_dtype(
+                (items, indptr), maxval=max(self.m, self.n, int(counts.max(initial=0))),
+                check_contents=True)
             self._pairs = PairStructure(
                 index=np.cumsum(boundary) - 1,
-                users=users,
+                users=users.astype(index_dtype, copy=False),
                 items=items.astype(index_dtype, copy=False),
-                counts=np.diff(np.append(starts, self.nnz)),
+                counts=counts.astype(index_dtype, copy=False),
                 indptr=indptr.astype(index_dtype, copy=False),
                 n=self.n,
             )
@@ -120,14 +129,20 @@ class PurchaseLog:
                            slots=self.slots[lo:hi], m=self.m, n=self.n, l=self.l)
 
 
-def _encode_keys(major, middle, minor, radices) -> np.ndarray:
-    """int64 keys ``(major * n_middle + middle) * n_minor + minor`` of id
-    arrays (or scalars) below their radices ``(n_major, n_middle, n_minor)``;
-    the keys order like the (major, middle, minor) tuples."""
+def _check_key_space(radices) -> None:
+    """Raise DataFormatError when keys of these radices overflow int64."""
     n_major, n_middle, n_minor = (int(v) for v in radices)
     if n_major * n_middle * n_minor > 2**63:
         raise DataFormatError(f"{n_major} x {n_middle} x {n_minor} ids overflow int64 "
                               "sort keys; use a coarser slot granularity")
+
+
+def _encode_keys(major, middle, minor, radices) -> np.ndarray:
+    """int64 keys ``(major * n_middle + middle) * n_minor + minor`` of id
+    arrays (or scalars) below their radices ``(n_major, n_middle, n_minor)``;
+    the keys order like the (major, middle, minor) tuples."""
+    _check_key_space(radices)
+    n_middle, n_minor = int(radices[1]), int(radices[2])
     major, middle, minor = (np.asarray(a, dtype=np.int64) for a in (major, middle, minor))
     return (major * n_middle + middle) * n_minor + minor
 
@@ -437,13 +452,24 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
 
 
 class RecencyIndex:
-    """Sorted (user, category, slot) purchase events, with strict-predecessor
-    gap queries that broadcast over users, categories and slots.
+    """Per-(user, category) purchase slots of a log, in two halves that are
+    each built on first use, so a caller pays only for the half it reads.
 
-    Built once per (log, categories) pairing.  Also precomputes, for every
-    triplet of the log itself, the gap to the user's closest strictly earlier
-    purchase in the item's category (``inf`` when there is none); the solver
-    consumes that array on every iteration.
+    The constructor only validates: the category map must cover the log's
+    items and the (user, category, slot) keys must fit int64.
+
+    - The solver half, built by the first ``triplet_*`` or
+      ``category_slices`` call: for every triplet of the log, the gap to the
+      user's closest strictly earlier purchase in the item's category
+      (``inf`` when there is none), each triplet's category in the narrowest
+      unsigned dtype that holds r - 1, and the triplets grouped by category.
+      The solver reads these on every iteration.
+    - The query half, built by the first :meth:`query`: the sorted distinct
+      event keys that strict-predecessor gap queries binary-search.
+
+    :func:`build_recency_index` builds the query half up front, for the
+    callers that score; ``fit`` constructs the index directly and never
+    builds it.
     """
 
     def __init__(self, log: PurchaseLog, cats: CategoryMap):
@@ -454,53 +480,77 @@ class RecencyIndex:
         self.log = log
         self.cats = cats
         self.r = cats.r
-        trip_cats = cats.assignment[log.items]
         # slot radix l + 1: query clamps later slots to l
         self._radices = (log.m, self.r, log.l + 1)
+        _check_key_space(self._radices)
+        self._solver = None  # (triplet recency, triplet categories, order, bounds)
+        self._event_keys = None
+
+    def _triplet_cats(self) -> np.ndarray:
+        """Each triplet's category, gathered from a narrow copy of the map."""
+        narrow = self.cats.assignment.astype(np.min_scalar_type(max(self.r - 1, 0)))
+        return narrow[self.log.items]
+
+    def _build_solver_half(self) -> None:
+        log = self.log
+        trip_cats = self._triplet_cats()
         keys = _encode_keys(log.users, trip_cats, log.slots, self._radices)
         order = np.argsort(keys)
         keys = keys[order]
         sk = log.slots[order]
-        # keys - sk is the (user, category) part of each key
-        gaps = kernels.strict_prev_gap(sk, np.append(True, np.diff(keys - sk) != 0))
-        self._trip_recency = np.empty(log.nnz)
-        self._trip_recency[order] = gaps
-        self._trip_cats = trip_cats
+        keys -= sk  # the (user, category) part of each key
+        new_group = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+        del keys
+        gaps = kernels.strict_prev_gap(sk, new_group)
+        del sk, new_group
+        recency = np.empty(log.nnz)
+        recency[order] = gaps
+        del order, gaps
+        bounds = np.append(0, np.cumsum(np.bincount(trip_cats, minlength=self.r)))
+        self._solver = (recency, trip_cats, np.argsort(trip_cats, kind="stable"), bounds)
+
+    def _build_query_half(self) -> None:
+        log = self.log
+        keys = np.sort(_encode_keys(log.users, self._triplet_cats(), log.slots, self._radices))
         # the distinct keys after a sentinel -1 below every group, so that a
         # search always lands on an entry, also in an empty log
         distinct = np.ones(keys.shape[0], dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         self._event_keys = np.append(-1, keys[distinct])
-        self._cat_order = None
-        self._cat_bounds = None
+
+    def _solver_half(self) -> tuple:
+        if self._solver is None:
+            self._build_solver_half()
+        return self._solver
 
     def triplet_recency(self) -> np.ndarray:
         """Strict-predecessor gap for each triplet of the source log,
         aligned with the log's storage order.  float64 with inf."""
-        return self._trip_recency
+        return self._solver_half()[0]
 
     def triplet_categories(self) -> np.ndarray:
-        """Category of each triplet of the source log."""
-        return self._trip_cats
+        """Category of each triplet of the source log, in the narrowest
+        unsigned dtype that holds r - 1."""
+        return self._solver_half()[1]
 
     def category_slices(self):
         """(order, bounds): triplet indices grouped by category and the
         per-category offsets into that order."""
-        if self._cat_order is None:
-            self._cat_order = np.argsort(self._trip_cats, kind="stable")
-            counts = np.bincount(self._trip_cats, minlength=self.r)
-            self._cat_bounds = np.append(0, np.cumsum(counts))
-        return self._cat_order, self._cat_bounds
+        return self._solver_half()[2:]
 
     def query(self, users, cats, slots):
         """Slots since each user's last purchase in ``cats`` strictly before
-        ``slots``; ``inf`` where there is no earlier purchase.  The arguments
-        broadcast against each other; scalars give a scalar.  Users outside
-        ``[0, m)`` or categories outside ``[0, r)`` raise ``ValueError``."""
+        ``slots``; ``inf`` where there is no earlier purchase, which includes
+        every slot below 0.  The arguments broadcast against each other;
+        scalars give a scalar.  Users outside ``[0, m)`` or categories
+        outside ``[0, r)`` raise ``ValueError``."""
         users, cats, slots = (np.asarray(a, dtype=np.int64) for a in (users, cats, slots))
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
             if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
+        if self._event_keys is None:
+            self._build_query_half()
         group = _encode_keys(users, cats, 0, self._radices)  # key of the group's slot 0
         # every event slot is below l, so clamping keeps later slots exact
         pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
@@ -509,7 +559,12 @@ class RecencyIndex:
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:
-    return RecencyIndex(log, cats)
+    """The recency index of a log for the callers that score (evaluate,
+    recommend, serving): its query half is built here, so the set-up pays
+    for what the queries read, and the solver half is left unbuilt."""
+    rec = RecencyIndex(log, cats)
+    rec._build_query_half()
+    return rec
 
 
 @dataclass(eq=False)

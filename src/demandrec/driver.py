@@ -24,7 +24,6 @@ from .data import (
     RecencyIndex,
     _read_arrays,
     _write_arrays,
-    build_recency_index,
 )
 from .durations import build_worksets, update_durations
 from .errors import DataFormatError, ModelFileError, SolverError
@@ -125,7 +124,7 @@ def fit(
     """
     if log.nnz == 0:
         raise DataFormatError("purchase log contains no records")
-    rec = build_recency_index(log, cats)
+    rec = RecencyIndex(log, cats)  # the solver half only: fit never queries it
     if init is not None:
         if init.m != log.m or init.n != log.n or init.r != cats.r:
             raise SolverError("warm-start state does not match the data dimensions")

@@ -70,12 +70,20 @@ def _category_segments(assignment: np.ndarray, r: int):
     return np.argsort(assignment, kind="stable"), ends - counts, ends
 
 
+def _check_slot(slot) -> None:
+    """A query slot must be >= 0: below 0 every category would read as never
+    bought, which is the recency index's answer but no valid query."""
+    if slot < 0:
+        raise ValueError(f"slot must be >= 0, got {slot}")
+
+
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
     """Demand-aware score x_ij - max(0, d_c - t) of one query; only the
-    item's own category's recency is queried.  Items outside ``[0, n)`` and
-    users outside ``[0, m)`` raise ``ValueError``."""
+    item's own category's recency is queried.  Items outside ``[0, n)``,
+    users outside ``[0, m)`` and slots below 0 raise ``ValueError``."""
     if not 0 <= item < model.n:
         raise ValueError(f"item ids must be in [0, {model.n})")
+    _check_slot(slot)
     cat = rec.cats.assignment[item]
     penalty = float(np.maximum(0.0, model.d[cat] - rec.query(user, cat, slot)))
     return float((model.X.U[user] * model.X.sigma) @ model.X.V[item]) - penalty
@@ -89,7 +97,8 @@ def predict_demand(
     slot: int,
     tau: float | None = None,
 ) -> bool:
-    """True when the score strictly exceeds the decision threshold."""
+    """True when the score strictly exceeds the decision threshold; the
+    query is checked as :func:`score` checks it."""
     if tau is None:
         tau = model.config.tau
     return score(model, rec, user, item, slot) > tau
@@ -108,11 +117,12 @@ def recommend_topn(
     id order, and only the candidates are stable-sorted.  The cost is
     O(n + c log c) for c candidates: ``n_top``, the items tied at the
     boundary and any NaNs, so only a row of mostly equal scores costs a
-    full sort.
+    full sort.  A slot below 0 raises ``ValueError``.
     """
     if (isinstance(n_top, bool) or not isinstance(n_top, numbers.Integral)
             or not 1 <= n_top <= model.n):
         raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
+    _check_slot(slot)
     scores = _scores(model, rec, user, slot)
     neg = -scores
     kth = np.partition(neg, n_top - 1)[n_top - 1]

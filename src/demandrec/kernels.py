@@ -56,6 +56,8 @@ def hinge_stats(targets, pair_x, pair_index, n_pairs):
 # strict_prev_gap: for slot sequences sorted ascending within groups, the gap
 # to the closest strictly smaller slot in the same group (inf when none).
 # Equal slots share a predecessor, so same-slot purchases never see each other.
+# The run starts are propagated in place, so besides the output at most two
+# index-length integer arrays are alive at once.
 
 
 def strict_prev_gap(slots, new_group):
@@ -67,10 +69,17 @@ def strict_prev_gap(slots, new_group):
     run_start[0] = True
     run_start[1:] |= slots[1:] != slots[:-1]
     # index of the start of each equal-slot run, propagated forward
-    start_idx = np.maximum.accumulate(np.where(run_start, np.arange(n), -1))
+    start_idx = np.arange(n)
+    start_idx[~run_start] = -1
+    del run_start
+    np.maximum.accumulate(start_idx, out=start_idx)
     has_prev = ~new_group[start_idx] & (start_idx > 0)
-    idx = np.nonzero(has_prev)[0]
-    out[idx] = slots[idx] - slots[start_idx[idx] - 1]
+    # the gap to the last slot before each run, kept only where has_prev
+    start_idx -= 1
+    gap = slots[start_idx]
+    del start_idx
+    np.subtract(slots, gap, out=gap)
+    np.copyto(out, gap, where=has_prev)
     return out
 
 

@@ -181,6 +181,8 @@ class HingeTargets:
         :meth:`FactoredUtilityMatrix.pair_values` cannot change meanwhile."""
         last = self._last_hinge
         if last is None or last[0] is not z_pair:
+            # drop the stale sums first, so two sets never live at once
+            self._last_hinge = last = None
             pairs = self.pairs
             last = (z_pair, *kernels.hinge_stats(self.a, z_pair, pairs.index,
                                                  pairs.counts.shape[0]))
@@ -396,10 +398,9 @@ def update_X(
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
-            # free the rejected step, and the pair values and hinge sums
-            # cached for it, before the retry sketches the next one
+            # free the rejected step before the retry sketches the next one;
+            # the retry's hinge_stats drops the pair values and sums cached for it
             del cand, U, V
-            targets._last_hinge = None
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise SolverError(

@@ -10,9 +10,11 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, random_triplets, triplet_list
 
+from demandrec import data
 from demandrec.data import (
     CategoryMap,
     PurchaseLog,
+    RecencyIndex,
     _SPLIT_SPEC,
     _build_log,
     _read_arrays,
@@ -416,6 +418,73 @@ class TestRecencyIndex:
             build_recency_index(log, make_cats([0], r=1))
 
 
+class TestRecencyHalves:
+    """Each half of the index is built on its first use, once."""
+
+    @staticmethod
+    def spy_builders(monkeypatch):
+        calls = []
+        for name in ("_build_solver_half", "_build_query_half"):
+            def spy(self, _build=getattr(RecencyIndex, name), _name=name):
+                calls.append(_name)
+                return _build(self)
+            monkeypatch.setattr(RecencyIndex, name, spy)
+        return calls
+
+    @staticmethod
+    def instance(seed=13):
+        rng = np.random.default_rng(seed)
+        trips = random_triplets(rng, m=6, n=7, l=12, count=80)
+        return make_log(trips, m=6, n=7), make_cats(rng.integers(0, 3, size=7), r=3)
+
+    def test_constructor_builds_neither_half(self, monkeypatch):
+        calls = self.spy_builders(monkeypatch)
+        rec = RecencyIndex(*self.instance())
+        assert calls == []
+        for _ in range(2):
+            rec.triplet_recency(), rec.triplet_categories(), rec.category_slices()
+        assert calls == ["_build_solver_half"]
+        rec.query(0, 1, 5)
+        rec.query(np.arange(6), 2, 7)
+        assert calls == ["_build_solver_half", "_build_query_half"]
+
+    def test_scoring_setup_never_runs_the_gap_kernel(self, monkeypatch):
+        calls = self.spy_builders(monkeypatch)
+
+        def no_gaps(*args):
+            raise AssertionError("strict_prev_gap ran")
+
+        monkeypatch.setattr(data.kernels, "strict_prev_gap", no_gaps)
+        log, cats = self.instance()
+        rec = build_recency_index(log, cats)
+        assert calls == ["_build_query_half"]
+        got = rec.query(np.arange(6)[:, None], np.arange(3), 7)
+        assert calls == ["_build_query_half"]
+        monkeypatch.undo()
+        assert np.array_equal(got, RecencyIndex(log, cats).query(
+            np.arange(6)[:, None], np.arange(3), 7))
+
+    def test_either_half_first_gives_the_same_answers(self):
+        log, cats = self.instance(14)
+        args = (np.arange(6)[:, None, None], np.arange(3)[:, None], np.arange(-1, 14))
+        solver_first, query_first = RecencyIndex(log, cats), RecencyIndex(log, cats)
+        gaps = solver_first.triplet_recency()
+        assert np.array_equal(query_first.query(*args), solver_first.query(*args))
+        assert np.array_equal(query_first.triplet_recency(), gaps)
+
+    @pytest.mark.parametrize("r, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_triplet_categories_are_narrow(self, r, dtype):
+        log = make_log([(0, j, j % 5) for j in range(300)], m=1, n=300)
+        assignment = np.arange(300) % r
+        rec = RecencyIndex(log, make_cats(assignment, r=r))
+        got = rec.triplet_categories()
+        assert got.dtype == dtype
+        assert np.array_equal(got, assignment[log.items])
+        order, bounds = rec.category_slices()
+        assert np.array_equal(order, np.argsort(assignment[log.items], kind="stable"))
+        assert np.array_equal(bounds, np.append(0, np.cumsum(np.bincount(got, minlength=r))))
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for array in arrays:
@@ -561,6 +630,15 @@ class TestPairs:
                 row = pairs.users[pairs.indptr[u]:pairs.indptr[u + 1]]
                 assert (row == u).all() and row.shape[0] == owned.count(u)
 
+
+    def test_pair_arrays_are_held_in_the_index_dtype(self):
+        rng = np.random.default_rng(13)
+        pairs = make_log(random_triplets(rng, 8, 6, 10, 150), m=8, n=6).pairs()
+        assert pairs.items.dtype == np.int32
+        for array in (pairs.users, pairs.counts, pairs.indptr):
+            assert array.dtype == pairs.items.dtype
+        # the triplet -> pair map indexes bincount and gathers as it is
+        assert pairs.index.dtype == np.intp
 
     def test_empty_log_has_an_empty_pattern(self):
         empty = np.empty(0, dtype=np.int64)

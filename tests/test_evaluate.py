@@ -117,6 +117,20 @@ class TestScore:
         with pytest.raises(ValueError, match=r"item ids must be in \[0, 6\)"):
             predict_demand(model, rec, 0, item, 3)
 
+    @pytest.mark.parametrize("slot", [-1, -100])
+    def test_negative_slot_rejected(self, slot):
+        # utility 0.9, duration 10 and a purchase at slot 5: a negative slot
+        # used to score as if the category had never been bought
+        model = model_from_dense([[0.9, 0.0]], [10.0], l=12)
+        rec = build_recency_index(make_log([(0, 1, 5)], m=1, n=2), make_cats([0, 0]))
+        assert score(model, rec, 0, 0, 9) == pytest.approx(0.9 - 6.0)
+        assert score(model, rec, 0, 0, 0) == pytest.approx(0.9)
+        for call in (lambda: score(model, rec, 0, 0, slot),
+                     lambda: predict_demand(model, rec, 0, 0, slot),
+                     lambda: recommend_topn(model, rec, 0, slot, 1)):
+            with pytest.raises(ValueError, match=rf"slot must be >= 0, got {slot}"):
+                call()
+
     @pytest.mark.parametrize("user", [-1, 2])
     def test_user_out_of_range(self, user):
         model = model_from_dense(np.arange(12.0).reshape(2, 6), np.zeros(2), l=8)
