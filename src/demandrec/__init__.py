@@ -12,12 +12,14 @@ from .data import (
     PurchaseLog,
     RecencyIndex,
     SplitSpec,
+    TripletRecency,
     build_recency_index,
     export_log,
     ingest_categories,
     ingest_purchases,
     load_log,
     split_train_test,
+    triplet_recency,
 )
 from .driver import (
     FitReport,
@@ -75,6 +77,7 @@ __all__ = [
     "SplitSpec",
     "SynthInstance",
     "SynthSpec",
+    "TripletRecency",
     "build_recency_index",
     "category_prediction_metric",
     "duration_error",
@@ -97,5 +100,6 @@ __all__ = [
     "simulate_purchases",
     "split_train_test",
     "time_prediction_metric",
+    "triplet_recency",
     "true_durations",
 ]

@@ -252,16 +252,18 @@ def _load_artifacts(outdir: Path, user: int | None = None):
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    # the solver's rules for the keys evaluate reads; a bad one writes nothing
+    checked = SolverConfig(tau=cfg["tau"], seed=cfg["seed"])
     outdir = _outdir(cfg)
     model, test, rec = _load_artifacts(outdir)
     if test.nnz == 0:
         raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     tu, ti, tk = test.users, test.items, test.slots
     cat_pct, cat_ranks = category_prediction_metric(model, rec, tu, ti, tk)
-    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=cfg["tau"])
+    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=checked.tau)
     item_pct, item_ranks = item_prediction_metric(
         model, rec, tu, ti, tk,
-        sample_size=min(cfg["sample_size"], model.n), seed=cfg["seed"],
+        sample_size=min(cfg["sample_size"], model.n), seed=checked.seed,
     )
     report = MetricReport(
         n_records=tu.shape[0],

@@ -3,14 +3,13 @@ checksummed binary container of the split bundle and the model file.
 
 The central object is a :class:`PurchaseLog`: a deduplicated, lexicographically
 sorted set of (user, item, slot) triplets with dense integer ids.  Slots are
-time bins of configurable granularity.  A :class:`RecencyIndex` answers "how
-many slots since user i last purchased anything in category c strictly before
-slot k", which is the time feature the solver and the predictor consume.  It
-has two halves, each built on first use: the solver reads per-triplet gaps
-and categories, and ``query`` binary-searches sorted event keys, taking
-arrays that broadcast, so one call answers a whole batch.  ``fit`` builds
-only the first half and :func:`build_recency_index`, for the callers that
-score, only the second.
+time bins of configurable granularity.  Recency, "how many slots since user
+i last purchased anything in category c strictly before slot k", is the time
+feature, and two structures hold it, each built in full when it is made:
+:func:`triplet_recency` gives the solver that gap and the category of every
+triplet, and a :class:`RecencyIndex` sorts the log's event keys so that
+``query`` answers any (user, category, slot), taking arrays that broadcast,
+for the callers that score.
 
 Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
 ``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
@@ -451,93 +450,75 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
     return CategoryMap(assignment=assignment, r=len(cat_labels), category_labels=cat_labels)
 
 
+def _recency_setup(log: PurchaseLog, cats: CategoryMap):
+    """The radices of a log's (user, category, slot) keys and each
+    triplet's category, in the narrowest unsigned dtype that holds r - 1.
+    The category map must cover the log's items; the keys must fit int64,
+    which :func:`_encode_keys` checks when they are built."""
+    if cats.assignment.shape[0] != log.n:
+        raise DataFormatError(
+            f"category map covers {cats.assignment.shape[0]} items, log has {log.n}"
+        )
+    # slot radix l + 1: query clamps later slots to l
+    radices = (log.m, cats.r, log.l + 1)
+    narrow = cats.assignment.astype(np.min_scalar_type(max(cats.r - 1, 0)))
+    return radices, narrow[log.items]
+
+
+class TripletRecency(NamedTuple):
+    """What the solver reads of a log's recency on every iteration, built
+    by :func:`triplet_recency`.  Per-triplet arrays follow the log's
+    storage order."""
+
+    log: PurchaseLog
+    r: int
+    # float64 gap to the user's closest strictly earlier purchase in the
+    # triplet's category; inf when there is none
+    recency: np.ndarray
+    categories: np.ndarray  # each triplet's category, narrowest unsigned dtype
+    order: np.ndarray  # triplet indices grouped by category, stable
+    bounds: np.ndarray  # len r + 1, each category's offsets into ``order``
+
+
+def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
+    """The per-triplet recency gaps and categories of a log, for ``fit``."""
+    radices, trip_cats = _recency_setup(log, cats)
+    keys = _encode_keys(log.users, trip_cats, log.slots, radices)
+    order = np.argsort(keys)
+    keys = keys[order]
+    sk = log.slots[order]
+    keys -= sk  # the (user, category) part of each key
+    new_group = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+    del keys
+    gaps = kernels.strict_prev_gap(sk, new_group)
+    del sk, new_group
+    recency = np.empty(log.nnz)
+    recency[order] = gaps
+    del order, gaps
+    bounds = np.append(0, np.cumsum(np.bincount(trip_cats, minlength=cats.r)))
+    return TripletRecency(log=log, r=cats.r, recency=recency, categories=trip_cats,
+                          order=np.argsort(trip_cats, kind="stable"), bounds=bounds)
+
+
 class RecencyIndex:
-    """Per-(user, category) purchase slots of a log, in two halves that are
-    each built on first use, so a caller pays only for the half it reads.
-
-    The constructor only validates: the category map must cover the log's
-    items and the (user, category, slot) keys must fit int64.
-
-    - The solver half, built by the first ``triplet_*`` or
-      ``category_slices`` call: for every triplet of the log, the gap to the
-      user's closest strictly earlier purchase in the item's category
-      (``inf`` when there is none), each triplet's category in the narrowest
-      unsigned dtype that holds r - 1, and the triplets grouped by category.
-      The solver reads these on every iteration.
-    - The query half, built by the first :meth:`query`: the sorted distinct
-      event keys that strict-predecessor gap queries binary-search.
-
-    :func:`build_recency_index` builds the query half up front, for the
-    callers that score; ``fit`` constructs the index directly and never
-    builds it.
-    """
+    """Strict-predecessor gap queries on a log's per-(user, category)
+    purchase slots, for the callers that score (evaluate, recommend,
+    serving).  The constructor sorts the log's distinct (user, category,
+    slot) event keys, which :meth:`query` binary-searches."""
 
     def __init__(self, log: PurchaseLog, cats: CategoryMap):
-        if cats.assignment.shape[0] != log.n:
-            raise DataFormatError(
-                f"category map covers {cats.assignment.shape[0]} items, log has {log.n}"
-            )
+        self._radices, trip_cats = _recency_setup(log, cats)
         self.log = log
         self.cats = cats
         self.r = cats.r
-        # slot radix l + 1: query clamps later slots to l
-        self._radices = (log.m, self.r, log.l + 1)
-        _check_key_space(self._radices)
-        self._solver = None  # (triplet recency, triplet categories, order, bounds)
-        self._event_keys = None
-
-    def _triplet_cats(self) -> np.ndarray:
-        """Each triplet's category, gathered from a narrow copy of the map."""
-        narrow = self.cats.assignment.astype(np.min_scalar_type(max(self.r - 1, 0)))
-        return narrow[self.log.items]
-
-    def _build_solver_half(self) -> None:
-        log = self.log
-        trip_cats = self._triplet_cats()
-        keys = _encode_keys(log.users, trip_cats, log.slots, self._radices)
-        order = np.argsort(keys)
-        keys = keys[order]
-        sk = log.slots[order]
-        keys -= sk  # the (user, category) part of each key
-        new_group = np.ones(keys.shape[0], dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
-        del keys
-        gaps = kernels.strict_prev_gap(sk, new_group)
-        del sk, new_group
-        recency = np.empty(log.nnz)
-        recency[order] = gaps
-        del order, gaps
-        bounds = np.append(0, np.cumsum(np.bincount(trip_cats, minlength=self.r)))
-        self._solver = (recency, trip_cats, np.argsort(trip_cats, kind="stable"), bounds)
-
-    def _build_query_half(self) -> None:
-        log = self.log
-        keys = np.sort(_encode_keys(log.users, self._triplet_cats(), log.slots, self._radices))
+        keys = np.sort(_encode_keys(log.users, trip_cats, log.slots, self._radices))
+        del trip_cats
         # the distinct keys after a sentinel -1 below every group, so that a
         # search always lands on an entry, also in an empty log
         distinct = np.ones(keys.shape[0], dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         self._event_keys = np.append(-1, keys[distinct])
-
-    def _solver_half(self) -> tuple:
-        if self._solver is None:
-            self._build_solver_half()
-        return self._solver
-
-    def triplet_recency(self) -> np.ndarray:
-        """Strict-predecessor gap for each triplet of the source log,
-        aligned with the log's storage order.  float64 with inf."""
-        return self._solver_half()[0]
-
-    def triplet_categories(self) -> np.ndarray:
-        """Category of each triplet of the source log, in the narrowest
-        unsigned dtype that holds r - 1."""
-        return self._solver_half()[1]
-
-    def category_slices(self):
-        """(order, bounds): triplet indices grouped by category and the
-        per-category offsets into that order."""
-        return self._solver_half()[2:]
 
     def query(self, users, cats, slots):
         """Slots since each user's last purchase in ``cats`` strictly before
@@ -549,8 +530,6 @@ class RecencyIndex:
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
             if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
-        if self._event_keys is None:
-            self._build_query_half()
         group = _encode_keys(users, cats, 0, self._radices)  # key of the group's slot 0
         # every event slot is below l, so clamping keeps later slots exact
         pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
@@ -559,12 +538,8 @@ class RecencyIndex:
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:
-    """The recency index of a log for the callers that score (evaluate,
-    recommend, serving): its query half is built here, so the set-up pays
-    for what the queries read, and the solver half is left unbuilt."""
-    rec = RecencyIndex(log, cats)
-    rec._build_query_half()
-    return rec
+    """The recency index of a log for the callers that score."""
+    return RecencyIndex(log, cats)
 
 
 @dataclass(eq=False)

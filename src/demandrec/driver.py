@@ -21,9 +21,10 @@ import numpy as np
 from .data import (
     CategoryMap,
     PurchaseLog,
-    RecencyIndex,
+    TripletRecency,
     _read_arrays,
     _write_arrays,
+    triplet_recency,
 )
 from .durations import build_worksets, update_durations
 from .errors import DataFormatError, ModelFileError, SolverError
@@ -89,7 +90,7 @@ class FitReport:
 
 
 def evaluate_objective(
-    X: FactoredUtilityMatrix, d, rec: RecencyIndex, cfg: SolverConfig
+    X: FactoredUtilityMatrix, d, rec: TripletRecency, cfg: SolverConfig
 ) -> float:
     """Joint objective at (X, d) on ``rec``'s log, never touching all m*n*l cells."""
     return objective(X, compute_targets(rec, d), cfg)
@@ -124,7 +125,7 @@ def fit(
     """
     if log.nnz == 0:
         raise DataFormatError("purchase log contains no records")
-    rec = RecencyIndex(log, cats)  # the solver half only: fit never queries it
+    rec = triplet_recency(log, cats)
     if init is not None:
         if init.m != log.m or init.n != log.n or init.r != cats.r:
             raise SolverError("warm-start state does not match the data dimensions")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import RecencyIndex
+from .data import TripletRecency
 
 
 @dataclass(eq=False)
@@ -41,7 +41,7 @@ class CategoryWorkSet:
         return self.s.shape[0]
 
 
-def build_worksets(rec: RecencyIndex, X) -> list[CategoryWorkSet]:
+def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
     """One workset per category of ``rec`` from the current utilities.
 
     Every finite-recency positive triplet lands in exactly one workset;
@@ -50,14 +50,12 @@ def build_worksets(rec: RecencyIndex, X) -> list[CategoryWorkSet]:
     pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
     z_trip = z_pair[pairs.index]
-    t_trip = rec.triplet_recency()
-    order, bounds = rec.category_slices()
 
     worksets = []
     for cat in range(rec.r):
-        idx = order[bounds[cat] : bounds[cat + 1]]
+        idx = rec.order[rec.bounds[cat] : rec.bounds[cat + 1]]
         z = z_trip[idx]
-        t = t_trip[idx]
+        t = rec.recency[idx]
         finite = np.isfinite(t)
         const = 0.0
         if not finite.all():

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .data import PairStructure, RecencyIndex
+from .data import PairStructure, TripletRecency
 from .errors import ConfigError, SolverError
 
 if TYPE_CHECKING:
@@ -190,7 +190,7 @@ class HingeTargets:
         return last[1], last[2]
 
 
-def compute_targets(rec: RecencyIndex, d) -> HingeTargets:
+def compute_targets(rec: TripletRecency, d) -> HingeTargets:
     """Hinge targets a_ijk = 1 + max(0, d_c - t_ick) for every positive
     triplet of ``rec``'s log; infinite recency gives the plain margin 1."""
     d = np.asarray(d, dtype=float)
@@ -198,8 +198,7 @@ def compute_targets(rec: RecencyIndex, d) -> HingeTargets:
         raise ConfigError(f"duration vector has shape {d.shape}, expected ({rec.r},)")
     if d.min() < 0:
         raise ConfigError("durations must be nonnegative")
-    t = rec.triplet_recency()
-    a = 1.0 + np.maximum(0.0, d[rec.triplet_categories()] - t)
+    a = 1.0 + np.maximum(0.0, d[rec.categories] - rec.recency)
     log = rec.log
     return HingeTargets(a=a, pairs=log.pairs(), l=log.l)
 
@@ -410,6 +409,9 @@ def update_X(
             gamma *= 0.5
             continue
         prev = obj
+        # a replaced iterate's pair values are never read again; dropping
+        # them frees the entry's, which the caller still holds
+        X._last_values = None
         X, obj = cand, cand_obj
         accepted += 1
         if abs(obj - prev) <= cfg.tol * max(1.0, abs(prev)):

@@ -19,6 +19,7 @@ from demandrec.data import (
     _build_log,
     build_recency_index,
     split_train_test,
+    triplet_recency,
 )
 from demandrec.driver import fit
 from demandrec.durations import sweep_category
@@ -182,7 +183,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
         log = make_log(trips, m=m, n=n)
         r = int(rng.integers(1, 4))
         cats = make_cats(rng.integers(0, r, size=n), r=r)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         targets = compute_targets(rec, rng.uniform(0.0, l, size=r))
         X_dense = rng.uniform(0.0, 1.0, size=(m, n))
         # full-width sketch block keeps the randomized SVD exact, so any
@@ -213,7 +214,7 @@ def test_criterion_6c_gradient_matches_finite_differences():
         trips = random_triplets(rng, m, n, l, 35)
         log = make_log(trips, m=m, n=n)
         cats = make_cats(rng.integers(0, r, size=n), r=r)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         targets = compute_targets(rec, rng.uniform(0.0, l, size=r))
         X_dense = rng.uniform(-0.5, 1.5, size=(m, n))
         cfg = SolverConfig(eta=0.35)

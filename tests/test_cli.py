@@ -137,6 +137,16 @@ class TestConfigResolution:
         assert resolved["tol"] == pytest.approx(1e-4)
         assert resolved["output_dir"] == str(tmp_path)
 
+    def test_readme_config_example_is_accepted(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("Config files are flat `key = value` text", 1)[1].split("```")[1]
+        cfgfile = tmp_path / "readme.cfg"
+        cfgfile.write_text(block, encoding="utf-8")
+        values = parse_config_file(cfgfile)
+        assert len(values) == block.count("=")
+        SolverConfig(**values)
+
     def test_help_lists_every_key(self):
         text = build_parser().format_help()
         for key, _, _ in CONFIG_SCHEMA:
@@ -328,6 +338,16 @@ class TestEvaluate:
         assert len(err) == 1
         assert err[0].startswith("warning: tau = 1000.0 ") and "time_pct is 100" in err[0]
         assert "time_pct = 100.0" in (tmp_path / "metrics.txt").read_text()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_is_one_config_error(self, pipeline_dir, tmp_path, capsys, tau):
+        for name in ("model.bin", "split.bin"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate", "--set", f"tau={tau}") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:config: tau must be finite, got {tau}"]
+        assert not (tmp_path / "metrics.txt").exists()
 
     def test_missing_artifacts(self, tmp_path, capsys):
         assert run(tmp_path, "evaluate") == 2

@@ -14,7 +14,6 @@ from demandrec import data
 from demandrec.data import (
     CategoryMap,
     PurchaseLog,
-    RecencyIndex,
     _SPLIT_SPEC,
     _build_log,
     _read_arrays,
@@ -25,6 +24,7 @@ from demandrec.data import (
     ingest_purchases,
     load_log,
     split_train_test,
+    triplet_recency,
 )
 from demandrec.errors import DataFormatError
 from demandrec.synthetic import SynthSpec, generate
@@ -302,16 +302,17 @@ class TestRecencyIndex:
 
     def test_same_slot_purchases_do_not_see_each_other(self):
         log = make_log([(0, 0, 5), (0, 1, 5)], m=1, n=2)
-        rec = build_recency_index(log, make_cats([0, 0], r=1))
-        assert rec.triplet_recency().tolist() == [math.inf, math.inf]
+        cats = make_cats([0, 0], r=1)
+        assert triplet_recency(log, cats).recency.tolist() == [math.inf, math.inf]
+        rec = build_recency_index(log, cats)
         assert rec.query(0, 0, 5) == math.inf
         assert rec.query(0, 0, 6) == 1.0
 
     def test_category_pools_items(self):
         log = make_log([(0, 0, 2), (0, 1, 6)], m=1, n=2)
-        rec = build_recency_index(log, make_cats([0, 0], r=1))
+        gaps = triplet_recency(log, make_cats([0, 0], r=1)).recency
         # second purchase is a different item, same category
-        assert rec.triplet_recency().tolist() == [math.inf, 4.0]
+        assert gaps.tolist() == [math.inf, 4.0]
 
     def test_random_log_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -330,8 +331,9 @@ class TestRecencyIndex:
         trips = random_triplets(rng, m=6, n=8, l=12, count=120)
         assignment = rng.integers(0, 4, size=8).tolist()
         log = make_log(trips, m=6, n=8)
-        rec = build_recency_index(log, make_cats(assignment, r=4))
-        gaps = rec.triplet_recency()
+        cats = make_cats(assignment, r=4)
+        rec = build_recency_index(log, cats)
+        gaps = triplet_recency(log, cats).recency
         for pos in range(log.nnz):
             u, j, k = log.users[pos], log.items[pos], log.slots[pos]
             assert gaps[pos] == rec.query(int(u), assignment[j], int(k))
@@ -340,14 +342,14 @@ class TestRecencyIndex:
         rng = np.random.default_rng(7)
         trips = random_triplets(rng, m=5, n=5, l=10, count=80)
         log = make_log(trips, m=5, n=5)
-        rec = build_recency_index(log, make_cats(rng.integers(0, 2, size=5), r=2))
-        gaps = rec.triplet_recency()
+        gaps = triplet_recency(log, make_cats(rng.integers(0, 2, size=5), r=2)).recency
         assert (gaps[np.isfinite(gaps)] >= 1.0).all()
 
     def test_dimension_mismatch_rejected(self):
         log = make_log([(0, 0, 0)], m=1, n=1)
-        with pytest.raises(DataFormatError, match="covers"):
-            build_recency_index(log, make_cats([0, 1], r=2))
+        for build in (build_recency_index, triplet_recency):
+            with pytest.raises(DataFormatError, match="covers"):
+                build(log, make_cats([0, 1], r=2))
 
     def test_broadcast_query_matches_oracle(self):
         rng = np.random.default_rng(8)
@@ -383,8 +385,9 @@ class TestRecencyIndex:
     def test_empty_log_answers_inf_everywhere(self):
         empty = np.empty(0, dtype=np.int64)
         log = PurchaseLog(users=empty, items=empty, slots=empty, m=3, n=4, l=5)
-        rec = build_recency_index(log, CategoryMap(np.array([0, 1, 0, 1]), r=2))
-        assert rec.triplet_recency().shape == (0,)
+        cats = CategoryMap(np.array([0, 1, 0, 1]), r=2)
+        assert triplet_recency(log, cats).recency.shape == (0,)
+        rec = build_recency_index(log, cats)
         got = rec.query(np.arange(3)[:, None, None], np.arange(2)[None, :, None],
                         np.array([-1, 0, 3, 5, 9]))
         assert got.shape == (3, 2, 5) and np.all(got == math.inf)
@@ -414,75 +417,35 @@ class TestRecencyIndex:
         with pytest.raises(DataFormatError, match="int64"):
             _build_log(users, items, slots, m=2000, n=1)
         log = PurchaseLog(users=users, items=items, slots=slots, m=2000, n=1, l=2**53 + 1)
-        with pytest.raises(DataFormatError, match="int64"):
-            build_recency_index(log, make_cats([0], r=1))
+        for build in (build_recency_index, triplet_recency):
+            with pytest.raises(DataFormatError, match="int64"):
+                build(log, make_cats([0], r=1))
 
 
 class TestRecencyHalves:
-    """Each half of the index is built on its first use, once."""
-
-    @staticmethod
-    def spy_builders(monkeypatch):
-        calls = []
-        for name in ("_build_solver_half", "_build_query_half"):
-            def spy(self, _build=getattr(RecencyIndex, name), _name=name):
-                calls.append(_name)
-                return _build(self)
-            monkeypatch.setattr(RecencyIndex, name, spy)
-        return calls
-
-    @staticmethod
-    def instance(seed=13):
-        rng = np.random.default_rng(seed)
-        trips = random_triplets(rng, m=6, n=7, l=12, count=80)
-        return make_log(trips, m=6, n=7), make_cats(rng.integers(0, 3, size=7), r=3)
-
-    def test_constructor_builds_neither_half(self, monkeypatch):
-        calls = self.spy_builders(monkeypatch)
-        rec = RecencyIndex(*self.instance())
-        assert calls == []
-        for _ in range(2):
-            rec.triplet_recency(), rec.triplet_categories(), rec.category_slices()
-        assert calls == ["_build_solver_half"]
-        rec.query(0, 1, 5)
-        rec.query(np.arange(6), 2, 7)
-        assert calls == ["_build_solver_half", "_build_query_half"]
+    """Recency has two structures, each built by the one caller that reads
+    it: the solver's per-triplet gaps and the scorers' event keys."""
 
     def test_scoring_setup_never_runs_the_gap_kernel(self, monkeypatch):
-        calls = self.spy_builders(monkeypatch)
-
         def no_gaps(*args):
             raise AssertionError("strict_prev_gap ran")
 
         monkeypatch.setattr(data.kernels, "strict_prev_gap", no_gaps)
-        log, cats = self.instance()
-        rec = build_recency_index(log, cats)
-        assert calls == ["_build_query_half"]
-        got = rec.query(np.arange(6)[:, None], np.arange(3), 7)
-        assert calls == ["_build_query_half"]
-        monkeypatch.undo()
-        assert np.array_equal(got, RecencyIndex(log, cats).query(
-            np.arange(6)[:, None], np.arange(3), 7))
-
-    def test_either_half_first_gives_the_same_answers(self):
-        log, cats = self.instance(14)
-        args = (np.arange(6)[:, None, None], np.arange(3)[:, None], np.arange(-1, 14))
-        solver_first, query_first = RecencyIndex(log, cats), RecencyIndex(log, cats)
-        gaps = solver_first.triplet_recency()
-        assert np.array_equal(query_first.query(*args), solver_first.query(*args))
-        assert np.array_equal(query_first.triplet_recency(), gaps)
+        rng = np.random.default_rng(13)
+        log = make_log(random_triplets(rng, m=6, n=7, l=12, count=80), m=6, n=7)
+        rec = build_recency_index(log, make_cats(rng.integers(0, 3, size=7), r=3))
+        assert rec.query(np.arange(6)[:, None], np.arange(3), 7).shape == (6, 3)
 
     @pytest.mark.parametrize("r, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_triplet_categories_are_narrow(self, r, dtype):
         log = make_log([(0, j, j % 5) for j in range(300)], m=1, n=300)
         assignment = np.arange(300) % r
-        rec = RecencyIndex(log, make_cats(assignment, r=r))
-        got = rec.triplet_categories()
-        assert got.dtype == dtype
-        assert np.array_equal(got, assignment[log.items])
-        order, bounds = rec.category_slices()
-        assert np.array_equal(order, np.argsort(assignment[log.items], kind="stable"))
-        assert np.array_equal(bounds, np.append(0, np.cumsum(np.bincount(got, minlength=r))))
+        rec = triplet_recency(log, make_cats(assignment, r=r))
+        assert rec.categories.dtype == dtype
+        assert np.array_equal(rec.categories, assignment[log.items])
+        assert np.array_equal(rec.order, np.argsort(assignment[log.items], kind="stable"))
+        assert np.array_equal(rec.bounds, np.append(
+            0, np.cumsum(np.bincount(rec.categories, minlength=r))))
 
 
 def _digest(*arrays):
@@ -519,7 +482,7 @@ class TestPinnedOutputs:
             _digest(log.users, log.items, log.slots, [log.m, log.n, log.l]),
             _digest(train.users, train.items, train.slots, [train.m, train.n, train.l]),
             _digest(split.test.users, split.test.items, split.test.slots),
-            _digest(build_recency_index(train, inst.cats).triplet_recency()),
+            _digest(triplet_recency(train, inst.cats).recency),
         )
         assert got == self.PINNED[noise_ratio]
 

@@ -23,6 +23,7 @@ from demandrec.data import (
     RecencyIndex,
     _build_log,
     build_recency_index,
+    triplet_recency,
 )
 from demandrec.driver import (
     evaluate_objective,
@@ -48,7 +49,7 @@ def small_instance(seed=50, m=8, n=6, l=4, r=2, count=40):
 class TestEvaluateObjective:
     def test_all_zero_model_counts_positives(self):
         log, cats, *_ = small_instance()
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         X = FactoredUtilityMatrix.zeros(log.m, log.n)
         cfg = SolverConfig(eta=0.37, lam=2.0)
         got = evaluate_objective(X, np.zeros(cats.r), rec, cfg)
@@ -56,7 +57,7 @@ class TestEvaluateObjective:
 
     def test_matches_cell_by_cell_evaluation(self):
         log, cats, trips, assignment = small_instance()
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         rng = np.random.default_rng(51)
         X_dense = rng.uniform(-0.5, 1.5, size=(log.m, log.n))
         X = model_from_dense(X_dense, [0.0] * cats.r, log.l).X
@@ -240,14 +241,15 @@ class TestPairValueReuse:
 
 class TestWorkingSet:
     def test_fit_never_builds_the_event_keys(self, monkeypatch):
+        # the event keys are built by the scorers' RecencyIndex constructor
         built = []
-        build = RecencyIndex._build_query_half
+        build = RecencyIndex.__init__
 
-        def spy(self):
+        def spy(self, *args):
             built.append(self)
-            return build(self)
+            return build(self, *args)
 
-        monkeypatch.setattr(RecencyIndex, "_build_query_half", spy)
+        monkeypatch.setattr(RecencyIndex, "__init__", spy)
         log, cats, *_ = small_instance(seed=59, m=15, n=12, l=8, r=3, count=150)
         fit(log, cats, SolverConfig(outer_iters=2, inner_iters=3, seed=1))
         assert built == []

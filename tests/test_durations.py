@@ -6,7 +6,7 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets
 
-from demandrec.data import build_recency_index
+from demandrec.data import triplet_recency
 from demandrec.durations import (
     CategoryWorkSet,
     build_worksets,
@@ -44,7 +44,7 @@ class TestBuildWorksets:
     def build(self, x_value, triplets, assignment, r):
         log = make_log(triplets)
         cats = make_cats(assignment, r=r)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         X = model_from_dense(np.full((log.m, log.n), x_value), [0.0] * r, log.l).X
         return build_worksets(rec, X)
 
@@ -70,10 +70,10 @@ class TestBuildWorksets:
         log = make_log(trips, m=10, n=8)
         assignment = rng.integers(0, 3, size=8)
         cats = make_cats(assignment, r=3)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         X = model_from_dense(rng.random((10, 8)), [0.0] * 3, log.l).X
         sets = build_worksets(rec, X)
-        n_inf = int(np.isinf(rec.triplet_recency()).sum())
+        n_inf = int(np.isinf(rec.recency).sum())
         assert sum(ws.size for ws in sets) + n_inf == log.nnz
         for ws in sets:
             assert (np.diff(ws.s) >= 0).all()
@@ -169,7 +169,7 @@ class TestUpdateDurations:
         log = make_log(trips, m=6, n=9)
         assignment = rng.integers(0, 3, size=9).tolist()
         cats = make_cats(assignment, r=3)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         X_dense = rng.uniform(0.0, 1.5, size=(6, 9))
         X = model_from_dense(X_dense, [0.0] * 3, log.l).X
         sets = build_worksets(rec, X)
@@ -194,7 +194,7 @@ class TestUpdateDurations:
         rng = np.random.default_rng(3)
         x_true = rng.uniform(0.3, 1.0, size=(150, 90))
         inst = simulate_purchases(x_true, spec)
-        rec = build_recency_index(inst.log, inst.cats)
+        rec = triplet_recency(inst.log, inst.cats)
         X = model_from_dense(x_true, [0.0] * 3, inst.log.l).X
         d, flags = update_durations(build_worksets(rec, X))
         assert flags == ()

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import oracles
 from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
 
 from demandrec import kernels, utility
-from demandrec.data import build_recency_index
+from demandrec.data import triplet_recency
 from demandrec.errors import ConfigError, SolverError
 from demandrec.utility import (
     FactoredUtilityMatrix,
@@ -30,7 +31,7 @@ def build_setup(rng, m, n, l, r, count, d=None):
     log = make_log(trips, m=m, n=n)
     assignment = rng.integers(0, r, size=n)
     cats = make_cats(assignment, r=r)
-    rec = build_recency_index(log, cats)
+    rec = triplet_recency(log, cats)
     if d is None:
         d = rng.uniform(0.0, 8.0, size=r)
     targets = compute_targets(rec, d)
@@ -94,14 +95,14 @@ class TestComputeTargets:
         # purchases at slots 0 and 3: gap 3 against duration 10 -> a = 8
         log = make_log([(0, 0, 0), (0, 0, 3)], m=1, n=1)
         cats = make_cats([0], r=1)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         targets = compute_targets(rec, [10.0])
         assert targets.a.tolist() == [1.0, 8.0]
 
     def test_infinite_recency_gives_unit_target(self):
         log = make_log([(0, 0, 7)], m=1, n=1)
         cats = make_cats([0], r=1)
-        targets = compute_targets(build_recency_index(log, cats), [10.0])
+        targets = compute_targets(triplet_recency(log, cats), [10.0])
         assert targets.a.tolist() == [1.0]
 
     def test_targets_match_brute_force(self):
@@ -117,7 +118,7 @@ class TestComputeTargets:
     def test_bad_duration_vector_rejected(self):
         log = make_log([(0, 0, 0)], m=1, n=1)
         cats = make_cats([0], r=1)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         with pytest.raises(ConfigError, match="shape"):
             compute_targets(rec, [1.0, 2.0])
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -243,7 +244,7 @@ class TestGradientStep:
         # users 2, 5, 9 and 10 and items 1, 6 and 8 own no pair
         log = make_log(trips, m=11, n=9)
         cats = make_cats(rng.integers(0, 2, size=9), r=2)
-        targets = compute_targets(build_recency_index(log, cats), [1.0, 2.5])
+        targets = compute_targets(triplet_recency(log, cats), [1.0, 2.5])
         X = model_from_dense(rng.standard_normal((11, 9)), [0.0] * 2, log.l).X
         op = gradient_step(X, targets, SolverConfig(eta=0.3))
         assert op.shape == (11, 9)
@@ -500,6 +501,19 @@ class TestUpdateX:
         np.testing.assert_allclose(X1.V.T @ X1.V, np.eye(k), atol=1e-8)
         assert (np.diff(X1.sigma) <= 1e-12).all()
 
+    def test_entry_pair_values_are_freed(self):
+        """The caller keeps the iterate it passed in, but not the pair values
+        cached on it: they would double the pair-length arrays live from the
+        second step on."""
+        rng = np.random.default_rng(41)
+        log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 70)
+        X0 = model_from_dense(rng.uniform(0.0, 1.0, size=(9, 7)), [0.0] * 2, 6).X
+        pairs = log.pairs()
+        entry_values = weakref.ref(X0.pair_values(pairs.users, pairs.items))
+        X1 = update_X(X0, targets, SolverConfig(lam=0.3, inner_iters=3, max_rank=5))
+        assert X1 is not X0
+        assert entry_values() is None
+
     @pytest.mark.parametrize("rank", [0, 3])
     def test_step_sketches_from_the_current_V(self, monkeypatch, rank):
         """The first sketch multiplies the step operator by X's V followed by
@@ -537,7 +551,7 @@ class TestUpdateX:
         trips += [(0, j, 0) for j in range(5)]  # keep every item covered
         log = make_log(trips, m=6, n=5)
         cats = make_cats([0] * 5, r=1)
-        rec = build_recency_index(log, cats)
+        rec = triplet_recency(log, cats)
         targets = compute_targets(rec, [0.0])
         X_dense = rng.uniform(0.5, 1.0, size=(6, 5))
         X0 = model_from_dense(X_dense, [0.0], 6).X
