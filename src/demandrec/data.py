@@ -505,7 +505,8 @@ class RecencyIndex:
     """Strict-predecessor gap queries on a log's per-(user, category)
     purchase slots, for the callers that score (evaluate, recommend,
     serving).  The constructor sorts the log's distinct (user, category,
-    slot) event keys, which :meth:`query` binary-searches."""
+    slot) event keys, which :meth:`query` and :meth:`user_gaps`
+    binary-search."""
 
     def __init__(self, log: PurchaseLog, cats: CategoryMap):
         self._radices, trip_cats = _recency_setup(log, cats)
@@ -519,6 +520,9 @@ class RecencyIndex:
         distinct = np.ones(keys.shape[0], dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         self._event_keys = np.append(-1, keys[distinct])
+        # the key of each category's slot 0 within a user's groups; the key
+        # space was checked above, so a user's offset added to them is exact
+        self._cat_keys = np.arange(self.r, dtype=np.int64) * (log.l + 1)
 
     def query(self, users, cats, slots):
         """Slots since each user's last purchase in ``cats`` strictly before
@@ -530,11 +534,23 @@ class RecencyIndex:
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
             if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
-        group = _encode_keys(users, cats, 0, self._radices)  # key of the group's slot 0
+        return self._gaps(_encode_keys(users, cats, 0, self._radices), slots)[()]
+
+    def user_gaps(self, user: int, slot: int) -> np.ndarray:
+        """The r gaps of one user at one slot, bit for bit
+        ``query(user, np.arange(r), slot)``: one search of r keys, without
+        the broadcast path's array checks.  A user outside ``[0, m)``
+        raises ``ValueError``."""
+        if not 0 <= user < self.log.m:
+            raise ValueError(f"user ids must be in [0, {self.log.m})")
+        return self._gaps(self._cat_keys + user * self.r * (self.log.l + 1), slot)
+
+    def _gaps(self, group, slots):
+        """Gaps at ``slots`` of the groups whose slot-0 keys are ``group``."""
         # every event slot is below l, so clamping keeps later slots exact
         pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
-        prev = self._event_keys[np.maximum(pos, 0)]
-        return np.where(prev >= group, slots - (prev - group), np.inf)[()]
+        prev = self._event_keys.take(np.maximum(pos, 0))
+        return np.where(prev >= group, slots - (prev - group), np.inf)
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:

@@ -9,14 +9,15 @@ The three holdout metrics follow a per-user 90/10 protocol: each test record
 purchase time) at slot t, with recency computed from training purchases
 only.  All are averages of "top percentage" style quantities, lower better.
 
-Top-N scores one whole row through ``_scores`` and selects from it: a
-partition finds the ``n_top``-th score, and only the items that tie or beat
-it are sorted, so a query costs O(n + c log c) for c such candidates, not
-O(n log n).  The metrics work in blocks of at most ``_BLOCK_CELLS`` cells,
-so memory stays bounded.  No metric builds a record's score row.  The
-category and time metrics score each test user's utility row once: the
-first binary-searches it, sorted within categories, and the second reads
-each category's best utility from it.  The item metric scores only the
+A top-N query is one row GEMV, one r-key recency probe
+(:meth:`RecencyIndex.user_gaps`) and one selection: a partition finds the
+``n_top``-th score, and only the items that tie or beat it are sorted, so a
+query costs O(n + c log c) for c such candidates, not O(n log n).  The
+metrics work in blocks of at most ``_BLOCK_CELLS`` cells, so memory stays
+bounded.  No metric builds a record's score row.  The category and time
+metrics score each test user's utility row once: the first binary-searches
+it, sorted within categories, and the second reads each category's best
+utility from it.  The item metric scores only the
 target and its sample, and draws all its samples in chunks of a fixed size,
 so the draws do not depend on the block size.
 """
@@ -70,20 +71,27 @@ def _category_segments(assignment: np.ndarray, r: int):
     return np.argsort(assignment, kind="stable"), ends - counts, ends
 
 
-def _check_slot(slot) -> None:
-    """A query slot must be >= 0: below 0 every category would read as never
-    bought, which is the recency index's answer but no valid query."""
-    if slot < 0:
-        raise ValueError(f"slot must be >= 0, got {slot}")
+def _check_query(**ids) -> None:
+    """Query ids must be integers, numpy's too but not bools: a float would
+    be truncated to a neighbouring id, and a bool or a string would reach
+    numpy's own indexing errors.  The slot must be >= 0: below 0 every
+    category would read as never bought, which is the recency index's
+    answer but no valid query."""
+    for name, value in ids.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if ids["slot"] < 0:
+        raise ValueError(f"slot must be >= 0, got {ids['slot']}")
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
     """Demand-aware score x_ij - max(0, d_c - t) of one query; only the
-    item's own category's recency is queried.  Items outside ``[0, n)``,
-    users outside ``[0, m)`` and slots below 0 raise ``ValueError``."""
+    item's own category's recency is queried.  Ids that are not integers,
+    items outside ``[0, n)``, users outside ``[0, m)`` and slots below 0
+    raise ``ValueError``."""
+    _check_query(user=user, item=item, slot=slot)
     if not 0 <= item < model.n:
         raise ValueError(f"item ids must be in [0, {model.n})")
-    _check_slot(slot)
     cat = rec.cats.assignment[item]
     penalty = float(np.maximum(0.0, model.d[cat] - rec.query(user, cat, slot)))
     return float((model.X.U[user] * model.X.sigma) @ model.X.V[item]) - penalty
@@ -110,25 +118,30 @@ def recommend_topn(
     """Top ``n_top`` items for a user at a slot, highest score first, ties
     broken toward the smaller item id.  Returns (item, score) pairs.
 
-    The list is the first ``n_top`` of a stable argsort of ``-scores``,
-    NaNs last, without sorting the whole row: ``np.partition`` finds the
-    ``n_top``-th smallest ``-score``, every item that ties or beats it (and
-    every NaN, so a NaN there keeps all items) is a candidate, in ascending
-    id order, and only the candidates are stable-sorted.  The cost is
-    O(n + c log c) for c candidates: ``n_top``, the items tied at the
-    boundary and any NaNs, so only a row of mostly equal scores costs a
-    full sort.  A slot below 0 raises ``ValueError``.
+    The row is the user's utilities minus the penalties of one
+    :meth:`RecencyIndex.user_gaps` probe, the float expressions of
+    ``_scores``, so it equals ``_scores(model, rec, user, slot)`` bit for
+    bit.  The list is the first ``n_top`` of a stable argsort of
+    ``-scores``, NaNs last, without sorting the whole row:
+    ``np.partition`` finds the ``n_top``-th smallest ``-score``, every item
+    that ties or beats it (and every NaN, so a NaN there keeps all items)
+    is a candidate, in ascending id order, and only the candidates are
+    stable-sorted.  The cost is O(n + c log c) for c candidates:
+    ``n_top``, the items tied at the boundary and any NaNs, so only a row
+    of mostly equal scores costs a full sort.  Ids that are not integers,
+    users outside ``[0, m)`` and slots below 0 raise ``ValueError``.
     """
     if (isinstance(n_top, bool) or not isinstance(n_top, numbers.Integral)
             or not 1 <= n_top <= model.n):
         raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
-    _check_slot(slot)
-    scores = _scores(model, rec, user, slot)
+    _check_query(user=user, slot=slot)
+    penalties = np.maximum(0.0, model.d - rec.user_gaps(user, slot))
+    scores = model.X.row_scores(user) - penalties[rec.cats.assignment]
     neg = -scores
     kth = np.partition(neg, n_top - 1)[n_top - 1]
     cands = np.flatnonzero(~(neg > kth))
     order = cands[np.argsort(neg[cands], kind="stable")[:n_top]]
-    return [(int(j), float(scores[j])) for j in order]
+    return list(zip(order.tolist(), scores.take(order).tolist()))
 
 
 @dataclass

@@ -407,6 +407,39 @@ class TestRecencyIndex:
             got = build_recency_index(part, cats).query(user, np.arange(3)[:, None], slots)
             assert np.array_equal(got, full.query(user, np.arange(3)[:, None], slots))
 
+    @pytest.mark.parametrize("r", [1, 3, 257])
+    def test_user_gaps_equal_the_all_category_query(self, r):
+        # users 6 and 7 have no purchases; 7 is the last user m - 1
+        rng = np.random.default_rng(40 + r)
+        m, n, l = 8, 300, 12
+        trips = random_triplets(rng, 6, n, l, 600)
+        log = make_log(trips, m=m, n=n)
+        cats = make_cats(rng.integers(0, r, size=n), r=r)
+        full = build_recency_index(log, cats)
+        for user in range(m):
+            one_user = build_recency_index(log.user_log(user), cats)
+            for slot in (0, 1, 5, log.l - 1, log.l, log.l + 5):
+                want = full.query(user, np.arange(r), slot)
+                for rec in (full, one_user):
+                    got = rec.user_gaps(user, slot)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.isinf(full.user_gaps(m - 1, log.l + 5)).all()
+
+    def test_user_gaps_accept_numpy_ids(self):
+        log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
+        rec = build_recency_index(log, make_cats([0, 1], r=2))
+        got = rec.user_gaps(np.int64(1), np.int32(7))
+        assert np.array_equal(got, rec.query(1, np.arange(2), 7))
+        assert got.tolist() == [5.0, 1.0]
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_user_gaps_reject_users_out_of_range(self, user):
+        log = make_log([(1, 0, 2)], m=2, n=1)
+        rec = build_recency_index(log, make_cats([0], r=1))
+        for probe in (lambda: rec.user_gaps(user, 5), lambda: rec.query(user, 0, 5)):
+            with pytest.raises(ValueError, match=r"^user ids must be in \[0, 2\)$"):
+                probe()
+
     def test_key_space_beyond_int64_rejected(self):
         # m * n * (l + 1) > 2**63: the keys would wrap, and query(1999, 0, 1)
         # read inf where 1.0 is right

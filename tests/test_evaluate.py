@@ -10,7 +10,7 @@ import pytest
 import oracles
 from demandrec import evaluate
 from demandrec.data import build_recency_index
-from demandrec.driver import ModelState
+from demandrec.driver import ModelState, fit
 from demandrec.evaluate import (
     MetricReport,
     _distance_to_predicted,
@@ -139,6 +139,45 @@ class TestScore:
             score(model, rec, user, 0, 3)
 
 
+class TestQueryIds:
+    """Every single-query entry point takes only integer ids: bools,
+    floats and strings are one ValueError, numpy integers are accepted."""
+
+    CALLS = {
+        "score": lambda model, rec, ids: score(model, rec, ids["user"], ids["item"], ids["slot"]),
+        "predict_demand": lambda model, rec, ids: predict_demand(
+            model, rec, ids["user"], ids["item"], ids["slot"]),
+        "recommend_topn": lambda model, rec, ids: recommend_topn(
+            model, rec, ids["user"], ids["slot"], 3),
+    }
+
+    @staticmethod
+    def setup_model():
+        model = model_from_dense(np.arange(12.0).reshape(2, 6), [4.0, 1.0], l=8)
+        rec = build_recency_index(make_log([(1, 0, 2), (1, 3, 4)], m=2, n=6),
+                                  make_cats(np.arange(6) % 2))
+        return model, rec
+
+    @pytest.mark.parametrize("call, arg", [
+        ("score", "user"), ("score", "item"), ("score", "slot"),
+        ("predict_demand", "user"), ("predict_demand", "item"), ("predict_demand", "slot"),
+        ("recommend_topn", "user"), ("recommend_topn", "slot"),
+    ])
+    @pytest.mark.parametrize("bad", [True, False, 1.7, 1.0, 5.9, "1", None, np.float64(1.0)])
+    def test_rejects_non_integer_ids(self, call, arg, bad):
+        model, rec = self.setup_model()
+        ids = {"user": 1, "item": 2, "slot": 5, arg: bad}
+        with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got "):
+            self.CALLS[call](model, rec, ids)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_accepts_numpy_integer_ids(self, call):
+        model, rec = self.setup_model()
+        plain = self.CALLS[call](model, rec, {"user": 1, "item": 2, "slot": 5})
+        numpy_ids = {"user": np.int64(1), "item": np.uint8(2), "slot": np.int32(5)}
+        assert self.CALLS[call](model, rec, numpy_ids) == plain
+
+
 class TestPredictDemand:
     def setup_model(self):
         model = model_from_dense([[0.7]], [0.0], l=5)
@@ -252,6 +291,52 @@ class TestRecommendTopn:
                     out = recommend_topn(model, rec, user, slot, n_top)
                     assert [j for j, _ in out] == want[:n_top]
                     assert [v for _, v in out] == [s[j] for j in want[:n_top]]
+
+    def test_probes_once_and_never_queries(self, monkeypatch):
+        # a top-N query reads its penalties from one user_gaps probe, not
+        # from the broadcast query path
+        rng = np.random.default_rng(9)
+        model, rec, _, _, _ = random_setup(rng, n=20)
+        want = recommend_topn(model, rec, 2, 7, 5)
+        probes, user_gaps = [], rec.user_gaps
+
+        def refuse(*args):
+            raise AssertionError("recommend_topn called RecencyIndex.query")
+
+        def spy(user, slot):
+            probes.append((user, slot))
+            return user_gaps(user, slot)
+
+        monkeypatch.setattr(rec, "query", refuse)
+        monkeypatch.setattr(rec, "user_gaps", spy)
+        assert recommend_topn(model, rec, 2, 7, 5) == want
+        assert probes == [(2, 7)]
+
+    @pytest.mark.parametrize("index", ["full", "one_user"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_stable_argsort_of_the_score_row(self, seed, index):
+        # lists and scores bit for bit, on a fitted model and on an SVD one,
+        # with the full index and with the CLI's one-user index
+        rng = np.random.default_rng(60 + seed)
+        m, n, l, r = 7, 40, 16, 4
+        log = make_log(random_triplets(rng, m - 1, n, l, 150), m=m, n=n)  # user 6 buys nothing
+        cats = make_cats(rng.integers(0, r, size=n), r=r)
+        fitted, _ = fit(log, cats, SolverConfig(outer_iters=2, inner_iters=3, max_rank=4,
+                                                lam=0.5, seed=seed))
+        dense = model_from_dense(rng.uniform(-1.0, 1.5, size=(m, n)),
+                                 rng.uniform(0.0, 8.0, size=r), log.l)
+        full = build_recency_index(log, cats)
+        for model in (fitted, dense):
+            for user in range(m):
+                rec = full if index == "full" else build_recency_index(log.user_log(user), cats)
+                for slot in (0, 3, log.l - 1, log.l, log.l + 5):
+                    scores = evaluate._scores(model, full, user, slot)
+                    for n_top in (1, 5, n):
+                        order = np.argsort(-scores, kind="stable")[:n_top]
+                        out = recommend_topn(model, rec, user, slot, n_top)
+                        assert [j for j, _ in out] == order.tolist()
+                        assert all(type(j) is int and type(v) is float for j, v in out)
+                        assert np.array_equal([v for _, v in out], scores[order])
 
     @pytest.mark.parametrize("where", ["item", "user"])
     def test_nan_factor_keeps_the_stable_argsort_order(self, where):
