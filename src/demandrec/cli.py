@@ -52,9 +52,7 @@ _SOLVER_HELP = {
     "eta": "weight on observed purchases versus unlabeled cells",
     "lam": "nuclear-norm regularization strength",
     "tau": "demand decision threshold",
-    "gamma": "gradient step size (0 = choose automatically)",
     "max_rank": "rank cap for the factored utility matrix",
-    "oversample": "extra sketch columns for the randomized SVD",
     "inner_iters": "proximal gradient steps per utility update",
     "outer_iters": "alternating rounds over durations and utilities",
     "tol": "relative objective change that counts as converged",
@@ -85,9 +83,6 @@ CONFIG_SCHEMA = [
       for f in dataclasses.fields(synthetic.SynthSpec) if f.name != "seed"),
     ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)"),
     ("dump_records", False, "also write per-record metric values as CSV"),
-    ("demo_m", 50, "rank demo: rows"),
-    ("demo_n", 100, "rank demo: columns"),
-    ("demo_rank", 10, "rank demo: true rank of the utility matrix"),
     ("output_dir", "out", "directory all artifacts are written to"),
 ]
 DEFAULTS = {key: default for key, default, _ in CONFIG_SCHEMA}
@@ -304,9 +299,7 @@ def cmd_recommend(cfg: dict, user: int, slot: int, topn: int) -> int:
 
 
 def cmd_rank_demo(cfg: dict) -> int:
-    sigma_x, sigma_b = synthetic.rank_demo(
-        cfg["seed"], m=cfg["demo_m"], n=cfg["demo_n"], rank=cfg["demo_rank"]
-    )
+    sigma_x, sigma_b = synthetic.rank_demo(cfg["seed"])
     outdir = _outdir(cfg)
     lines = ["index,sigma_utility,sigma_intention"]
     lines.extend(

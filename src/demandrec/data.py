@@ -468,7 +468,9 @@ def _recency_setup(log: PurchaseLog, cats: CategoryMap):
 class TripletRecency(NamedTuple):
     """What the solver reads of a log's recency on every iteration, built
     by :func:`triplet_recency`.  Per-triplet arrays follow the log's
-    storage order."""
+    storage order.  A category's triplets are found by comparing
+    ``categories`` with it: one pass over 1 byte per triplet, where a kept
+    grouping permutation would hold 8."""
 
     log: PurchaseLog
     r: int
@@ -476,8 +478,6 @@ class TripletRecency(NamedTuple):
     # triplet's category; inf when there is none
     recency: np.ndarray
     categories: np.ndarray  # each triplet's category, narrowest unsigned dtype
-    order: np.ndarray  # triplet indices grouped by category, stable
-    bounds: np.ndarray  # len r + 1, each category's offsets into ``order``
 
 
 def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
@@ -496,9 +496,7 @@ def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
     recency = np.empty(log.nnz)
     recency[order] = gaps
     del order, gaps
-    bounds = np.append(0, np.cumsum(np.bincount(trip_cats, minlength=cats.r)))
-    return TripletRecency(log=log, r=cats.r, recency=recency, categories=trip_cats,
-                          order=np.argsort(trip_cats, kind="stable"), bounds=bounds)
+    return TripletRecency(log=log, r=cats.r, recency=recency, categories=trip_cats)
 
 
 class RecencyIndex:

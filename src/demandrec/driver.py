@@ -39,7 +39,7 @@ from .utility import (
 )
 
 _MAGIC = b"DRECMDL\x00"
-_VERSION = 4
+_VERSION = 5
 
 
 @dataclass(eq=False)
@@ -102,7 +102,7 @@ def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     pairs = log.pairs()
     counts = MatrixOperator(pairs.csr(pairs.counts.astype(float)))
     rng = np.random.default_rng(cfg.seed)
-    U, sig, V = randomized_svd(counts, cfg.max_rank, cfg.oversample, rng)
+    U, sig, V = randomized_svd(counts, cfg.max_rank, rng=rng)
     keep = sig > 0
     U, sig, V = U[:, keep], sig[keep], V[:, keep]
     if sig.shape[0]:
@@ -177,7 +177,7 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# model file, version 4: the factors, durations and horizon, then one 0-d
+# model file, version 5: the factors, durations and horizon, then one 0-d
 # entry per SolverConfig field, in the checksummed container of ``data``.
 # Older versions are refused.  save -> load -> save is byte-identical.
 

@@ -44,8 +44,9 @@ class CategoryWorkSet:
 def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
     """One workset per category of ``rec`` from the current utilities.
 
-    Every finite-recency positive triplet lands in exactly one workset;
-    infinite-recency ones only contribute their flat loss.
+    A category's triplets are picked from ``rec.categories`` in storage
+    order.  Every finite-recency positive triplet lands in exactly one
+    workset; infinite-recency ones only contribute their flat loss.
     """
     pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
@@ -53,7 +54,7 @@ def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
 
     worksets = []
     for cat in range(rec.r):
-        idx = rec.order[rec.bounds[cat] : rec.bounds[cat + 1]]
+        idx = np.flatnonzero(rec.categories == cat)
         z = z_trip[idx]
         t = rec.recency[idx]
         finite = np.isfinite(t)

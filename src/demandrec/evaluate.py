@@ -370,7 +370,10 @@ def item_prediction_metric(
     random values (:func:`_draw_others`), so the draws depend on the seed,
     the records, n and ``sample_size`` only.  Only the target and its
     sample are scored: their rows of V times the user's ``U * sigma``, minus
-    their categories' penalties.  The cost is O(records * sample_size * k).
+    their categories' penalties.  One recency query reads the penalties of
+    as many whole scoring blocks as fit in ``_BLOCK_CELLS`` cells (a whole
+    draw chunk at the CLI shape), and at least one block's.  The cost is
+    O(records * sample_size * k).
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     if not 1 <= sample_size <= model.n:
@@ -378,15 +381,19 @@ def item_prediction_metric(
     rng = np.random.default_rng(seed)
     X, assignment = model.X, rec.cats.assignment
     ranks = np.empty(tu.shape[0])
+    step = max(1, _BLOCK_CELLS // (sample_size * max(X.rank, 1)))  # rows per scoring block
+    span = step * max(1, _BLOCK_CELLS // (step * model.r))  # rows per penalty query
     for chunk in _slices(tu.shape[0], max(1, _DRAW_CELLS // sample_size)):
         users, items, slots, out = tu[chunk], ti[chunk], tk[chunk], ranks[chunk]
         # column 0 is the target, the rest its sample
         cands = np.column_stack([items, _draw_others(rng, items, model.n, sample_size - 1)])
-        for blk in _blocks(items.shape[0], sample_size * max(X.rank, 1)):
-            cand = cands[blk]
-            weights = (X.U[users[blk]] * X.sigma)[:, :, None]
-            z = np.matmul(X.V.take(cand, axis=0), weights)[:, :, 0]
-            pen = _penalties(model, rec, users[blk], slots[blk])
-            scores = z - np.take_along_axis(pen, assignment[cand], axis=1)
-            out[blk] = _rank(scores[:, 1:], cand[:, 1:], scores[:, 0], cand[:, 0])
+        for part in _slices(items.shape[0], span):
+            pens = _penalties(model, rec, users[part], slots[part])
+            for sub in _slices(part.stop - part.start, step):
+                blk = slice(part.start + sub.start, part.start + sub.stop)
+                cand = cands[blk]
+                weights = (X.U[users[blk]] * X.sigma)[:, :, None]
+                z = np.matmul(X.V.take(cand, axis=0), weights)[:, :, 0]
+                scores = z - np.take_along_axis(pens[sub], assignment[cand], axis=1)
+                out[blk] = _rank(scores[:, 1:], cand[:, 1:], scores[:, 0], cand[:, 0])
     return float(ranks.mean() / sample_size * 100.0), ranks

@@ -49,18 +49,18 @@ _MAX_HALVINGS = 10
 class SolverConfig:
     """Knobs of the alternating solver.
 
-    ``gamma = 0`` selects the automatic step size from the gradient's
-    Lipschitz bound.  ``tol`` stops both the inner proximal loop and the
-    outer alternation on relative objective change; ``tol = inf`` disables
-    the check.  ``eta = 1`` is allowed as the positives-only edge case.
+    Only what the solver cannot work out is a knob: every utility update
+    starts from the safe step 1 / L of :func:`auto_step`, and every sketch
+    takes :func:`randomized_svd`'s default oversampling.  ``tol`` stops both
+    the inner proximal loop and the outer alternation on relative objective
+    change; ``tol = inf`` disables the check.  ``eta = 1`` is allowed as the
+    positives-only edge case.
     """
 
     eta: float = 0.5
     lam: float = 1.0
     tau: float = 0.5
-    gamma: float = 0.0
     max_rank: int = 10
-    oversample: int = 10
     inner_iters: int = 15
     outer_iters: int = 30
     tol: float = 1e-4
@@ -80,14 +80,10 @@ class SolverConfig:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not self.lam > 0.0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not self.gamma >= 0.0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")
         if self.max_rank < 1:
             raise ConfigError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.oversample < 0:
-            raise ConfigError(f"oversample must be >= 0, got {self.oversample}")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ConfigError("iteration limits must be >= 1")
         if not self.tol > 0.0:
@@ -266,15 +262,16 @@ def gradient_step(
     The dense part is scaled by 1 - 2 gamma (1 - eta) l; the sparse
     correction at a purchased pair is
     2 gamma (1 - eta) n_ij x_ij + 2 gamma eta sum_k max(a_ijk - x_ij, 0).
+    ``gamma`` defaults to the safe step of :func:`auto_step`.
     """
     eta = cfg.eta
     if gamma is None:
-        gamma = cfg.gamma if cfg.gamma > 0 else auto_step(targets, eta)
+        gamma = auto_step(targets, eta)
     scale = 1.0 - 2.0 * gamma * (1.0 - eta) * targets.l
     if scale <= -1.0:
         raise SolverError(
             f"step size {gamma} too large (dense scale {scale:.3g} <= -1); "
-            "use gamma = 0 for the automatic step"
+            "omit gamma for the automatic step"
         )
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
@@ -380,18 +377,18 @@ def update_X(
     the sketch starts from the current iterate's V (padded with Gaussian
     columns from the seeded rng): subspace iteration continued across steps
     (Halko, Martinsson and Tropp 2011, section 4.5).  A step costs one
-    product with the operator and one with its transpose.  If a step raises
-    the objective the step size is halved and the step retried; repeated
-    failures abort.
+    product with the operator and one with its transpose.  The step size
+    starts at :func:`auto_step`'s 1 / L; if a step raises the objective the
+    step size is halved and the step retried; repeated failures abort.
     """
-    gamma = cfg.gamma if cfg.gamma > 0 else auto_step(targets, cfg.eta)
+    gamma = auto_step(targets, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     obj = objective(X, targets, cfg)
     halvings = 0
     accepted = 0
     while accepted < cfg.inner_iters:
         op = gradient_step(X, targets, cfg, gamma=gamma)
-        U, sig, V = randomized_svd(op, cfg.max_rank, cfg.oversample, rng=rng, start=X.V)
+        U, sig, V = randomized_svd(op, cfg.max_rank, rng=rng, start=X.V)
         del op  # its sparse matrix is not needed to score the candidate
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])

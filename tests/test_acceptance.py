@@ -189,7 +189,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
         # full-width sketch block keeps the randomized SVD exact, so any
         # remaining gap is genuine algorithmic disagreement
         cfg = SolverConfig(
-            lam=0.8, eta=0.5, max_rank=min(m, n), oversample=8, inner_iters=5, tol=1e-12,
+            lam=0.8, eta=0.5, max_rank=min(m, n), inner_iters=5, tol=1e-12,
         )
         X1 = update_X(model_from_dense(X_dense, [0.0] * r, l).X, targets, cfg)
         got = objective(X1, targets, cfg)

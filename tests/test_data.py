@@ -476,9 +476,6 @@ class TestRecencyHalves:
         rec = triplet_recency(log, make_cats(assignment, r=r))
         assert rec.categories.dtype == dtype
         assert np.array_equal(rec.categories, assignment[log.items])
-        assert np.array_equal(rec.order, np.argsort(assignment[log.items], kind="stable"))
-        assert np.array_equal(rec.bounds, np.append(
-            0, np.cumsum(np.bincount(rec.categories, minlength=r))))
 
 
 def _digest(*arrays):

@@ -752,6 +752,27 @@ class TestItemMetric:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
+    # rank 8 and sample 5 make scoring blocks of 10 rows at 400 cells and of
+    # 1 row at 45; a query then takes 400 // 30 blocks, or 45 // 3 rows
+    @pytest.mark.parametrize("cells, rows", [(400, [80]), (45, [15] * 5 + [5])])
+    def test_one_penalty_query_per_run_of_blocks(self, monkeypatch, cells, rows):
+        """A penalty query covers as many whole scoring blocks as fit in
+        ``_BLOCK_CELLS`` cells of penalties, so its memory stays bounded."""
+        rng = np.random.default_rng(21)
+        model, rec, _, log, _ = random_setup(rng, m=8, n=12, l=20, nnz=80)
+        assert (model.X.rank, model.r) == (8, 3)
+        queried = []
+        original = evaluate._penalties
+
+        def spy(model, rec, users, slots):
+            queried.append(users.shape[0])
+            return original(model, rec, users, slots)
+
+        monkeypatch.setattr(evaluate, "_penalties", spy)
+        monkeypatch.setattr(evaluate, "_BLOCK_CELLS", cells)
+        item_prediction_metric(model, rec, log.users, log.items, log.slots, 5, seed=6)
+        assert queried == rows
+
     def test_ranks_match_brute_force_on_the_drawn_samples(self, monkeypatch, scoring_blocks):
         rng = np.random.default_rng(21)
         model, rec, _, log, _ = random_setup(rng, m=8, n=12, l=20, nnz=80)

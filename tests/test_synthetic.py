@@ -200,3 +200,9 @@ class TestRankDemo:
         ax, ab = rank_demo(seed=7)
         bx, bb = rank_demo(seed=7)
         assert np.array_equal(ax, bx) and np.array_equal(ab, bb)
+
+    @pytest.mark.parametrize("key", ["m", "n", "rank"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_shape_is_one_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=">= 1"):
+            rank_demo(seed=0, **{key: value})

@@ -50,14 +50,14 @@ class TestSolverConfig:
             dict(eta=1.2),
             dict(lam=0.0),
             dict(lam=-1.0),
-            dict(gamma=-0.1),
             dict(max_rank=0),
             dict(inner_iters=0),
             dict(outer_iters=0),
             dict(tol=0.0),
             dict(seed=-1),
             dict(tau=math.nan),
-            dict(gamma=math.nan),
+            dict(lam=math.nan),
+            dict(tol=math.nan),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -71,7 +71,7 @@ class TestSolverConfig:
             dict(seed=2.0),
             dict(max_rank=np.float64(3.0)),
             dict(inner_iters="5"),
-            dict(oversample=True),
+            dict(outer_iters=True),
         ],
     )
     def test_non_integral_int_fields_rejected(self, kwargs):
@@ -467,7 +467,7 @@ class TestUpdateX:
         # full-width sketch block makes the randomized SVD exact, so the
         # sparse path must reproduce the dense run almost to the digit
         cfg = SolverConfig(
-            lam=0.8, eta=0.5, max_rank=10, oversample=10, inner_iters=6, tol=1e-12,
+            lam=0.8, eta=0.5, max_rank=10, inner_iters=6, tol=1e-12,
         )
         X1 = update_X(X0, targets, cfg)
         got = objective(X1, targets, cfg)
@@ -535,11 +535,12 @@ class TestUpdateX:
             return original(op, B)
 
         monkeypatch.setattr(utility.GradStepOperator, "matmat", matmat)
-        cfg = SolverConfig(lam=0.1, max_rank=3, oversample=2, inner_iters=1, seed=11)
+        # rank 3 plus the default oversampling of 10 is capped at n = 8 columns
+        cfg = SolverConfig(lam=0.1, max_rank=3, inner_iters=1, seed=11)
         update_X(X0, targets, cfg)
         first_run = len(blocks)
         update_X(X0, targets, cfg)
-        gauss = np.random.default_rng(cfg.seed).standard_normal((8, 5 - rank))
+        gauss = np.random.default_rng(cfg.seed).standard_normal((8, 8 - rank))
         assert np.array_equal(blocks[0], np.hstack([X0.V, gauss]))
         assert len(blocks) == 2 * first_run
         for a, b in zip(blocks[:first_run], blocks[first_run:]):
