@@ -7,14 +7,20 @@ time bins of configurable granularity.  Recency, "how many slots since user
 i last purchased anything in category c strictly before slot k", is the time
 feature, and two structures hold it, each built in full when it is made:
 :func:`triplet_recency` gives the solver that gap and the category of every
-triplet, and a :class:`RecencyIndex` sorts the log's event keys so that
-``query`` answers any (user, category, slot), taking arrays that broadcast,
-for the callers that score.
+triplet, and a :class:`RecencyIndex` sorts the log's distinct event keys so
+that ``query`` answers any (user, category, slot), taking arrays that
+broadcast, for the callers that score.  The index is built in chunks of whole
+users, so its build holds about what it keeps, not int64 keys for every
+triplet.
 
 Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
 ``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
 orders like the id tuples only while the product of the radices fits, so a log
 needs m * n * (l + 1) <= 2**63; past that the encoder raises DataFormatError.
+
+The split bundle and the model file share one checksummed container, which
+is written and read an entry at a time: loading an artifact holds about the
+file's size in memory, not a second copy of it.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 TIMESTAMP_FORMATS = ("days", "iso")
+# triplets per chunk of the passes that key a whole log without keeping the
+# keys (the split bundle's order check, the recency index build): each holds
+# int64 keys and their temporaries for one chunk, not for every triplet
+_CHUNK_TRIPLETS = 2**16
 
 
 class PairStructure(NamedTuple):
@@ -451,18 +461,17 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
 
 
 def _recency_setup(log: PurchaseLog, cats: CategoryMap):
-    """The radices of a log's (user, category, slot) keys and each
-    triplet's category, in the narrowest unsigned dtype that holds r - 1.
-    The category map must cover the log's items; the keys must fit int64,
-    which :func:`_encode_keys` checks when they are built."""
+    """The radices of a log's (user, category, slot) keys, checked to fit
+    int64, and the category of each item in the narrowest unsigned dtype
+    that holds r - 1.  The category map must cover the log's items."""
     if cats.assignment.shape[0] != log.n:
         raise DataFormatError(
             f"category map covers {cats.assignment.shape[0]} items, log has {log.n}"
         )
     # slot radix l + 1: query clamps later slots to l
     radices = (log.m, cats.r, log.l + 1)
-    narrow = cats.assignment.astype(np.min_scalar_type(max(cats.r - 1, 0)))
-    return radices, narrow[log.items]
+    _check_key_space(radices)
+    return radices, cats.assignment.astype(np.min_scalar_type(max(cats.r - 1, 0)))
 
 
 class TripletRecency(NamedTuple):
@@ -482,7 +491,8 @@ class TripletRecency(NamedTuple):
 
 def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
     """The per-triplet recency gaps and categories of a log, for ``fit``."""
-    radices, trip_cats = _recency_setup(log, cats)
+    radices, item_cats = _recency_setup(log, cats)
+    trip_cats = item_cats[log.items]
     keys = _encode_keys(log.users, trip_cats, log.slots, radices)
     order = np.argsort(keys)
     keys = keys[order]
@@ -504,20 +514,30 @@ class RecencyIndex:
     purchase slots, for the callers that score (evaluate, recommend,
     serving).  The constructor sorts the log's distinct (user, category,
     slot) event keys, which :meth:`query` and :meth:`user_gaps`
-    binary-search."""
+    binary-search.
+
+    It builds them in chunks of whole users, about ``_CHUNK_TRIPLETS``
+    triplets each: a chunk's keys are encoded, sorted and de-duplicated on
+    their own.  The user is the keys' major part, so the chunks' distinct
+    keys, joined in chunk order, are the log's distinct keys in order.  The
+    build holds one chunk's temporaries and two copies of the distinct
+    keys, not int64 keys for every triplet."""
 
     def __init__(self, log: PurchaseLog, cats: CategoryMap):
-        self._radices, trip_cats = _recency_setup(log, cats)
+        self._radices, item_cats = _recency_setup(log, cats)
         self.log = log
         self.cats = cats
         self.r = cats.r
-        keys = np.sort(_encode_keys(log.users, trip_cats, log.slots, self._radices))
-        del trip_cats
-        # the distinct keys after a sentinel -1 below every group, so that a
-        # search always lands on an entry, also in an empty log
-        distinct = np.ones(keys.shape[0], dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        self._event_keys = np.append(-1, keys[distinct])
+        # a sentinel -1 below every group first, so that a search always
+        # lands on an entry, also in an empty log
+        parts = [np.array([-1], dtype=np.int64)]
+        starts = np.unique(np.searchsorted(log.users, log.users[::_CHUNK_TRIPLETS]))
+        for lo, hi in itertools.pairwise([*starts.tolist(), log.nnz]):
+            keys = _encode_keys(log.users[lo:hi], item_cats[log.items[lo:hi]],
+                                log.slots[lo:hi], self._radices)
+            keys.sort()
+            parts.append(keys[np.append(True, keys[1:] != keys[:-1])])
+        self._event_keys = np.concatenate(parts)
         # the key of each category's slot 0 within a user's groups; the key
         # space was checked above, so a user's offset added to them is exact
         self._cat_keys = np.arange(self.r, dtype=np.int64) * (log.l + 1)
@@ -606,68 +626,105 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
 #
 # Arrays are stored little-endian in C order.  A spec lists the entries of one
 # file format in order as ``(name, dtype, ndim)``; writer and reader share it.
+# Both stream the data: the writer hashes and writes each entry from the
+# caller's arrays (a 2-d entry may come as a tuple of its rows), and the
+# reader reads each entry straight into the array it returns.  Neither holds
+# a copy of the file, so a process that loads an artifact keeps about its
+# size in memory.
 
 
 def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
     """Write ``arrays`` (name -> array-like) in ``spec`` order, cast to the
-    spec dtypes, to one checksummed file.  An entry name takes at most 16
-    bytes: ``struct`` would cut a longer one and leave an unreadable file."""
-    parts = [magic, struct.pack("<I", version)]
-    for name, dtype, ndim in spec:
-        key = name.encode()
-        if len(key) > 16:
-            raise ValueError(f"entry name {name!r} is longer than 16 bytes")
-        array = np.asarray(arrays[name], dtype=dtype)
-        parts.append(struct.pack("<16s3sB", key, dtype.encode(), ndim))
-        parts.append(struct.pack(f"<{ndim}Q", *array.shape))
-        parts.append(array.tobytes())
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(hashlib.sha256(body).digest())
+    spec dtypes, to one checksummed file.  A 2-d entry may be given as a
+    tuple of equal-length 1-d rows, which are written one after another
+    without being stacked.
+
+    Each entry is hashed and written as it is cast, into ``<path>.tmp``,
+    which replaces ``path`` once the digest is written.  A refused entry (a
+    name over 16 bytes, which ``struct`` would cut; a value that does not
+    cast to the spec's dtype and dims) raises, and leaves ``path`` as it
+    was and no temporary file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            def put(data):
+                digest.update(data)
+                fh.write(data)
+
+            put(magic + struct.pack("<I", version))
+            for name, dtype, ndim in spec:
+                key = name.encode()
+                if len(key) > 16:
+                    raise ValueError(f"entry name {name!r} is longer than 16 bytes")
+                value = arrays[name]
+                stacked = isinstance(value, tuple)  # the rows of a 2-d entry
+                rows = [np.asarray(row, dtype=dtype, order="C")
+                        for row in (value if stacked else (value,))]
+                shape = (len(rows), *rows[0].shape) if stacked else rows[0].shape
+                if len(shape) != ndim or any(row.shape != rows[0].shape for row in rows):
+                    raise ValueError(f"entry {name!r} is not a {ndim}-d array")
+                put(struct.pack(f"<16s3sB{ndim}Q", key, dtype.encode(), ndim, *shape))
+                for row in rows:
+                    put(row)
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> dict:
     """Read a file written by :func:`_write_arrays` into native arrays.
 
-    Checks the magic, then the version, then that the entries end exactly
-    where the digest starts, then the digest; a failure raises ``error``.
+    Checks the magic, then the version, then each entry's header and that
+    its data ends before the digest starts, then that the entries end
+    exactly there, then the digest; a failure raises ``error``.  A size is
+    checked against the file's before anything is allocated for it.  Each
+    entry is read straight into the writable, native-order array returned
+    for it and hashed there, so the file is read once and not copied.
     """
+    digest = hashlib.sha256()
+    arrays = {}
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    if buf[: len(magic)] != magic:
-        raise error(f"{path}: not a {kind}")
-    off = len(magic) + 4
-    end = len(buf) - 32
-    if len(buf) < off:
-        raise error(f"{path}: truncated {kind}")
-    (found,) = struct.unpack_from("<I", buf, len(magic))
-    if found != version:
-        raise error(f"{path}: unsupported {kind} version {found}")
-
-    def take(count):
-        nonlocal off
-        if off + count > end:
+        end = os.fstat(fh.fileno()).st_size - 32
+        head = fh.read(len(magic) + 4)
+        if head[: len(magic)] != magic:
+            raise error(f"{path}: not a {kind}")
+        if len(head) < len(magic) + 4:
             raise error(f"{path}: truncated {kind}")
-        off += count
-        return buf[off - count : off]
+        (found,) = struct.unpack_from("<I", head, len(magic))
+        if found != version:
+            raise error(f"{path}: unsupported {kind} version {found}")
+        digest.update(head)
 
-    raw = []
-    for name, dtype, ndim in spec:
-        key, code, dims = struct.unpack("<16s3sB", take(20))
-        if (key.rstrip(b"\0"), code, dims) != (name.encode(), dtype.encode(), ndim):
-            raise error(f"{path}: expected {dtype} array {name!r} of {ndim} dims in {kind}")
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        raw.append((take(math.prod(shape) * np.dtype(dtype).itemsize), shape))
-    if off != end:
-        raise error(f"{path}: trailing bytes in {kind}")
-    if hashlib.sha256(buf[:end]).digest() != buf[end:]:
-        raise error(f"{path}: digest mismatch (corrupt {kind})")
-    # astype copies into aligned, writable arrays of native byte order
-    return {
-        name: np.frombuffer(data, dtype=dtype).astype(dtype[1:]).reshape(shape)
-        for (name, dtype, _), (data, shape) in zip(spec, raw)
-    }
+        def room(count):
+            if fh.tell() + count > end:
+                raise error(f"{path}: truncated {kind}")
+
+        def take(count):
+            room(count)
+            data = fh.read(count)
+            digest.update(data)
+            return data
+
+        for name, dtype, ndim in spec:
+            key, code, dims = struct.unpack("<16s3sB", take(20))
+            if (key.rstrip(b"\0"), code, dims) != (name.encode(), dtype.encode(), ndim):
+                raise error(f"{path}: expected {dtype} array {name!r} of {ndim} dims in {kind}")
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            stored = np.dtype(dtype)
+            room(math.prod(shape) * stored.itemsize)
+            array = np.empty(shape, dtype=stored)
+            fh.readinto(array.reshape(-1).view(np.uint8))
+            digest.update(array)
+            arrays[name] = array if stored.isnative else array.astype(stored.newbyteorder("="))
+        if fh.tell() != end:
+            raise error(f"{path}: trailing bytes in {kind}")
+        if fh.read(32) != digest.digest():
+            raise error(f"{path}: digest mismatch (corrupt {kind})")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +746,8 @@ def export_log(train: PurchaseLog, test: PurchaseLog, cats: CategoryMap, path) -
     test set may be empty) and the dense item -> category assignment."""
     _write_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC, {
         "dims": [train.m, train.n, train.l, cats.r],
-        "train": [train.users, train.items, train.slots],
-        "test": [test.users, test.items, test.slots],
+        "train": (train.users, train.items, train.slots),
+        "test": (test.users, test.items, test.slots),
         "assignment": cats.assignment,
     })
 
@@ -707,9 +764,13 @@ def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
         or slots.min() < 0 or slots.max() >= l
     ):
         raise DataFormatError(f"{path}: triplet out of declared bounds")
-    keys = _encode_keys(users, items, slots, (m, n, l))
-    if np.any(keys[1:] <= keys[:-1]):
-        raise DataFormatError(f"{path}: duplicate or unsorted triplets in split bundle")
+    # a chunk at a time, each ending on the next one's first triplet, so that
+    # every neighbouring pair is compared
+    for lo in range(0, users.shape[0], _CHUNK_TRIPLETS):
+        hi = lo + _CHUNK_TRIPLETS + 1
+        keys = _encode_keys(users[lo:hi], items[lo:hi], slots[lo:hi], (m, n, l))
+        if np.any(keys[1:] <= keys[:-1]):
+            raise DataFormatError(f"{path}: duplicate or unsorted triplets in split bundle")
     # the declared horizon is kept: it may end in empty slots
     return PurchaseLog(users=users, items=items, slots=slots, m=m, n=n, l=l)
 

@@ -44,18 +44,23 @@ class CategoryWorkSet:
 def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
     """One workset per category of ``rec`` from the current utilities.
 
-    A category's triplets are picked from ``rec.categories`` in storage
-    order.  Every finite-recency positive triplet lands in exactly one
-    workset; infinite-recency ones only contribute their flat loss.
+    A category's triplets are a slice of one stable argsort of
+    ``rec.categories``, so each is in storage order, and the grouping costs
+    O(nnz) at any r.  The permutation lives only in this call, and the
+    utilities are gathered per category through ``pairs.index``, so no
+    per-triplet utility array is held beside it.  Every
+    finite-recency positive triplet lands in exactly one workset;
+    infinite-recency ones only contribute their flat loss.
     """
     pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
-    z_trip = z_pair[pairs.index]
+    by_cat = np.argsort(rec.categories, kind="stable")
+    ends = [0, *np.cumsum(np.bincount(rec.categories, minlength=rec.r)).tolist()]
 
     worksets = []
     for cat in range(rec.r):
-        idx = np.flatnonzero(rec.categories == cat)
-        z = z_trip[idx]
+        idx = by_cat[ends[cat] : ends[cat + 1]]
+        z = z_pair[pairs.index[idx]]
         t = rec.recency[idx]
         finite = np.isfinite(t)
         const = 0.0

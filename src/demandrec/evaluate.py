@@ -85,15 +85,16 @@ def _check_query(**ids) -> None:
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
-    """Demand-aware score x_ij - max(0, d_c - t) of one query; only the
-    item's own category's recency is queried.  Ids that are not integers,
+    """Demand-aware score x_ij - max(0, d_c - t) of one query; t is the
+    item's category's entry of one :meth:`RecencyIndex.user_gaps` probe,
+    bit for bit the broadcast ``query``'s answer.  Ids that are not integers,
     items outside ``[0, n)``, users outside ``[0, m)`` and slots below 0
     raise ``ValueError``."""
     _check_query(user=user, item=item, slot=slot)
     if not 0 <= item < model.n:
         raise ValueError(f"item ids must be in [0, {model.n})")
     cat = rec.cats.assignment[item]
-    penalty = float(np.maximum(0.0, model.d[cat] - rec.query(user, cat, slot)))
+    penalty = float(np.maximum(0.0, model.d[cat] - rec.user_gaps(user, slot)[cat]))
     return float((model.X.U[user] * model.X.sigma) @ model.X.V[item]) - penalty
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -248,6 +249,153 @@ class TestExportLoad:
         assert back["a_name_of_16_chr"] == 5
 
 
+def _every_item_once_log(m=100, n=10_000, l=50, seed=31):
+    """A sorted log in which each of m users buys every one of n items once,
+    at a random one of l slots: 1M triplets by default."""
+    users = np.repeat(np.arange(m, dtype=np.int64), n)
+    items = np.tile(np.arange(n, dtype=np.int64), m)
+    slots = np.random.default_rng(seed).integers(0, l, size=m * n)
+    return PurchaseLog(users=users, items=items, slots=slots, m=m, n=n, l=l)
+
+
+class TestStreamedContainer:
+    """The container is written and read an entry at a time: what that
+    must keep of the one-shot writer and reader, and what it adds."""
+
+    SPEC = (("dims", "<i8", 1), ("rows", "<i8", 2), ("x", "<f8", 0))
+
+    def write(self, path, rows=((1, 2, 3), (4, 5, 6)), dims=(7, 8)):
+        _write_arrays(path, b"DRECTST\x00", 1, self.SPEC,
+                      {"dims": list(dims), "rows": rows, "x": 0.5})
+
+    def read(self, path):
+        return _read_arrays(path, b"DRECTST\x00", 1, self.SPEC, DataFormatError, "test file")
+
+    def test_rows_are_written_as_the_stacked_array(self, tmp_path):
+        rows = tuple(np.arange(5, dtype=np.int64) * k for k in range(3))
+        self.write(tmp_path / "rows.bin", rows=rows)
+        self.write(tmp_path / "stacked.bin", rows=np.stack(rows))
+        assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "stacked.bin").read_bytes()
+        assert np.array_equal(self.read(tmp_path / "rows.bin")["rows"], np.stack(rows))
+
+    def test_arrays_are_writable_native_and_own_their_data(self, tmp_path):
+        self.write(tmp_path / "a.bin")
+        for name, array in self.read(tmp_path / "a.bin").items():
+            assert array.flags.writeable and array.flags.c_contiguous, name
+            assert array.dtype.isnative and array.base is None, name
+        back = self.read(tmp_path / "a.bin")
+        assert back["rows"].tolist() == [[1, 2, 3], [4, 5, 6]] and back["x"] == 0.5
+
+    def test_shape_beyond_the_file_is_truncated_before_allocating(self, tmp_path):
+        # a header claiming 10**8 int64 values (800 MB) in a file of a few
+        # bytes, with a valid digest: refused with nothing allocated for it
+        body = (b"DRECTST\x00" + struct.pack("<I", 1)
+                + struct.pack("<16s3sBQ", b"dims", b"<i8", 1, 2) + bytes(16)
+                + struct.pack("<16s3sBQQ", b"rows", b"<i8", 2, 10**4, 10**4) + bytes(8))
+        path = tmp_path / "a.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="truncated test file"):
+                self.read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("refusal", ["long name", "uncastable", "ragged rows", "dims"])
+    def test_refused_write_leaves_the_old_file_and_no_temporary(self, tmp_path, refusal):
+        path = tmp_path / "a.bin"
+        self.write(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            if refusal == "long name":
+                _write_arrays(path, b"DRECTST\x00", 1, (("a_name_of_17_chars", "<i8", 0),),
+                              {"a_name_of_17_chars": 0})
+            elif refusal == "uncastable":
+                self.write(path, rows=((1, 2), ("x", "y")))
+            elif refusal == "ragged rows":
+                self.write(path, rows=((1, 2, 3), (4, 5)))
+            else:
+                self.write(path, dims=[(1, 2)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_write_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        self.write(path)
+        self.write(path, dims=(9, 9, 9))
+        assert self.read(path)["dims"].tolist() == [9, 9, 9]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_load_log_peak_is_about_the_file(self, tmp_path):
+        """load_log held the file's bytes and an astype copy of every entry,
+        2.0x the file here, and its order check int64 keys for every
+        triplet; read in place and checked a chunk at a time it stays near
+        1.0x."""
+        log = _every_item_once_log()
+        path = tmp_path / "split.bin"
+        export_log(log, log.user_log(log.m), CategoryMap(np.arange(log.n) % 4, r=4), path)
+        nnz = log.nnz
+        del log
+        tracemalloc.start()
+        try:
+            train, _, _ = load_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.nnz == nnz
+        assert peak / path.stat().st_size < 1.25
+
+
+class TestChunkEdges:
+    """The passes that work a chunk of ``_CHUNK_TRIPLETS`` triplets at a time
+    give the one-shot answer at every chunk edge."""
+
+    @staticmethod
+    def reference_keys(log, cats):
+        radices = (log.m, cats.r, log.l + 1)
+        keys = data._encode_keys(log.users, cats.assignment[log.items], log.slots, radices)
+        return np.append(-1, np.unique(keys))
+
+    def logs(self):
+        rng = np.random.default_rng(33)
+        # users of 1 to 5 triplets, so chunk starts fall inside users
+        yield make_log(random_triplets(rng, m=12, n=9, l=15, count=40), m=14, n=9)
+        # user 1 alone holds more triplets than a chunk, and repeats keys
+        yield make_log([(0, 0, 3)] + [(1, j, j % 4) for j in range(9)] + [(2, 1, 1), (2, 2, 0)],
+                       m=3, n=9)
+        yield make_log([(1, 4, 2)], m=2, n=9)
+        empty = np.empty(0, dtype=np.int64)
+        yield PurchaseLog(users=empty, items=empty, slots=empty, m=2, n=9, l=4)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_event_keys_equal_the_one_shot_unique(self, monkeypatch, chunk):
+        monkeypatch.setattr(data, "_CHUNK_TRIPLETS", chunk)
+        cats = make_cats(np.arange(9) % 3, r=3)
+        for log in self.logs():
+            got = build_recency_index(log, cats)._event_keys
+            want = self.reference_keys(log, cats)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [3, 7])
+    @pytest.mark.parametrize("fault", ["duplicate", "unsorted"])
+    def test_bad_pair_across_a_chunk_edge_rejected(self, tmp_path, monkeypatch, chunk, fault):
+        monkeypatch.setattr(data, "_CHUNK_TRIPLETS", chunk)
+        trips = [(u, j, 1) for u in range(3) for j in range(6)]
+        # triplets chunk - 1 and chunk are the last of one chunk and the
+        # first of the next
+        a = chunk - 1
+        trips[a + 1] = trips[a] if fault == "duplicate" else trips[a - 1]
+        raw = TestExportLoad().write_raw(tmp_path / "split.bin", [3, 6, 4, 1], trips, [],
+                                         [0] * 6)
+        with pytest.raises(DataFormatError, match="duplicate or unsorted"):
+            load_log(raw)
+        trips = sorted(set(trips))
+        TestExportLoad().write_raw(raw, [3, 6, 4, 1], trips, [], [0] * 6)
+        assert triplet_list(load_log(raw)[0]) == trips
+
+
 class TestIngestCategories:
     def test_single_category(self, tmp_path):
         log = ingest_purchases(write(tmp_path, "p.csv", "u,iA,0\nu,iB,1\n"))
@@ -439,6 +587,22 @@ class TestRecencyIndex:
         for probe in (lambda: rec.user_gaps(user, 5), lambda: rec.query(user, 0, 5)):
             with pytest.raises(ValueError, match=r"^user ids must be in \[0, 2\)$"):
                 probe()
+
+    def test_peak_memory_per_triplet(self):
+        """An index build that keyed and sorted every triplet at once peaked
+        at 17.0 traced bytes per triplet here, to keep 0.16 bytes of
+        distinct keys; built in chunks of whole users it reads 1.8 to 2.9,
+        the higher on the first build in a process."""
+        log = _every_item_once_log()  # 20 triplets per (user, category, slot)
+        cats = make_cats(np.arange(log.n) % 4, r=4)
+        tracemalloc.start()
+        try:
+            rec = build_recency_index(log, cats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec._event_keys.shape[0] == 1 + log.m * 4 * log.l
+        assert peak / log.nnz < 4
 
     def test_key_space_beyond_int64_rejected(self):
         # m * n * (l + 1) > 2**63: the keys would wrap, and query(1999, 0, 1)

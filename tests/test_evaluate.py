@@ -89,8 +89,9 @@ class TestScore:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_row_of_every_category_penalty(self, seed, monkeypatch):
-        # the one-category query gives bit-for-bit the penalty of the
-        # all-category row, and score asks for that one category only
+        # score reads its penalty from one r-key user_gaps probe, which
+        # gives bit-for-bit the penalty of the all-category row, and never
+        # runs the broadcast query
         rng = np.random.default_rng(30 + seed)
         model, rec, _, _, cats = random_setup(rng, m=5, n=11, r=4)
         cases = [(u, j, k) for u in range(model.m) for j in range(model.n)
@@ -98,15 +99,19 @@ class TestScore:
         want = [float((model.X.U[u] * model.X.sigma) @ model.X.V[j])
                 - float(evaluate._penalties(model, rec, u, k)[cats.assignment[j]])
                 for u, j, k in cases]
-        query, sizes = rec.query, []
+        user_gaps, probes = rec.user_gaps, []
 
-        def spy(users, cats_, slots):
-            sizes.append(np.size(cats_))
-            return query(users, cats_, slots)
+        def spy(user, slot):
+            probes.append((user, slot))
+            return user_gaps(user, slot)
 
-        monkeypatch.setattr(rec, "query", spy)
+        def no_query(*args):
+            raise AssertionError("score called RecencyIndex.query")
+
+        monkeypatch.setattr(rec, "user_gaps", spy)
+        monkeypatch.setattr(rec, "query", no_query)
         assert [score(model, rec, u, j, k) for u, j, k in cases] == want
-        assert set(sizes) == {1}
+        assert probes == [(u, k) for u, _, k in cases]
 
     @pytest.mark.parametrize("item", [-1, 6])
     def test_item_out_of_range(self, item):
