@@ -51,7 +51,6 @@ from .utility import SolverConfig
 _SOLVER_HELP = {
     "eta": "weight on observed purchases versus unlabeled cells",
     "lam": "nuclear-norm regularization strength",
-    "tau": "demand decision threshold",
     "max_rank": "rank cap for the factored utility matrix",
     "inner_iters": "proximal gradient steps per utility update",
     "outer_iters": "alternating rounds over durations and utilities",
@@ -81,6 +80,7 @@ CONFIG_SCHEMA = [
     *((f.name, f.default, _SOLVER_HELP[f.name]) for f in dataclasses.fields(SolverConfig)),
     *((f.name, f.default, _SYNTH_HELP[f.name])
       for f in dataclasses.fields(synthetic.SynthSpec) if f.name != "seed"),
+    ("tau", 0.5, "demand decision threshold of the time metric"),
     ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)"),
     ("dump_records", False, "also write per-record metric values as CSV"),
     ("output_dir", "out", "directory all artifacts are written to"),
@@ -213,10 +213,11 @@ def cmd_train(cfg: dict) -> int:
                            timestamp_format=cfg["timestamp_format"])
     cats = ingest_categories(categories, log)
     split = split_train_test(log, cfg["split_fraction"], seed=cfg["seed"])
-    export_log(split.train, split.test, cats, outdir / "split.bin")
-
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
     state, report = fit(split.train, cats, solver_cfg, init=init)
+    # written only once the fit succeeded, so a failed run leaves the last
+    # run's split.bin and model.bin a matching pair
+    export_log(split.train, split.test, cats, outdir / "split.bin")
     save_model(state, outdir / "model.bin")
     (outdir / "fit_report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     write_resolved(cfg, outdir, "train")
@@ -247,18 +248,21 @@ def _load_artifacts(outdir: Path, user: int | None = None):
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    # the solver's rules for the keys evaluate reads; a bad one writes nothing
-    checked = SolverConfig(tau=cfg["tau"], seed=cfg["seed"])
+    # a bad setting writes nothing
+    tau = cfg["tau"]
+    if not np.isfinite(tau):
+        raise ConfigError(f"tau must be finite, got {tau}")
+    seed = SolverConfig(seed=cfg["seed"]).seed  # the solver's rule for the seed
     outdir = _outdir(cfg)
     model, test, rec = _load_artifacts(outdir)
     if test.nnz == 0:
         raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     tu, ti, tk = test.users, test.items, test.slots
     cat_pct, cat_ranks = category_prediction_metric(model, rec, tu, ti, tk)
-    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=checked.tau)
+    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
     item_pct, item_ranks = item_prediction_metric(
         model, rec, tu, ti, tk,
-        sample_size=min(cfg["sample_size"], model.n), seed=checked.seed,
+        sample_size=min(cfg["sample_size"], model.n), seed=seed,
     )
     report = MetricReport(
         n_records=tu.shape[0],
@@ -287,8 +291,6 @@ def cmd_recommend(cfg: dict, user: int, slot: int, topn: int) -> int:
     holds only that user's training rows."""
     outdir = _outdir(cfg)
     model, _, rec = _load_artifacts(outdir, user)
-    if not 0 <= slot:
-        raise ConfigError(f"slot must be >= 0, got {slot}")
     ranking = recommend_topn(model, rec, user, slot, topn)
     lines = ["rank,item,score"]
     lines.extend(f"{pos},{item},{value:.6f}" for pos, (item, value) in enumerate(ranking, 1))

@@ -439,24 +439,21 @@ def ingest_categories(path, log: PurchaseLog) -> CategoryMap:
     known = items >= 0
     unknown = known.shape[0] - int(np.count_nonzero(known))
     items, cat_codes = items[known], cat_codes[known]
-    covered = np.zeros(log.n, dtype=bool)
-    covered[items] = True
-    # one distinct (item, category) key per covered item, unless an item has two
-    keys = np.sort(_encode_keys(items, cat_codes, 0, (log.n, cat_values.shape[0], 1)))
-    distinct = np.count_nonzero(keys[1:] != keys[:-1]) + (keys.shape[0] > 0)
-    if distinct != np.count_nonzero(covered):
+    # each item's category code, its last row winning: an item's rows
+    # conflict exactly when one of them differs from that entry; -1 is uncovered
+    item_codes = np.full(log.n, -1, dtype=np.int64)
+    item_codes[items] = cat_codes
+    if np.any(item_codes[items] != cat_codes):
         row_error()
-    missing = np.flatnonzero(~covered)
+    missing = np.flatnonzero(item_codes < 0)
     if missing.shape[0]:
         shown = ", ".join(item_labels[i] for i in missing[:10])
         more = f" (+{missing.shape[0] - 10} more)" if missing.shape[0] > 10 else ""
         raise DataFormatError(f"{path}: items without category: {shown}{more}")
     if unknown:
         warnings.warn(f"{path}: ignored {unknown} rows for items not in the log")
-    used, cat_codes = np.unique(cat_codes, return_inverse=True)
-    cat_labels, cat_codes = _labels(cat_values[used], cat_codes)
-    assignment = np.empty(log.n, dtype=np.int64)
-    assignment[items] = cat_codes
+    used, dense = np.unique(item_codes, return_inverse=True)
+    cat_labels, assignment = _labels(cat_values[used], dense)
     return CategoryMap(assignment=assignment, r=len(cat_labels), category_labels=cat_labels)
 
 

@@ -12,7 +12,6 @@ aborts with a diagnostic.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -39,18 +38,17 @@ from .utility import (
 )
 
 _MAGIC = b"DRECMDL\x00"
-_VERSION = 5
+_VERSION = 6
 
 
 @dataclass(eq=False)
 class ModelState:
     """Fitted model: the factored utilities ``X``, the category durations
-    ``d``, the config that fitted them and the horizon ``l``; a score is
-    ``x_ij - max(0, d_c - t)``.  The fit's trajectory is its FitReport's."""
+    ``d`` and the horizon ``l``; a score is ``x_ij - max(0, d_c - t)``.
+    The fit's trajectory is its FitReport's."""
 
     X: FactoredUtilityMatrix
     d: np.ndarray
-    config: SolverConfig
     l: int
 
     @property
@@ -170,16 +168,17 @@ def fit(
     # a fresh matrix on the same factors: the model does not keep the pair
     # values last computed for this log alive
     X = FactoredUtilityMatrix(X.U, X.sigma, X.V)
-    state = ModelState(X=X, d=d, config=cfg, l=log.l)
+    state = ModelState(X=X, d=d, l=log.l)
     report = FitReport(converged=converged, iterations=iteration, objective_history=history,
                        duration_flags=flags, seconds_per_iteration=seconds, final_objective=f)
     return state, report
 
 
 # ---------------------------------------------------------------------------
-# model file, version 5: the factors, durations and horizon, then one 0-d
-# entry per SolverConfig field, in the checksummed container of ``data``.
-# Older versions are refused.  save -> load -> save is byte-identical.
+# model file, version 6: the factors, the durations and the horizon, in the
+# checksummed container of ``data``.  The config that fitted them is
+# ``train``'s resolved_train.cfg.  Older versions are refused.
+# save -> load -> save is byte-identical.
 
 _MODEL_SPEC = (
     ("U", "<f8", 2),
@@ -187,10 +186,6 @@ _MODEL_SPEC = (
     ("V", "<f8", 2),
     ("d", "<f8", 1),
     ("l", "<i8", 0),
-    # last, so the final entry ends right before the digest; a field's
-    # default gives its type, as for the CLI's config keys
-    *((f"cfg.{f.name}", "<f8" if isinstance(f.default, float) else "<i8", 0)
-      for f in dataclasses.fields(SolverConfig)),
 )
 
 
@@ -201,8 +196,6 @@ def save_model(state: ModelState, path) -> None:
         "V": state.X.V,
         "d": state.d,
         "l": state.l,
-        **{f"cfg.{f.name}": getattr(state.config, f.name)
-           for f in dataclasses.fields(SolverConfig)},
     })
 
 
@@ -211,7 +204,4 @@ def load_model(path) -> ModelState:
     U, sigma, V = arrays["U"], arrays["sigma"], arrays["V"]
     if not U.shape[1] == sigma.shape[0] == V.shape[1]:
         raise ModelFileError(f"{path}: factor ranks disagree in model file")
-    config = SolverConfig(**{f.name: arrays[f"cfg.{f.name}"].item()
-                             for f in dataclasses.fields(SolverConfig)})
-    return ModelState(X=FactoredUtilityMatrix(U, sigma, V), d=arrays["d"],
-                      config=config, l=int(arrays["l"]))
+    return ModelState(X=FactoredUtilityMatrix(U, sigma, V), d=arrays["d"], l=int(arrays["l"]))

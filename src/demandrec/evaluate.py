@@ -104,12 +104,10 @@ def predict_demand(
     user: int,
     item: int,
     slot: int,
-    tau: float | None = None,
+    tau: float,
 ) -> bool:
-    """True when the score strictly exceeds the decision threshold; the
-    query is checked as :func:`score` checks it."""
-    if tau is None:
-        tau = model.config.tau
+    """True when the score strictly exceeds the decision threshold ``tau``;
+    the query is checked as :func:`score` checks it."""
     return score(model, rec, user, item, slot) > tau
 
 
@@ -274,7 +272,7 @@ def time_prediction_metric(
     test_users,
     test_items,
     test_slots,
-    tau: float | None = None,
+    tau: float,
 ):
     """Average distance from the true purchase slot to the nearest slot at
     which demand is predicted for any item of the record's category,
@@ -291,7 +289,6 @@ def time_prediction_metric(
     category's best utility from it.
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
-    tau = model.config.tau if tau is None else tau
     assignment = rec.cats.assignment
     n, l, r = model.n, model.l, model.r
     keys = _encode_keys(tu, assignment[ti], 0, (model.m, r, 1))

@@ -54,12 +54,12 @@ class SolverConfig:
     takes :func:`randomized_svd`'s default oversampling.  ``tol`` stops both
     the inner proximal loop and the outer alternation on relative objective
     change; ``tol = inf`` disables the check.  ``eta = 1`` is allowed as the
-    positives-only edge case.
+    positives-only edge case.  The demand threshold ``tau`` is no solver
+    knob: the fit never reads it, so the scorers take it as an argument.
     """
 
     eta: float = 0.5
     lam: float = 1.0
-    tau: float = 0.5
     max_rank: int = 10
     inner_iters: int = 15
     outer_iters: int = 30
@@ -70,7 +70,7 @@ class SolverConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, int):
-                # an integer setting is stored as int64 in the model file
+                # an integer setting is a true integer within int64
                 if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                     raise ConfigError(f"{f.name} must be an integer, got {value!r}")
                 if value >= 2**63:
@@ -78,10 +78,8 @@ class SolverConfig:
                 object.__setattr__(self, f.name, int(value))
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if not self.lam > 0.0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not math.isfinite(self.tau):
-            raise ConfigError(f"tau must be finite, got {self.tau}")
+        if not 0.0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         if self.max_rank < 1:
             raise ConfigError(f"max_rank must be >= 1, got {self.max_rank}")
         if self.inner_iters < 1 or self.outer_iters < 1:

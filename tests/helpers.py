@@ -4,7 +4,7 @@ import numpy as np
 
 from demandrec.data import CategoryMap, _build_log, _write_arrays
 from demandrec.driver import ModelState
-from demandrec.utility import FactoredUtilityMatrix, SolverConfig
+from demandrec.utility import FactoredUtilityMatrix
 
 
 def make_log(triplets, m=None, n=None):
@@ -37,7 +37,7 @@ def random_triplets(rng, m, n, l, count):
     return sorted(seen)
 
 
-def model_from_dense(X_dense, d, l, cfg=None):
+def model_from_dense(X_dense, d, l):
     """ModelState wrapping an arbitrary dense utility matrix."""
     X_dense = np.asarray(X_dense, dtype=float)
     U, s, Vt = np.linalg.svd(X_dense, full_matrices=False)
@@ -49,7 +49,7 @@ def model_from_dense(X_dense, d, l, cfg=None):
         )
     else:
         X = FactoredUtilityMatrix.zeros(*X_dense.shape)
-    return ModelState(X=X, d=np.asarray(d, dtype=float), config=cfg or SolverConfig(), l=l)
+    return ModelState(X=X, d=np.asarray(d, dtype=float), l=l)
 
 
 def triplet_list(log):
@@ -65,9 +65,9 @@ _V2_MODEL_SPEC = (
 
 
 def write_version_2_model(state, path):
-    """Write ``state`` as the version-2 model file format laid it out."""
-    cfg = state.config
-    text = "".join(f"{name} = {getattr(cfg, name)!r}\n" for name in sorted(vars(cfg)))
+    """Write ``state`` as the version-2 model file format laid it out, with
+    a one-key config text."""
+    text = "seed = 0\n"
     _write_arrays(path, b"DRECMDL\x00", 2, _V2_MODEL_SPEC, {
         "U": state.X.U, "sigma": state.X.sigma, "V": state.X.V, "d": state.d,
         "l": state.l, "history": [1.0, 0.5], "iterations": 1, "flags": [],

@@ -217,6 +217,35 @@ class TestTrain:
         warm = final_objective(tmp_path)
         assert warm <= cold * (1 + 1e-9)
 
+    def test_failed_warm_start_keeps_the_last_artifacts(self, tmp_path, capsys):
+        """A train that fails writes neither split.bin nor model.bin, so
+        evaluate never pairs the last run's model with a new split."""
+        other = tmp_path / "other"
+        assert run(other, "synth", "--set", "m=30") == 0
+        assert run(other, "train", "--set", "m=30") == 0
+        assert run(tmp_path, "synth") == 0
+        assert run(tmp_path, "train", "--seed", "1") == 0
+        names = ("split.bin", "model.bin", "fit_report.txt", "resolved_train.cfg")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--seed", "2",
+                   "--set", f"init_model={other / 'model.bin'}") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error:solver: warm-start state does not match the data dimensions"]
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+    def test_infinite_lam_is_one_config_error(self, tmp_path, capsys):
+        """lam = inf would turn the objective to inf * 0 = nan once the rank
+        collapses, which no increase check sees."""
+        assert run(tmp_path, "synth") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--set", "lam=inf") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:"), err
+        for name in ("split.bin", "model.bin", "fit_report.txt", "resolved_train.cfg"):
+            assert not (tmp_path / name).exists(), name
+
     def test_warning_is_one_line(self, tmp_path, capsys):
         assert run(tmp_path, "synth") == 0
         with open(tmp_path / "categories.csv", "a", encoding="utf-8") as handle:
@@ -323,7 +352,7 @@ class TestEvaluate:
         columns = (
             tu, ti, tk,
             category_prediction_metric(model, rec, tu, ti, tk)[1],
-            time_prediction_metric(model, rec, tu, ti, tk)[1],
+            time_prediction_metric(model, rec, tu, ti, tk, tau=0.5)[1],
             item_prediction_metric(model, rec, tu, ti, tk, 10, seed=0)[1],
         )
         want = io.StringIO(newline="")
@@ -439,6 +468,12 @@ class TestRecommend:
                 got = (tmp_path / "recommendations.csv").read_text().splitlines()
                 assert got == want, (user, slot)
         capsys.readouterr()
+
+    def test_negative_slot_is_one_config_error(self, pipeline_dir, capsys):
+        capsys.readouterr()
+        assert run(pipeline_dir, "recommend", "--user", "0", "--slot", "-1") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error:config: slot must be >= 0, got -1"]
 
     def test_bad_topn(self, pipeline_dir, capsys):
         code = run(pipeline_dir, "recommend", "--user", "0", "--slot", "0", "--topn", "0")

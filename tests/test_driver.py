@@ -384,7 +384,6 @@ class TestModelFile:
         assert np.array_equal(back.X.sigma, state.X.sigma)
         assert np.array_equal(back.X.V, state.X.V)
         assert np.array_equal(back.d, state.d)
-        assert back.config == state.config
         assert (back.m, back.n, back.l, back.r) == (state.m, state.n, state.l, state.r)
 
     def test_pair_value_cache_never_reaches_the_file(self, tmp_path):
@@ -437,8 +436,8 @@ class TestModelFile:
     def test_corrupt_config_rejected(self, tmp_path):
         _, path, *_ = self.fitted(tmp_path)
         raw = bytearray(path.read_bytes())
-        # the last config entry (seed, int64) ends just before the 32-byte
-        # digest; flipping its top byte still yields a valid config
+        # the last entry (l, int64) ends just before the 32-byte digest;
+        # flipping its top byte still yields a well-formed file
         raw[-33] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelFileError, match="digest"):
@@ -456,7 +455,7 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="digest"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [1, 3, 4])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5])
     def test_version_1_rejected(self, tmp_path, version):
         _, path, *_ = self.fitted(tmp_path)
         raw = bytearray(path.read_bytes())
@@ -472,29 +471,12 @@ class TestModelFile:
             load_model(path)
 
     def test_entries_are_typed_arrays(self):
-        """No text entry: every entry is float64 or int64, each SolverConfig
-        field is one trailing 0-d entry, and every name fits the container's
-        16-byte name field."""
-        spec = driver._MODEL_SPEC
-        names = [f"cfg.{f.name}" for f in dataclasses.fields(SolverConfig)]
-        assert [(name, ndim) for name, _, ndim in spec[-len(names):]] == [
-            (name, 0) for name in names]
-        assert {dtype for _, dtype, _ in spec} == {"<f8", "<i8"}
-        assert max(len(name.encode()) for name, _, _ in spec) <= 16
-
-    def test_edge_config_round_trips_exactly(self, tmp_path):
-        state, *_ = self.fitted(tmp_path)
-        cfg = SolverConfig(eta=1.0, lam=0.1 + 0.2, tau=1e-300, tol=math.inf,
-                           max_rank=7, seed=2**63 - 1)
-        path = tmp_path / "edge.bin"
-        save_model(dataclasses.replace(state, config=cfg), path)
-        back = load_model(path)
-        assert back.config == cfg
-        for f in dataclasses.fields(cfg):
-            assert type(getattr(back.config, f.name)) is type(getattr(cfg, f.name)), f.name
-        again = tmp_path / "edge2.bin"
-        save_model(back, again)
-        assert path.read_bytes() == again.read_bytes()
+        """The model is its factors, durations and horizon: five typed
+        entries, no text and no config."""
+        assert driver._MODEL_SPEC == (
+            ("U", "<f8", 2), ("sigma", "<f8", 1), ("V", "<f8", 2),
+            ("d", "<f8", 1), ("l", "<i8", 0),
+        )
 
     def test_trailing_bytes_rejected(self, tmp_path):
         _, path, *_ = self.fitted(tmp_path)

@@ -120,7 +120,7 @@ class TestScore:
         with pytest.raises(ValueError, match=r"item ids must be in \[0, 6\)"):
             score(model, rec, 0, item, 3)
         with pytest.raises(ValueError, match=r"item ids must be in \[0, 6\)"):
-            predict_demand(model, rec, 0, item, 3)
+            predict_demand(model, rec, 0, item, 3, tau=0.5)
 
     @pytest.mark.parametrize("slot", [-1, -100])
     def test_negative_slot_rejected(self, slot):
@@ -131,7 +131,7 @@ class TestScore:
         assert score(model, rec, 0, 0, 9) == pytest.approx(0.9 - 6.0)
         assert score(model, rec, 0, 0, 0) == pytest.approx(0.9)
         for call in (lambda: score(model, rec, 0, 0, slot),
-                     lambda: predict_demand(model, rec, 0, 0, slot),
+                     lambda: predict_demand(model, rec, 0, 0, slot, tau=0.5),
                      lambda: recommend_topn(model, rec, 0, slot, 1)):
             with pytest.raises(ValueError, match=rf"slot must be >= 0, got {slot}"):
                 call()
@@ -151,7 +151,7 @@ class TestQueryIds:
     CALLS = {
         "score": lambda model, rec, ids: score(model, rec, ids["user"], ids["item"], ids["slot"]),
         "predict_demand": lambda model, rec, ids: predict_demand(
-            model, rec, ids["user"], ids["item"], ids["slot"]),
+            model, rec, ids["user"], ids["item"], ids["slot"], tau=0.5),
         "recommend_topn": lambda model, rec, ids: recommend_topn(
             model, rec, ids["user"], ids["slot"], 3),
     }
@@ -193,13 +193,6 @@ class TestPredictDemand:
         model, rec = self.setup_model()
         assert not predict_demand(model, rec, 0, 0, 2, tau=0.7)
         assert predict_demand(model, rec, 0, 0, 2, tau=0.7 - 1e-9)
-
-    def test_default_tau_from_config(self):
-        model, rec = self.setup_model()
-        model.config = SolverConfig(tau=0.9)
-        assert not predict_demand(model, rec, 0, 0, 2)
-        model.config = SolverConfig(tau=0.1)
-        assert predict_demand(model, rec, 0, 0, 2)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(2)
@@ -383,7 +376,6 @@ def model_from_factors(U, V, d, l):
     return ModelState(
         X=FactoredUtilityMatrix(U, np.ones(U.shape[1]), V),
         d=np.asarray(d, dtype=float),
-        config=SolverConfig(),
         l=l,
     )
 
@@ -589,13 +581,6 @@ class TestTimeMetric:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             time_prediction_metric(model, rec, [0, 0], [0, 1], [3, 7], tau=0.89)
-
-    def test_default_tau_from_config(self):
-        model, rec = self.fixture()
-        model.config = SolverConfig(tau=0.5)
-        pct, _ = time_prediction_metric(model, rec, [0], [0], [9])
-        explicit, _ = time_prediction_metric(model, rec, [0], [0], [9], tau=0.5)
-        assert pct == explicit
 
 
 def reference_time_errors(model, rec, tu, ti, tk, tau):

@@ -55,7 +55,7 @@ class TestSolverConfig:
             dict(outer_iters=0),
             dict(tol=0.0),
             dict(seed=-1),
-            dict(tau=math.nan),
+            dict(lam=math.inf),
             dict(lam=math.nan),
             dict(tol=math.nan),
         ],
