@@ -205,14 +205,20 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    solver_cfg = _from_config(SolverConfig, cfg)  # a bad setting writes nothing
+    # a bad setting is refused before any file is read or written
+    fraction = cfg["split_fraction"]
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"split_fraction must be in [0, 1), got {fraction}")
+    solver_cfg = _from_config(SolverConfig, cfg)
     outdir = _outdir(cfg)
     purchases = Path(cfg["purchases"]) if cfg["purchases"] else outdir / "purchases.csv"
     categories = Path(cfg["categories"]) if cfg["categories"] else outdir / "categories.csv"
     log = ingest_purchases(purchases, granularity=cfg["granularity"],
                            timestamp_format=cfg["timestamp_format"])
     cats = ingest_categories(categories, log)
-    split = split_train_test(log, cfg["split_fraction"], seed=cfg["seed"])
+    split = split_train_test(log, fraction, seed=cfg["seed"])
+    # the split's logs are copies: the fit does not hold the unsplit one
+    del log
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
     state, report = fit(split.train, cats, solver_cfg, init=init)
     # written only once the fit succeeded, so a failed run leaves the last
@@ -248,10 +254,12 @@ def _load_artifacts(outdir: Path, user: int | None = None):
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    # a bad setting writes nothing
+    # a bad setting is refused before any file is read or written
     tau = cfg["tau"]
     if not np.isfinite(tau):
         raise ConfigError(f"tau must be finite, got {tau}")
+    if cfg["sample_size"] < 1:
+        raise ConfigError(f"sample_size must be >= 1, got {cfg['sample_size']}")
     seed = SolverConfig(seed=cfg["seed"]).seed  # the solver's rule for the seed
     outdir = _outdir(cfg)
     model, test, rec = _load_artifacts(outdir)

@@ -150,6 +150,8 @@ def fit(
         targets = compute_targets(rec, d)
         X = update_X(X, targets, cfg)
         f_new = objective(X, targets, cfg)
+        # the next round's worksets are built without this round's targets
+        del targets
         seconds.append(time.perf_counter() - t0)
         if f_new > f + 1e-8 * max(1.0, abs(f)):
             raise SolverError(

@@ -51,7 +51,13 @@ def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
     per-triplet utility array is held beside it.  Every
     finite-recency positive triplet lands in exactly one workset;
     infinite-recency ones only contribute their flat loss.
+
+    A category whose breakpoints all equal their gaps (every z <= 1, the
+    common case) is ordered by a stable sort of its gaps as int16, which
+    numpy radix-sorts: the gaps are integers below l, so while l < 2**15
+    that is the permutation the stable float sort of ``s`` gives.
     """
+    radix = rec.log.l < 2**15
     pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
     by_cat = np.argsort(rec.categories, kind="stable")
@@ -71,16 +77,14 @@ def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
             z = z[finite]
             t = t[finite]
         s = t + np.maximum(z - 1.0, 0.0)
-        sort = np.argsort(s, kind="stable")
-        worksets.append(
-            CategoryWorkSet(
-                category=cat,
-                z=z[sort],
-                t=t[sort],
-                s=s[sort],
-                constant_loss=const,
-            )
-        )
+        keys = t.astype(np.int16) if radix and np.array_equal(s, t) else s
+        sort = np.argsort(keys, kind="stable")
+        del keys
+        # one sorted copy at a time, each replacing its input
+        z = z[sort]
+        t = t[sort]
+        s = s[sort]
+        worksets.append(CategoryWorkSet(category=cat, z=z, t=t, s=s, constant_loss=const))
     return worksets
 
 

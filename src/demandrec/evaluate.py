@@ -286,7 +286,8 @@ def time_prediction_metric(
     category's best utility minus its penalty at each slot.  Each test
     user's utility row is scored once, in blocks of at most
     ``_BLOCK_CELLS`` cells, and every group of the user reads its
-    category's best utility from it.
+    category's best utility from it.  A group whose best utility is not
+    above ``tau`` is never predicted, so it is not profiled.
     """
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     assignment = rec.cats.assignment
@@ -308,7 +309,15 @@ def time_prediction_metric(
         best[blk, owned] = np.maximum.reduceat(zs, starts[owned], axis=1)
     zmax = best[user_of, cats]
     top = float(zmax.max())
-    errors = np.empty(tu.shape[0])
+    # a penalty is >= 0 and fl(zmax - p) <= zmax, so a group whose best
+    # utility is not above tau has no predicted slot: its records' error is
+    # l, with no recency query; only the other groups are profiled
+    live = zmax > tau
+    errors = np.full(tu.shape[0], float(l))
+    in_live = live[group_of]
+    order, group_of = order[in_live], (np.cumsum(live) - 1)[group_of[in_live]]
+    bounds = np.append(0, np.cumsum(np.diff(bounds)[live]))
+    users, cats, zmax = users[live], cats[live], zmax[live]
     for blk in _blocks(users.shape[0], l):
         gu, gc = users[blk], cats[blk]
         t = rec.query(gu[:, None], gc[:, None], np.arange(l))

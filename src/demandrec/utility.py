@@ -22,8 +22,9 @@ wide block x n projection.
 The values x_ij at the purchased pairs are computed once per iterate: the
 objective, the gradient step and the duration worksets all ask for them on
 the log's cached pair arrays, and :meth:`FactoredUtilityMatrix.pair_values`
-keeps its last result for those arrays.  Likewise :meth:`HingeTargets.hinge_stats`
-keeps the hinge sums of the last pair values it saw.
+keeps its last result for those arrays.  Likewise :class:`HingeTargets`
+keeps the hinge pass of the last pair values it saw: the gradient step takes
+its per-pair sums, and the objective reads its total.
 """
 
 from __future__ import annotations
@@ -167,21 +168,37 @@ class HingeTargets:
     l: int
     _last_hinge: tuple | None = field(default=None, repr=False)  # (z_pair, sums, total)
 
-    def hinge_stats(self, z_pair):
-        """Per-pair sums of max(a - x, 0) and the total of its squares at the
-        pair values ``z_pair``.  The result for the last array is kept while
-        it is the same object (``is``), so the gradient step and the
-        objective of one iterate share one pass; the read-only arrays of
-        :meth:`FactoredUtilityMatrix.pair_values` cannot change meanwhile."""
+    def _hinge_pass(self, z_pair) -> tuple:
+        """Per-pair sums of max(a - x, 0) and the total of their squares at
+        the pair values ``z_pair``, kept as the last pass."""
+        # drop the stale sums first, so two sets never live at once
+        self._last_hinge = None
+        pairs = self.pairs
+        self._last_hinge = (z_pair, *kernels.hinge_stats(self.a, z_pair, pairs.index,
+                                                         pairs.counts.shape[0]))
+        return self._last_hinge
+
+    def hinge_total(self, z_pair) -> float:
+        """The total of the squared hinges at ``z_pair``.  The last pass is
+        kept while its pair values are the same object (``is``), so the
+        gradient step and the objective of one iterate share it; the
+        read-only arrays of :meth:`FactoredUtilityMatrix.pair_values`
+        cannot change meanwhile."""
         last = self._last_hinge
         if last is None or last[0] is not z_pair:
-            # drop the stale sums first, so two sets never live at once
-            self._last_hinge = last = None
-            pairs = self.pairs
-            last = (z_pair, *kernels.hinge_stats(self.a, z_pair, pairs.index,
-                                                 pairs.counts.shape[0]))
-            self._last_hinge = last
-        return last[1], last[2]
+            last = self._hinge_pass(z_pair)
+        return last[2]
+
+    def hinge_sums(self, z_pair) -> np.ndarray:
+        """The per-pair hinge sums at ``z_pair``, handed over to the caller:
+        the kept pass keeps only its total, so the sums live no longer than
+        the caller holds them.  A second call for the same values makes a
+        new pass."""
+        last = self._last_hinge
+        if last is None or last[0] is not z_pair or last[1] is None:
+            last = self._hinge_pass(z_pair)
+        self._last_hinge = (z_pair, None, last[2])
+        return last[1]
 
 
 def compute_targets(rec: TripletRecency, d) -> HingeTargets:
@@ -273,12 +290,14 @@ def gradient_step(
         )
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
-    hinge_sums, _ = targets.hinge_stats(z_pair)
+    hinge_sums = targets.hinge_sums(z_pair)
     # c1 * counts * z + c2 * hinge_sums in that order, built in place so no
-    # pair-length temporary relies on numpy eliding it
+    # pair-length temporary relies on numpy eliding it; the sums are this
+    # call's own, so they are scaled in place and freed on return
     vals = 2.0 * gamma * (1.0 - eta) * pairs.counts
     vals *= z_pair
-    vals += 2.0 * gamma * eta * hinge_sums
+    hinge_sums *= 2.0 * gamma * eta
+    vals += hinge_sums
     return GradStepOperator(scale, X, pairs.csr(vals))
 
 
@@ -355,7 +374,7 @@ def hinge_objective(X: FactoredUtilityMatrix, targets: HingeTargets, eta: float)
     everything unlabeled, computed from the factors and the sparse pairs."""
     pairs = targets.pairs
     z_pair = X.pair_values(pairs.users, pairs.items)
-    _, hinge_sq = targets.hinge_stats(z_pair)
+    hinge_sq = targets.hinge_total(z_pair)
     zero_part = targets.l * X.frob_sq() - float((pairs.counts * z_pair * z_pair).sum())
     return eta * hinge_sq + (1.0 - eta) * zero_part
 
@@ -393,7 +412,7 @@ def update_X(
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
             # free the rejected step before the retry sketches the next one;
-            # the retry's hinge_stats drops the pair values and sums cached for it
+            # the retry's hinge pass drops the pair values and total kept for it
             del cand, U, V
             halvings += 1
             if halvings > _MAX_HALVINGS:

@@ -6,12 +6,14 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import demandrec
+from demandrec import cli
 from demandrec.cli import _load_artifacts, build_parser, main, parse_config_file, CONFIG_SCHEMA
 from demandrec.data import build_recency_index, ingest_purchases, load_log
 from demandrec.driver import load_model, save_model
@@ -316,6 +318,48 @@ class TestTrain:
             assert key in err[0]
             assert not outdir.exists()
 
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
+    def test_bad_split_fraction_is_one_config_error_before_any_read(
+            self, tmp_path, capsys, monkeypatch, fraction):
+        assert run(tmp_path, "synth") == 0
+        before = sorted(path.name for path in tmp_path.iterdir())
+        read = []
+        ingest = cli.ingest_purchases
+
+        def spy(*args, **kwargs):
+            read.append(args)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_purchases", spy)
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--set", f"split_fraction={fraction}") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:config: split_fraction must be in [0, 1), got {float(fraction)}"]
+        assert read == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+    def test_unsplit_log_is_released_before_the_fit(self, tmp_path, monkeypatch):
+        """The split's logs are copies, so the fit runs without the log
+        that ingest_purchases returned."""
+        assert run(tmp_path, "synth") == 0
+        logs = []
+        alive_at_fit = []
+        ingest, fit = cli.ingest_purchases, cli.fit
+
+        def ingest_spy(*args, **kwargs):
+            log = ingest(*args, **kwargs)
+            logs.append(weakref.ref(log))
+            return log
+
+        def fit_spy(*args, **kwargs):
+            alive_at_fit.append(logs[0]() is not None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_purchases", ingest_spy)
+        monkeypatch.setattr(cli, "fit", fit_spy)
+        assert run(tmp_path, "train") == 0
+        assert alive_at_fit == [False]
+
     def test_malformed_purchases(self, tmp_path, capsys):
         (tmp_path / "purchases.csv").write_text("alice,soap\n")
         (tmp_path / "categories.csv").write_text("soap,bath\n")
@@ -380,6 +424,27 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error:config: tau must be finite, got {tau}"]
         assert not (tmp_path / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_size_below_one_is_one_config_error_before_any_read(
+            self, pipeline_dir, tmp_path, capsys, monkeypatch, size):
+        for name in ("model.bin", "split.bin"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        before = sorted(path.name for path in tmp_path.iterdir())
+        loaded = []
+        load = cli._load_artifacts
+
+        def spy(*args):
+            loaded.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(cli, "_load_artifacts", spy)
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate", "--set", f"sample_size={size}") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:config: sample_size must be >= 1, got {size}"]
+        assert loaded == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
 
     def test_missing_artifacts(self, tmp_path, capsys):
         assert run(tmp_path, "evaluate") == 2

@@ -78,6 +78,52 @@ class TestBuildWorksets:
         for ws in sets:
             assert (np.diff(ws.s) >= 0).all()
 
+    @pytest.mark.parametrize("l", [2**15 - 1, 2**15])
+    def test_radix_and_float_sorts_give_equal_worksets(self, monkeypatch, l):
+        """Below l = 2**15 a category whose breakpoints equal its gaps is
+        sorted by its gaps as int16; every workset equals the float-sorted
+        reference, in a category with z > 1, an empty category, and with
+        gaps up to l - 1, many of them tied."""
+        rng = np.random.default_rng(21)
+        m, n = 12, 9
+        # items in categories 0-2 by id mod 3; category 3 owns no item
+        assignment = np.arange(n) % 3
+        dense = rng.uniform(-0.5, 0.9, size=(m, n))
+        dense[:, assignment == 1] = 1.25  # every breakpoint of category 1 moves
+        slots = [0, 1, 5, 10, 15, l - 2, l - 1]
+        trips = {(u, i, int(rng.choice(slots))) for u in range(m - 1) for i in range(n)
+                 for _ in range(4)}
+        trips |= {(m - 1, 0, 0), (m - 1, 0, l - 1)}  # the largest gap, l - 1
+        log = make_log(trips, m=m, n=n)
+        assert log.l == l
+        rec = triplet_recency(log, make_cats(assignment, r=4))
+        X = model_from_dense(dense, [0.0] * 4, l).X
+        sorted_dtypes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_dtypes.append(np.asarray(a).dtype)
+            return argsort(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", spy)
+            worksets = build_worksets(rec, X)
+        # categories 0, 2 and the empty 3 take the int16 sort below 2**15
+        assert sorted_dtypes.count(np.int16) == (3 if l < 2**15 else 0)
+        pairs = log.pairs()
+        z_trip = X.pair_values(pairs.users, pairs.items)[pairs.index]
+        assert (z_trip[rec.categories == 1] > 1.0).all()
+        finite = rec.recency[np.isfinite(rec.recency)]
+        assert finite.shape[0] > 100 and finite.max() == l - 1
+        for cat, ws in enumerate(worksets):
+            mine = rec.categories == cat
+            want = make_ws(z_trip[mine], rec.recency[mine], category=cat)
+            assert ws.category == cat
+            for name in ("z", "t", "s"):
+                assert np.array_equal(getattr(ws, name), getattr(want, name)), (cat, name)
+            assert ws.constant_loss == pytest.approx(want.constant_loss, rel=1e-12)
+        assert worksets[3].size == 0
+
 
 class TestSweep:
     def test_flat_objective_returns_first_breakpoint(self):

@@ -641,6 +641,46 @@ class TestTimeMetricOracle:
             assert np.array_equal(errors, want), tau
             assert pct == float(want.mean() / l * 100.0)
 
+    def test_profiles_only_groups_above_tau(self, monkeypatch):
+        """With tau between two groups' best utilities, the groups whose
+        best is not above tau get the error l without a recency query, and
+        every error equals the full-grid reference."""
+        rng = np.random.default_rng(35)
+        m, n, l = 9, 12, 16
+        U = rng.integers(-8, 9, size=(m, 3)) / 8.0
+        V = rng.integers(-8, 9, size=(n, 3)) / 8.0
+        X = U @ V.T
+        model = model_from_factors(U, V, rng.uniform(0.0, 6.0, size=3), l)
+        log = make_log(random_triplets(rng, m, n, l, 80), m=m, n=n)
+        cats = make_cats(np.arange(n) % 3, r=3)
+        rec = build_recency_index(log, cats)
+        tu = rng.integers(0, m, size=40)
+        ti = rng.integers(0, n, size=40)
+        tk = rng.integers(0, l, size=40)
+        groups = {(u, c): np.where(cats.assignment == c, X[u], -np.inf).max()
+                  for u, c in zip(tu.tolist(), cats.assignment[ti].tolist())}
+        best = np.unique(list(groups.values()))
+        tau = float(best[best.shape[0] // 2] + best[best.shape[0] // 2 - 1]) / 2.0
+        live = sum(value > tau for value in groups.values())
+        assert 0 < live < len(groups)
+        queried = []
+        query = rec.query
+
+        def spy(users, *args):
+            queried.append(np.shape(users)[0])
+            return query(users, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rec, "query", spy)
+            pct, errors = time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
+        assert sum(queried) == live
+        want = reference_time_errors(model, rec, tu, ti, tk, tau)
+        assert np.array_equal(errors, want)
+        assert pct == float(want.mean() / l * 100.0)
+        dead = [pos for pos, (u, i) in enumerate(zip(tu, ti))
+                if groups[(u, cats.assignment[i])] <= tau]
+        assert dead and (errors[dead] == l).all()
+
     def test_scores_each_test_user_once(self, monkeypatch):
         rng = np.random.default_rng(40)
         model, rec, _, log, _ = random_setup(rng, m=5, n=9, l=10, nnz=45)

@@ -226,6 +226,33 @@ class TestGradientStep:
         grad = oracles.dense_grad_h(X_dense, trips, targets.a, cfg.eta, log.l)
         np.testing.assert_allclose(op.dense(), X_dense - gamma * grad, atol=1e-10)
 
+    def test_hinge_sums_live_only_until_the_step_is_built(self, monkeypatch):
+        """The step takes the iterate's per-pair hinge sums and frees them;
+        the objective of the same iterate reads the kept total without a
+        second pass, and a second step at it makes a new pass."""
+        rng = np.random.default_rng(27)
+        log, cats, rec, targets, *_, d = build_setup(rng, 10, 8, 7, 3, 120)
+        X = model_from_dense(rng.uniform(-0.5, 1.5, size=(10, 8)), [0.0] * 3, 7).X
+        cfg = SolverConfig(eta=0.3)
+        passes = []
+        original = kernels.hinge_stats
+
+        def spy(*args):
+            sums, total = original(*args)
+            passes.append(weakref.ref(sums))
+            return sums, total
+
+        monkeypatch.setattr(kernels, "hinge_stats", spy)
+        op = gradient_step(X, targets, cfg)
+        assert len(passes) == 1 and passes[0]() is None
+        h = hinge_objective(X, targets, cfg.eta)
+        assert len(passes) == 1
+        again = gradient_step(X, targets, cfg)
+        assert len(passes) == 2
+        assert (op.S != again.S).nnz == 0
+        # fresh targets make their own pass, with the same result
+        assert hinge_objective(X, compute_targets(rec, d), cfg.eta) == h
+
     def test_operator_products_agree_with_dense(self):
         rng = np.random.default_rng(26)
         log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 60)
