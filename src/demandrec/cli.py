@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import synthetic
 from .data import (
+    TIMESTAMP_FORMATS,
     build_recency_index,
     export_log,
     ingest_categories,
@@ -209,6 +211,11 @@ def cmd_train(cfg: dict) -> int:
     fraction = cfg["split_fraction"]
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"split_fraction must be in [0, 1), got {fraction}")
+    if not 0.0 < cfg["granularity"] < math.inf:
+        raise ConfigError(f"granularity must be finite and positive, got {cfg['granularity']}")
+    if cfg["timestamp_format"] not in TIMESTAMP_FORMATS:
+        raise ConfigError(f"timestamp_format must be one of {TIMESTAMP_FORMATS}, "
+                          f"got {cfg['timestamp_format']!r}")
     solver_cfg = _from_config(SolverConfig, cfg)
     outdir = _outdir(cfg)
     purchases = Path(cfg["purchases"]) if cfg["purchases"] else outdir / "purchases.csv"

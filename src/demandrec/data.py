@@ -2,7 +2,8 @@
 checksummed binary container of the split bundle and the model file.
 
 The central object is a :class:`PurchaseLog`: a deduplicated, lexicographically
-sorted set of (user, item, slot) triplets with dense integer ids.  Slots are
+sorted set of (user, item, slot) triplets with dense integer ids, held in the
+narrowest of int32 and int64 that fits them (:func:`_id_dtype`).  Slots are
 time bins of configurable granularity.  Recency, "how many slots since user
 i last purchased anything in category c strictly before slot k", is the time
 feature, and two structures hold it, each built in full when it is made:
@@ -17,6 +18,9 @@ Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
 ``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
 orders like the id tuples only while the product of the radices fits, so a log
 needs m * n * (l + 1) <= 2**63; past that the encoder raises DataFormatError.
+The passes that read a whole id column never widen it at once: keys are built
+in one int64 buffer, binary-search needles take the column's dtype, and
+gathers indexed by a column run a chunk at a time (:func:`_take`).
 
 The split bundle and the model file share one checksummed container, which
 is written and read an entry at a time: loading an artifact holds about the
@@ -76,12 +80,22 @@ class PairStructure(NamedTuple):
                              shape=(self.indptr.shape[0] - 1, self.n))
 
 
+def _id_dtype(m, n, l) -> np.dtype:
+    """The dtype of a log's id columns: int32 while m, n and l are all
+    below 2**31, so that every id is below int32's maximum; int64 otherwise."""
+    return np.dtype(np.int32 if max(m, n, l) < 2**31 else np.int64)
+
+
 @dataclass(eq=False)
 class PurchaseLog:
     """Sorted unique purchase triplets with dense ids.
 
-    ``users``, ``items``, ``slots`` are parallel int64 arrays sorted by
-    (user, item, slot).  ``user_labels`` / ``item_labels`` retain the original
+    ``users``, ``items``, ``slots`` are parallel integer arrays of one dtype,
+    sorted by (user, item, slot).  The logs this module builds, splits and
+    loads hold them in :func:`_id_dtype` of (m, n, l): int32, 12 bytes per
+    triplet, unless an id space reaches 2**31.  The class itself converts
+    nothing, so a caller may hand it int64 columns, and every reader takes
+    either dtype.  ``user_labels`` / ``item_labels`` retain the original
     external ids when the log came from a CSV file.
     """
 
@@ -115,14 +129,16 @@ class PurchaseLog:
             users = self.users[starts]
             items = self.items[starts]
             counts = np.diff(np.append(starts, self.nnz))
-            indptr = np.searchsorted(users, np.arange(self.m + 1))
+            indptr = _search(users, np.arange(self.m + 1))
             # the index dtype scipy's CSR constructor picks for these arrays,
             # which also holds every count (a count is at most the triplets)
             index_dtype = sp.get_index_dtype(
                 (items, indptr), maxval=max(self.m, self.n, int(counts.max(initial=0))),
                 check_contents=True)
+            index = np.cumsum(boundary)
+            index -= 1
             self._pairs = PairStructure(
-                index=np.cumsum(boundary) - 1,
+                index=index,
                 users=users.astype(index_dtype, copy=False),
                 items=items.astype(index_dtype, copy=False),
                 counts=counts.astype(index_dtype, copy=False),
@@ -133,7 +149,7 @@ class PurchaseLog:
 
     def user_log(self, user: int) -> PurchaseLog:
         """The triplets of one user, as a log of the same m, n and l."""
-        lo, hi = np.searchsorted(self.users, [user, user + 1])
+        lo, hi = _search(self.users, [user, user + 1])
         return PurchaseLog(users=self.users[lo:hi], items=self.items[lo:hi],
                            slots=self.slots[lo:hi], m=self.m, n=self.n, l=self.l)
 
@@ -149,11 +165,20 @@ def _check_key_space(radices) -> None:
 def _encode_keys(major, middle, minor, radices) -> np.ndarray:
     """int64 keys ``(major * n_middle + middle) * n_minor + minor`` of id
     arrays (or scalars) below their radices ``(n_major, n_middle, n_minor)``;
-    the keys order like the (major, middle, minor) tuples."""
+    the keys order like the (major, middle, minor) tuples.  The arguments
+    broadcast against each other.  The keys are built in one int64 buffer,
+    so an id column of any integer dtype is widened into it, not copied."""
     _check_key_space(radices)
     n_middle, n_minor = int(radices[1]), int(radices[2])
-    major, middle, minor = (np.asarray(a, dtype=np.int64) for a in (major, middle, minor))
-    return (major * n_middle + middle) * n_minor + minor
+    major, middle, minor = (np.asarray(a) for a in (major, middle, minor))
+    keys = np.empty(np.broadcast_shapes(major.shape, middle.shape, minor.shape),
+                    dtype=np.int64)
+    keys[...] = major
+    keys *= n_middle
+    keys += middle
+    keys *= n_minor
+    keys += minor
+    return keys
 
 
 def _decode_keys(keys, radices):
@@ -163,17 +188,49 @@ def _decode_keys(keys, radices):
     return major, middle, minor
 
 
+def _search(ids, values) -> np.ndarray:
+    """``np.searchsorted(ids, values)`` for a sorted id column, with the
+    needles cast to the column's dtype: numpy would otherwise convert the
+    whole column on every call.  Every id lies strictly inside the dtype's
+    range (:func:`_id_dtype`), so a needle clipped to that range keeps its
+    answer."""
+    info = np.iinfo(ids.dtype)
+    return np.searchsorted(ids, np.clip(values, info.min, info.max).astype(ids.dtype))
+
+
+def _take(table, ids) -> np.ndarray:
+    """``table[ids]`` for a 1-d id array, gathered a chunk at a time:
+    numpy copies indices that are not intp (a log's int32 columns) to intp
+    before it gathers, which would hold 8 bytes per id beside the result.
+    ``take`` gathers through int32 indices about twice as fast as fancy
+    indexing does."""
+    out = np.empty(ids.shape[0], dtype=table.dtype)
+    for lo in range(0, ids.shape[0], _CHUNK_TRIPLETS):
+        chunk = slice(lo, lo + _CHUNK_TRIPLETS)
+        table.take(ids[chunk], out=out[chunk])
+    return out
+
+
 def _build_log(users, items, slots, m, n, l=None, user_labels=None, item_labels=None):
     """Sort by (user, item, slot) and drop duplicate triplets.  ``l`` is the
-    declared horizon; by default it ends with the latest slot."""
+    declared horizon; by default it ends with the latest slot.  The keys are
+    sorted in place and decoded a chunk at a time straight into the
+    :func:`_id_dtype` columns, so besides the inputs the build holds one
+    key array and the narrow columns, not four int64 arrays."""
     if users.shape[0] == 0:
         raise DataFormatError("purchase log contains no records")
     if l is None:
         l = int(slots.max()) + 1
     radices = (m, n, l)
-    keys = np.sort(_encode_keys(users, items, slots, radices))
+    keys = _encode_keys(users, items, slots, radices)
+    keys.sort()
     keys = keys[np.append(True, keys[1:] != keys[:-1])]  # frees the sorted copy
-    users, items, slots = _decode_keys(keys, radices)
+    dtype = _id_dtype(m, n, l)
+    users, items, slots = (np.empty(keys.shape[0], dtype=dtype) for _ in range(3))
+    for lo in range(0, keys.shape[0], _CHUNK_TRIPLETS):
+        chunk = slice(lo, lo + _CHUNK_TRIPLETS)
+        users[chunk], items[chunk], slots[chunk] = _decode_keys(keys[chunk], radices)
+    del keys
     return PurchaseLog(
         users=users,
         items=items,
@@ -189,8 +246,8 @@ def _build_log(users, items, slots, m, n, l=None, user_labels=None, item_labels=
 # ---------------------------------------------------------------------------
 # CSV ingest.  A purchase file of canonical integers (every field exactly as
 # str(int) prints it) is parsed by one np.loadtxt pass straight to int64
-# columns, and np.unique with return_inverse gives each column's distinct
-# values and a dense code per row.  Any other purchase file, and every
+# columns, and :func:`_int_codes` gives each column's distinct values and a
+# dense code per row.  Any other purchase file, and every
 # category file, is read by csv.reader in small blocks, whose fields are
 # coded through a dict of the distinct strings.  Either way only distinct
 # values go through Python: labels, stripping, timestamps.  Bad rows are
@@ -203,6 +260,9 @@ _CATEGORY_FIELDS = "item_id,category_id"
 # threshold (700 new containers) made the string path 2-3x faster than
 # blocks of 65,536 rows
 _BLOCK_ROWS = 512
+# an integer id column whose values span at most this many times its row
+# count is coded through a presence mask over the span, not by a sort
+_DENSE_SPAN = 4
 
 
 def _printed_width(values) -> int:
@@ -245,6 +305,28 @@ def _int_table(path, n_fields):
         if fh.read(1) != b"\n":
             width -= 1
     return table if width == size else None
+
+
+def _int_codes(column):
+    """``np.unique(column, return_inverse=True)`` of an int64 column: its
+    distinct values, ascending, and the index of each row's value among
+    them.  A column whose values span at most ``_DENSE_SPAN`` times its
+    rows, as dense ids do, marks the values present in a mask over the span
+    and numbers them by a cumsum, in O(rows + span) and without a sort."""
+    lo = int(column.min())
+    span = int(column.max()) - lo + 1
+    if span > _DENSE_SPAN * column.shape[0]:
+        return np.unique(column, return_inverse=True)
+    offsets = column - lo
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    code_of = np.cumsum(present)
+    code_of -= 1
+    codes = code_of[offsets]
+    del offsets, code_of
+    values = np.flatnonzero(present)
+    values += lo
+    return values, codes
 
 
 def _blank(row) -> bool:
@@ -366,7 +448,7 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
 
     table = _int_table(path, 3) if timestamp_format == "days" else None
     if table is not None:
-        users, items = (np.unique(column, return_inverse=True) for column in table.T[:2])
+        users, items = (_int_codes(column) for column in table.T[:2])
         stamps = table[:, 2].copy()
         del table
     else:
@@ -489,7 +571,7 @@ class TripletRecency(NamedTuple):
 def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
     """The per-triplet recency gaps and categories of a log, for ``fit``."""
     radices, item_cats = _recency_setup(log, cats)
-    trip_cats = item_cats[log.items]
+    trip_cats = _take(item_cats, log.items)
     keys = _encode_keys(log.users, trip_cats, log.slots, radices)
     order = np.argsort(keys)
     keys = keys[order]
@@ -530,7 +612,7 @@ class RecencyIndex:
         parts = [np.array([-1], dtype=np.int64)]
         starts = np.unique(np.searchsorted(log.users, log.users[::_CHUNK_TRIPLETS]))
         for lo, hi in itertools.pairwise([*starts.tolist(), log.nnz]):
-            keys = _encode_keys(log.users[lo:hi], item_cats[log.items[lo:hi]],
+            keys = _encode_keys(log.users[lo:hi], item_cats.take(log.items[lo:hi]),
                                 log.slots[lo:hi], self._radices)
             keys.sort()
             parts.append(keys[np.append(True, keys[1:] != keys[:-1])])
@@ -587,7 +669,7 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
     if not 0.0 <= fraction < 1.0:
         raise DataFormatError(f"split fraction must be in [0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    ranges = np.searchsorted(log.users, np.arange(log.m + 1))  # user blocks
+    ranges = _search(log.users, np.arange(log.m + 1))  # user blocks
     held_mask = np.zeros(log.nnz, dtype=bool)
     for u in range(log.m):
         lo, hi = ranges[u], ranges[u + 1]
@@ -600,7 +682,7 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
         held_mask[lo + rng.choice(cnt, size=held, replace=False)] = True
 
     def part(keep):
-        # masking keeps the log's (user, item, slot) order
+        # masking keeps the log's (user, item, slot) order and id dtype
         return PurchaseLog(
             users=log.users[keep],
             items=log.items[keep],
@@ -624,17 +706,18 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
 # Arrays are stored little-endian in C order.  A spec lists the entries of one
 # file format in order as ``(name, dtype, ndim)``; writer and reader share it.
 # Both stream the data: the writer hashes and writes each entry from the
-# caller's arrays (a 2-d entry may come as a tuple of its rows), and the
-# reader reads each entry straight into the array it returns.  Neither holds
-# a copy of the file, so a process that loads an artifact keeps about its
-# size in memory.
+# caller's arrays (a 2-d entry may come as a tuple of its rows, cast one at a
+# time), and the reader reads each entry straight into the array it returns,
+# or a chunk at a time into a narrower integer array when the caller asks for
+# one.  Neither holds a copy of the file, so a process that loads an artifact
+# keeps at most about its size in memory.
 
 
 def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
     """Write ``arrays`` (name -> array-like) in ``spec`` order, cast to the
     spec dtypes, to one checksummed file.  A 2-d entry may be given as a
-    tuple of equal-length 1-d rows, which are written one after another
-    without being stacked.
+    tuple of equal-length 1-d rows, which are cast and written one after
+    another without being stacked.
 
     Each entry is hashed and written as it is cast, into ``<path>.tmp``,
     which replaces ``path`` once the digest is written.  A refused entry (a
@@ -656,14 +739,14 @@ def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
                     raise ValueError(f"entry name {name!r} is longer than 16 bytes")
                 value = arrays[name]
                 stacked = isinstance(value, tuple)  # the rows of a 2-d entry
-                rows = [np.asarray(row, dtype=dtype, order="C")
-                        for row in (value if stacked else (value,))]
-                shape = (len(rows), *rows[0].shape) if stacked else rows[0].shape
-                if len(shape) != ndim or any(row.shape != rows[0].shape for row in rows):
+                rows = value if stacked else (value,)
+                shapes = {np.shape(row) for row in rows}
+                shape = (len(rows), *next(iter(shapes))) if stacked else np.shape(value)
+                if len(shape) != ndim or len(shapes) != 1:
                     raise ValueError(f"entry {name!r} is not a {ndim}-d array")
                 put(struct.pack(f"<16s3sB{ndim}Q", key, dtype.encode(), ndim, *shape))
                 for row in rows:
-                    put(row)
+                    put(np.asarray(row, dtype=dtype, order="C"))
             fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
@@ -672,7 +755,25 @@ def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
         raise
 
 
-def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> dict:
+def _read_narrow(fh, digest, shape, stored, dtype) -> np.ndarray:
+    """An integer entry of ``shape``, stored as ``stored``, read from ``fh``
+    a chunk at a time into a native ``dtype`` array.  Each chunk is hashed
+    as stored.  A value outside ``dtype`` saturates at its bound, so the
+    caller's range check refuses it."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    info = np.iinfo(dtype)
+    for lo in range(0, flat.shape[0], _CHUNK_TRIPLETS):
+        chunk = np.empty(min(_CHUNK_TRIPLETS, flat.shape[0] - lo), dtype=stored)
+        fh.readinto(chunk.view(np.uint8))
+        digest.update(chunk)
+        np.clip(chunk, info.min, info.max, out=flat[lo : lo + chunk.shape[0]],
+                casting="unsafe")
+    return out
+
+
+def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str,
+                 narrow=None) -> dict:
     """Read a file written by :func:`_write_arrays` into native arrays.
 
     Checks the magic, then the version, then each entry's header and that
@@ -681,6 +782,10 @@ def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> di
     checked against the file's before anything is allocated for it.  Each
     entry is read straight into the writable, native-order array returned
     for it and hashed there, so the file is read once and not copied.
+
+    ``narrow(name, arrays)``, given the entries read so far, may name an
+    integer dtype for an integer entry; that entry is then read by
+    :func:`_read_narrow`, a chunk at a time, into an array of that dtype.
     """
     digest = hashlib.sha256()
     arrays = {}
@@ -713,6 +818,10 @@ def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> di
             shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
             stored = np.dtype(dtype)
             room(math.prod(shape) * stored.itemsize)
+            into = narrow(name, arrays) if narrow else None
+            if into is not None:
+                arrays[name] = _read_narrow(fh, digest, shape, stored, into)
+                continue
             array = np.empty(shape, dtype=stored)
             fh.readinto(array.reshape(-1).view(np.uint8))
             digest.update(array)
@@ -740,7 +849,9 @@ _SPLIT_SPEC = (
 def export_log(train: PurchaseLog, test: PurchaseLog, cats: CategoryMap, path) -> None:
     """Write a train/test split and its category map as one bundle: the
     dimensions ``m n l r``, both sorted triplet sets with dense ids (the
-    test set may be empty) and the dense item -> category assignment."""
+    test set may be empty) and the dense item -> category assignment.  The
+    ids are stored as int64 whatever the logs' dtype, each column cast on
+    its own as it is written."""
     _write_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC, {
         "dims": [train.m, train.n, train.l, cats.r],
         "train": (train.users, train.items, train.slots),
@@ -774,9 +885,17 @@ def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
 
 def load_log(path) -> tuple[PurchaseLog, PurchaseLog, CategoryMap]:
     """Read a bundle written by :func:`export_log` back, verbatim, as
-    ``(train, test, cats)``; ``test`` may hold no records."""
+    ``(train, test, cats)``; ``test`` may hold no records.  The triplet
+    blocks are read a chunk at a time into :func:`_id_dtype` columns of the
+    bundle's dims, so loading holds the narrow logs, not their int64 rows."""
+
+    def narrow(name, arrays):
+        if name in ("train", "test") and arrays["dims"].shape == (4,):
+            return _id_dtype(*arrays["dims"][:3].tolist())
+        return None
+
     arrays = _read_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC,
-                          DataFormatError, "split bundle")
+                          DataFormatError, "split bundle", narrow)
     if arrays["dims"].shape != (4,):
         raise DataFormatError(f"{path}: expected dims 'm n l r'")
     m, n, l, r = (int(v) for v in arrays["dims"])

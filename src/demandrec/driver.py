@@ -1,8 +1,8 @@
 """Two-block alternating minimization and model persistence.
 
-Each outer iteration solves the duration subproblem exactly (per-category
-breakpoint sweeps), then runs inner proximal-gradient steps on the utility
-matrix.  Both blocks can only lower the joint objective
+Each outer iteration solves the duration subproblem exactly (a breakpoint
+sweep per category, built and swept one category at a time), then runs inner
+proximal-gradient steps on the utility matrix.  Both blocks can only lower the joint objective
 
     eta * hinge(positives) + (1 - eta) * shrinkage(unlabeled) + lam ||X||_*
 
@@ -146,6 +146,7 @@ def fit(
     iteration = 0
     for iteration in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
+        # each category's workset is built as the update asks for it
         d, flags = update_durations(build_worksets(rec, X))
         targets = compute_targets(rec, d)
         X = update_X(X, targets, cfg)

@@ -14,10 +14,17 @@ with O(1) running-sum updates minimizes it exactly in O(Q log Q).
 
 Triplets with infinite recency (no earlier purchase in the category) never
 leave the flat regime; their losses are folded into ``constant_loss``.
+
+The update holds one category at a time: :func:`build_worksets` yields each
+category's workset as it is built, and :func:`update_durations` sweeps it and
+drops it before the next one is built.  Besides the arrays shared by all
+categories (the grouping permutation and the pair utilities), the largest
+category's workset and its sweep are all that is alive at the peak.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +48,16 @@ class CategoryWorkSet:
         return self.s.shape[0]
 
 
-def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
-    """One workset per category of ``rec`` from the current utilities.
+def build_worksets(rec: TripletRecency, X) -> Iterator[CategoryWorkSet]:
+    """One workset per category of ``rec`` from the current utilities,
+    yielded in category order, each built when it is asked for.
 
     A category's triplets are a slice of one stable argsort of
     ``rec.categories``, so each is in storage order, and the grouping costs
-    O(nnz) at any r.  The permutation lives only in this call, and the
-    utilities are gathered per category through ``pairs.index``, so no
-    per-triplet utility array is held beside it.  Every
+    O(nnz) at any r.  The permutation lives only until the last workset
+    is built, and the utilities are gathered per category through
+    ``pairs.index``, so no per-triplet utility array is held beside it.
+    The work runs as the worksets are taken, not when this is called.  Every
     finite-recency positive triplet lands in exactly one workset;
     infinite-recency ones only contribute their flat loss.
 
@@ -62,30 +71,37 @@ def build_worksets(rec: TripletRecency, X) -> list[CategoryWorkSet]:
     z_pair = X.pair_values(pairs.users, pairs.items)
     by_cat = np.argsort(rec.categories, kind="stable")
     ends = [0, *np.cumsum(np.bincount(rec.categories, minlength=rec.r)).tolist()]
-
-    worksets = []
     for cat in range(rec.r):
-        idx = by_cat[ends[cat] : ends[cat + 1]]
-        z = z_pair[pairs.index[idx]]
-        t = rec.recency[idx]
-        finite = np.isfinite(t)
-        const = 0.0
-        if not finite.all():
-            zi = z[~finite]
-            flat_inf = np.maximum(1.0 - zi, 0.0)
-            const = float(flat_inf @ flat_inf)
-            z = z[finite]
-            t = t[finite]
-        s = t + np.maximum(z - 1.0, 0.0)
-        keys = t.astype(np.int16) if radix and np.array_equal(s, t) else s
-        sort = np.argsort(keys, kind="stable")
-        del keys
-        # one sorted copy at a time, each replacing its input
-        z = z[sort]
-        t = t[sort]
-        s = s[sort]
-        worksets.append(CategoryWorkSet(category=cat, z=z, t=t, s=s, constant_loss=const))
-    return worksets
+        # built in a call of its own, so no array of it stays behind here
+        # while the caller sweeps it
+        yield _workset(rec, cat, by_cat[ends[cat] : ends[cat + 1]], z_pair,
+                       pairs.index, radix)
+
+
+def _workset(rec: TripletRecency, cat: int, idx, z_pair, pair_index,
+             radix: bool) -> CategoryWorkSet:
+    """The workset of category ``cat``, whose triplets are ``idx``."""
+    z = z_pair[pair_index[idx]]
+    t = rec.recency[idx]
+    finite = np.isfinite(t)
+    const = 0.0
+    if not finite.all():
+        zi = z[~finite]
+        flat_inf = np.maximum(1.0 - zi, 0.0)
+        const = float(flat_inf @ flat_inf)
+        del zi, flat_inf
+        z = z[finite]
+        t = t[finite]
+    del finite
+    s = t + np.maximum(z - 1.0, 0.0)
+    keys = t.astype(np.int16) if radix and np.array_equal(s, t) else s
+    sort = np.argsort(keys, kind="stable")
+    del keys
+    # one sorted copy at a time, each replacing its input
+    z = z[sort]
+    t = t[sort]
+    s = s[sort]
+    return CategoryWorkSet(category=cat, z=z, t=t, s=s, constant_loss=const)
 
 
 def sweep_category(ws: CategoryWorkSet):
@@ -103,8 +119,12 @@ def sweep_category(ws: CategoryWorkSet):
     """
     if ws.size == 0:
         return None
-    coef = 1.0 - ws.z - ws.t
-    flat = np.maximum(1.0 - ws.z, 0.0) ** 2
+    # 1 - z - t and max(1 - z, 0)^2, each in one array
+    coef = 1.0 - ws.z
+    coef -= ws.t
+    flat = 1.0 - ws.z
+    np.maximum(flat, 0.0, out=flat)
+    flat **= 2
     d_star, g_min = kernels.sweep_min(ws.s, coef, flat)
     return float(max(d_star, 0.0)), float(g_min + ws.constant_loss)
 
@@ -116,19 +136,22 @@ def category_objective(ws: CategoryWorkSet, d: float) -> float:
     return float(gap @ gap) + ws.constant_loss
 
 
-def update_durations(worksets: list[CategoryWorkSet]):
-    """Solve every category subproblem exactly.
+def update_durations(worksets: Iterable[CategoryWorkSet]):
+    """Solve every category subproblem exactly, one workset at a time, in
+    the order ``worksets`` gives them (one per category, in category order,
+    as :func:`build_worksets` yields them).  Each workset is dropped once it
+    is swept, so a generator's next one is built without it.
 
     Returns ``(d, empty_categories)`` where ``d`` is the new duration vector
     and ``empty_categories`` lists categories that had no finite-recency
     records; those keep the default duration 0.
     """
-    d = np.zeros(len(worksets))
+    d = []
     empty = []
-    for i, ws in enumerate(worksets):
+    for ws in worksets:
         res = sweep_category(ws)
         if res is None:
             empty.append(ws.category)
-        else:
-            d[i] = res[0]
-    return d, tuple(empty)
+        d.append(0.0 if res is None else res[0])
+        del ws
+    return np.array(d), tuple(empty)

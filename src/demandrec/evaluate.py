@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RecencyIndex, _encode_keys
+from .data import RecencyIndex, _encode_keys, _take
 from .driver import ModelState
 
 _BLOCK_CELLS = 2**18  # cells per scoring block: 2 MB of float64
@@ -165,7 +165,11 @@ class MetricReport:
 
 
 def _check_test(test_users, test_items, test_slots):
-    tu, ti, tk = (np.asarray(a, dtype=np.int64) for a in (test_users, test_items, test_slots))
+    """The test columns as arrays: int32 and int64 arrays as they are (a
+    log's columns are not widened), anything else as int64."""
+    tu, ti, tk = (np.asarray(a) for a in (test_users, test_items, test_slots))
+    tu, ti, tk = (a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+                  for a in (tu, ti, tk))
     if tu.shape[0] == 0:
         raise ValueError("no test records")
     if not (tu.shape == ti.shape == tk.shape):
@@ -292,7 +296,7 @@ def time_prediction_metric(
     tu, ti, tk = _check_test(test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     n, l, r = model.n, model.l, model.r
-    keys = _encode_keys(tu, assignment[ti], 0, (model.m, r, 1))
+    keys = _encode_keys(tu, _take(assignment, ti), 0, (model.m, r, 1))
     order = np.argsort(keys, kind="stable")
     new_group = np.diff(keys[order], prepend=-1) != 0
     group_of = np.cumsum(new_group) - 1  # group of each record in sorted order

@@ -97,12 +97,33 @@ def strict_prev_gap(slots, new_group):
 
 
 def sweep_min(s, coef, flat):
-    q = np.arange(1, s.shape[0] + 1)
-    f_run = np.cumsum(coef)
-    w_run = np.cumsum(coef * coef)
-    r_run = flat.sum() - np.cumsum(flat)
-    s_next = np.append(s[1:], np.inf)
-    d_cand = np.clip(-f_run / q, s, s_next)
-    g_cand = q * d_cand * d_cand + 2.0 * f_run * d_cand + w_run + r_run
+    """``(d, g)``: the first interval optimum of least ``g`` among the
+    candidates ``d_q = clip(-F_q / q, s_q, s_{q+1})`` (``s_{Q+1} = inf``)
+    with values ``g_q = q*d_q*d_q + 2*F_q*d_q + W_q + R_q``.
+
+    Each expression is evaluated operation by operation in that order, in
+    place, so the result has the bits of the direct expressions.  The
+    running sums F, W and R take turns in one array, each added to ``g``
+    before the next is summed, so the sweep holds three sweep-length arrays
+    (q, then g; the running sum; d) besides its inputs."""
+    q = np.arange(1.0, s.shape[0] + 1)  # exact integers, as an int q converts
+    run = np.cumsum(coef)  # F
+    d_cand = np.negative(run)
+    d_cand /= q
+    # clip to [s_q, s_{q+1}]; the last interval is unbounded above
+    np.clip(d_cand[:-1], s[:-1], s[1:], out=d_cand[:-1])
+    np.clip(d_cand[-1:], s[-1:], np.inf, out=d_cand[-1:])
+    g_cand = q  # q*d*d + 2*F*d + W + R, left to right, in q's array
+    g_cand *= d_cand
+    g_cand *= d_cand
+    run *= 2.0
+    run *= d_cand
+    g_cand += run
+    np.multiply(coef, coef, out=run)
+    np.cumsum(run, out=run)  # W
+    g_cand += run
+    np.cumsum(flat, out=run)
+    np.subtract(flat.sum(), run, out=run)  # R
+    g_cand += run
     best = int(np.argmin(g_cand))
     return float(d_cand[best]), float(g_cand[best])

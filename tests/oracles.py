@@ -73,6 +73,21 @@ def grid_min_duration(zs, ts, d_max, step=1e-4):
     return float(grid[q]), float(total[q])
 
 
+def sweep_min_direct(s, coef, flat):
+    """The duration sweep's interval optima as direct whole-array
+    expressions, each temporary its own array: ``(d, g)`` of the first
+    least candidate."""
+    q = np.arange(1, s.shape[0] + 1)
+    f_run = np.cumsum(coef)
+    w_run = np.cumsum(coef * coef)
+    r_run = flat.sum() - np.cumsum(flat)
+    s_next = np.append(s[1:], np.inf)
+    d_cand = np.clip(-f_run / q, s, s_next)
+    g_cand = q * d_cand * d_cand + 2.0 * f_run * d_cand + w_run + r_run
+    best = int(np.argmin(g_cand))
+    return float(d_cand[best]), float(g_cand[best])
+
+
 def dense_objective(X, d, triplets, assignment, l, eta, lam):
     """Full objective evaluated cell by cell over the m x n x l cube."""
     m, n = X.shape

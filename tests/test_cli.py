@@ -318,9 +318,10 @@ class TestTrain:
             assert key in err[0]
             assert not outdir.exists()
 
-    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
-    def test_bad_split_fraction_is_one_config_error_before_any_read(
-            self, tmp_path, capsys, monkeypatch, fraction):
+    @staticmethod
+    def refused_before_any_read(tmp_path, capsys, monkeypatch, setting):
+        """The stderr lines of a train run with ``setting`` after a synth
+        run, checked to exit 2 without reading a CSV or adding a file."""
         assert run(tmp_path, "synth") == 0
         before = sorted(path.name for path in tmp_path.iterdir())
         read = []
@@ -332,11 +333,32 @@ class TestTrain:
 
         monkeypatch.setattr(cli, "ingest_purchases", spy)
         capsys.readouterr()
-        assert run(tmp_path, "train", "--set", f"split_fraction={fraction}") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error:config: split_fraction must be in [0, 1), got {float(fraction)}"]
+        assert run(tmp_path, "train", "--set", setting) == 2
         assert read == []
         assert sorted(path.name for path in tmp_path.iterdir()) == before
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
+    def test_bad_split_fraction_is_one_config_error_before_any_read(
+            self, tmp_path, capsys, monkeypatch, fraction):
+        err = self.refused_before_any_read(tmp_path, capsys, monkeypatch,
+                                           f"split_fraction={fraction}")
+        assert err == [f"error:config: split_fraction must be in [0, 1), got {float(fraction)}"]
+
+    @pytest.mark.parametrize("granularity", ["0", "-1", "inf", "nan"])
+    def test_bad_granularity_is_one_config_error_before_any_read(
+            self, tmp_path, capsys, monkeypatch, granularity):
+        err = self.refused_before_any_read(tmp_path, capsys, monkeypatch,
+                                           f"granularity={granularity}")
+        assert err == ["error:config: granularity must be finite and positive, "
+                       f"got {float(granularity)}"]
+
+    def test_unknown_timestamp_format_is_one_config_error_before_any_read(
+            self, tmp_path, capsys, monkeypatch):
+        err = self.refused_before_any_read(tmp_path, capsys, monkeypatch,
+                                           "timestamp_format=unix")
+        assert err == ["error:config: timestamp_format must be one of ('days', 'iso'), "
+                       "got 'unix'"]
 
     def test_unsplit_log_is_released_before_the_fit(self, tmp_path, monkeypatch):
         """The split's logs are copies, so the fit runs without the log

@@ -652,7 +652,9 @@ def _digest(*arrays):
 class TestPinnedOutputs:
     """sha256 of the generated log, its split and the triplet recency on a
     small seeded instance, recorded before the ordering code was rewritten
-    around one int64 key: a refactor must reproduce them byte for byte."""
+    around one int64 key: a refactor must reproduce them byte for byte.
+    The ids were int64 then, so they are hashed as int64 values whatever
+    dtype the log holds them in."""
 
     PINNED = {
         0.0: ("481f3e10a1163a912edd7318cc2410dba99d810429096bba7fe512b8eb3d2da7",
@@ -672,13 +674,106 @@ class TestPinnedOutputs:
         log = inst.log
         split = split_train_test(log, 0.2, seed=5)
         train = split.train
+
+        def ids(log):
+            return (log.users.astype(np.int64), log.items.astype(np.int64),
+                    log.slots.astype(np.int64))
+
         got = (
-            _digest(log.users, log.items, log.slots, [log.m, log.n, log.l]),
-            _digest(train.users, train.items, train.slots, [train.m, train.n, train.l]),
-            _digest(split.test.users, split.test.items, split.test.slots),
+            _digest(*ids(log), [log.m, log.n, log.l]),
+            _digest(*ids(train), [train.m, train.n, train.l]),
+            _digest(*ids(split.test)),
             _digest(triplet_recency(train, inst.cats).recency),
         )
         assert got == self.PINNED[noise_ratio]
+
+
+class TestIdDtype:
+    """Logs hold their ids as int32 while m, n and l are below 2**31, and
+    as int64 from there on; splitting, slicing and the split bundle keep
+    the dtype."""
+
+    @staticmethod
+    def dtypes(log):
+        return {log.users.dtype, log.items.dtype, log.slots.dtype}
+
+    def test_built_ingested_split_and_loaded_logs_hold_int32(self, tmp_path):
+        ids = np.array([0, 3, 1, 3], dtype=np.int64)
+        built = _build_log(ids, ids, ids, m=4, n=4)
+        assert self.dtypes(built) == {np.dtype(np.int32)}
+        assert triplet_list(built) == [(0, 0, 0), (1, 1, 1), (3, 3, 3)]
+        log = ingest_purchases(write(tmp_path, "p.csv", FIXTURE_ROWS))
+        split = split_train_test(log, 0.3, seed=1)
+        logs = [log, split.train, split.test, log.user_log(1), log.user_log(2**40),
+                log.user_log(-2**40)]
+        cats = CategoryMap(assignment=np.arange(log.n) % 2, r=2)
+        export_log(split.train, split.test, cats, tmp_path / "split.bin")
+        logs.extend(load_log(tmp_path / "split.bin")[:2])
+        for part in logs:
+            assert self.dtypes(part) == {np.dtype(np.int32)}
+        assert log.user_log(1).nnz == 5 and log.user_log(2**40).nnz == 0
+        assert log.user_log(-2**40).nnz == 0
+
+    @pytest.mark.parametrize("dims, dtype", [
+        ((2**31 - 1, 2**31 - 1, 2**31 - 1), np.int32),
+        ((2**31, 1, 1), np.int64), ((1, 2**31, 1), np.int64), ((1, 1, 2**31), np.int64),
+    ])
+    def test_the_dtype_rule(self, dims, dtype):
+        assert data._id_dtype(*dims) == dtype
+
+    def test_a_horizon_of_2_31_slots_keeps_int64(self, tmp_path):
+        users = np.array([0, 0, 1, 1], dtype=np.int64)
+        slots = np.array([2**31, 5, 0, 2**31 - 1], dtype=np.int64)
+        log = _build_log(users, users, slots, m=2, n=2)
+        assert log.l == 2**31 + 1
+        split = split_train_test(log, 0.5, seed=3)
+        cats = CategoryMap(assignment=np.zeros(2, dtype=np.int64), r=1)
+        export_log(split.train, split.test, cats, tmp_path / "split.bin")
+        train, test, _ = load_log(tmp_path / "split.bin")
+        for part in (log, split.train, split.test, log.user_log(1), train, test):
+            assert self.dtypes(part) == {np.dtype(np.int64)}
+        assert triplet_list(log) == [(0, 0, 5), (0, 0, 2**31), (1, 1, 0), (1, 1, 2**31 - 1)]
+        assert triplet_list(train) == triplet_list(split.train)
+        assert triplet_list(test) == triplet_list(split.test)
+
+    @pytest.mark.parametrize("value", [2**32, 2**31, -2**32])
+    def test_a_bundle_id_beyond_int32_is_out_of_bounds(self, tmp_path, value):
+        """Read into int32, an id that int32 cannot hold saturates instead of
+        wrapping round to a valid id, so the bounds check still refuses it."""
+        out = TestExportLoad().write_raw(tmp_path / "split.bin", [2, 2, 4, 1],
+                                         [0, 0, 1, value, 1, 1], [], [0, 0])
+        with pytest.raises(DataFormatError, match="bounds"):
+            load_log(out)
+
+
+class TestIntCodes:
+    """Ingest codes an integer id column through a presence mask when its
+    values are dense, and through np.unique otherwise; both give what
+    np.unique gives."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "negative", "one value", "wide"])
+    def test_both_paths_match_unique(self, monkeypatch, kind):
+        rng = np.random.default_rng(37)
+        column = {
+            "dense": rng.integers(1_000, 3_000, size=5_000),
+            "sparse": rng.integers(0, 10**12, size=5_000),
+            "negative": rng.integers(-2_500, 500, size=5_000),
+            "one value": np.full(7, -4),
+            "wide": np.array([-2**63 + 1, 2**63 - 1, 0, 0]),
+        }[kind].astype(np.int64)
+        want_values, want_codes = np.unique(column, return_inverse=True)
+        unique_calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            unique_calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        values, codes = data._int_codes(column)
+        assert (len(unique_calls) == 1) == (kind in ("sparse", "wide"))
+        assert values.dtype == want_values.dtype and codes.dtype == want_codes.dtype
+        assert np.array_equal(values, want_values) and np.array_equal(codes, want_codes)
 
 
 class TestSplit:

@@ -16,13 +16,14 @@ from helpers import (
     write_version_2_model,
 )
 
-from demandrec import driver, kernels, utility
+from demandrec import data, driver, kernels, utility
 from demandrec.data import (
     CategoryMap,
     PurchaseLog,
     RecencyIndex,
     _build_log,
     build_recency_index,
+    split_train_test,
     triplet_recency,
 )
 from demandrec.driver import (
@@ -33,7 +34,13 @@ from demandrec.driver import (
     save_model,
 )
 from demandrec.errors import DataFormatError, ModelFileError, SolverError
-from demandrec.evaluate import score
+from demandrec.evaluate import (
+    category_prediction_metric,
+    item_prediction_metric,
+    recommend_topn,
+    score,
+    time_prediction_metric,
+)
 from demandrec.utility import FactoredUtilityMatrix, SolverConfig
 
 
@@ -247,6 +254,8 @@ class TestPairValueReuse:
 
 
 class TestWorkingSet:
+    N = 5_000  # users and items of the traced fits
+
     def test_fit_never_builds_the_event_keys(self, monkeypatch):
         # the event keys are built by the scorers' RecencyIndex constructor
         built = []
@@ -270,17 +279,36 @@ class TestWorkingSet:
         that grouped the triplets by category to 89.2.  Dropping each
         round's hinge targets before the next round's worksets, and keeping
         an iterate's per-pair hinge sums only until its gradient step has
-        folded them in, brought it to 81.4.  scipy.sparse is
+        folded them in, brought it to 81.4; int32 ids and a duration
+        update that holds one category at a time leave it there, as its
+        categories are balanced and its peak is the hinge pass.  scipy.sparse is
         imported at the top of this file: a first import inside the traced
         fit would add about 68 bytes per record."""
-        m = n = 5_000
-        l, r, nnz = 100, 10, 200_000
+        assert self.traced_fit_peak(np.arange(self.N, dtype=np.int64) % 10) < 84
+
+    def test_peak_memory_with_one_dominant_category(self):
+        """Category 0 owns 70% of the items, so its workset dominates.  A
+        duration update that built every category's workset before sweeping
+        any, and swept with about ten sweep-length temporaries, peaked at
+        114.5 traced bytes per record here; one category at a time, swept
+        in three arrays, it peaks at 92.3."""
+        top = 7 * self.N // 10
+        assignment = np.concatenate([np.zeros(top, dtype=np.int64),
+                                     1 + np.arange(self.N - top) % 9])
+        assert self.traced_fit_peak(assignment) < 100
+
+    def traced_fit_peak(self, assignment):
+        """Traced peak bytes per record of a two-round fit on 200,000
+        distinct uniform triplets, m = n = N, l = 100, with the items in
+        the categories of ``assignment``."""
+        m = n = self.N
+        l, nnz = 100, 200_000
         rng = np.random.default_rng(0)
         draw = np.sort(rng.integers(0, m * n * l, size=int(nnz * 1.05), dtype=np.int64))
         codes = draw[np.append(True, draw[1:] != draw[:-1])][:nnz]
         log = _build_log(codes // (n * l), (codes // l) % n, codes % l, m=m, n=n)
         del draw, codes
-        cats = CategoryMap(assignment=np.arange(n, dtype=np.int64) % r, r=r)
+        cats = CategoryMap(assignment=assignment, r=int(assignment.max()) + 1)
         cfg = SolverConfig(outer_iters=2, inner_iters=5, max_rank=10, tol=1e-12, seed=0)
         tracemalloc.start()
         try:
@@ -289,7 +317,50 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert (log.nnz, report.iterations) == (nnz, 2)
-        assert peak / nnz < 84
+        return peak / nnz
+
+
+def _bits(*arrays):
+    """The raw bytes of float arrays, so that equal means bit for bit."""
+    return [np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+class TestIdDtypeEquivalence:
+    @pytest.mark.parametrize("chunk", [7, data._CHUNK_TRIPLETS])
+    def test_int32_and_int64_ids_give_the_same_bits(self, monkeypatch, chunk):
+        """One log held with int32 ids and with int64 ids: the fit, the
+        recency answers, the three metrics and a top-N list agree bit for
+        bit, also with chunks of 7 triplets in the chunked passes."""
+        monkeypatch.setattr(data, "_CHUNK_TRIPLETS", chunk)
+        log32, cats, *_ = small_instance(seed=71, m=40, n=30, l=25, r=3, count=700)
+        assert log32.users.dtype == np.int32
+        log64 = PurchaseLog(users=log32.users.astype(np.int64),
+                            items=log32.items.astype(np.int64),
+                            slots=log32.slots.astype(np.int64),
+                            m=log32.m, n=log32.n, l=log32.l)
+        cfg = SolverConfig(outer_iters=3, inner_iters=4, max_rank=5, tol=1e-12, seed=1)
+        users, slots = np.arange(log32.m)[:, None], np.arange(-1, log32.l + 2)
+        got = []
+        for log in (log32, log64):
+            split = split_train_test(log, 0.2, seed=4)
+            train, test = split.train, split.test
+            assert {train.users.dtype, test.slots.dtype} == {log.users.dtype}
+            state, report = fit(train, cats, cfg)
+            rec = build_recency_index(train, cats)
+            tu, ti, tk = test.users, test.items, test.slots
+            time_errors = time_prediction_metric(state, rec, tu, ti, tk,
+                                                 tau=0.5 * state.X.dense().max())[1]
+            assert len(np.unique(time_errors)) > 1
+            got.append((
+                _bits(state.d, state.X.U, state.X.sigma, state.X.V, report.objective_history),
+                _bits(rec.query(users, 1, slots), rec.user_gaps(3, 11)),
+                _bits(category_prediction_metric(state, rec, tu, ti, tk)[1],
+                      time_errors,
+                      item_prediction_metric(state, rec, tu, ti, tk, 8, seed=2)[1]),
+                [recommend_topn(state, rec, user, slot, 5)
+                 for user in range(0, log.m, 7) for slot in (0, 9, 30)],
+            ))
+        assert got[0] == got[1]
 
 
 class TestSketchAlgebra:

@@ -72,7 +72,7 @@ class TestBuildWorksets:
         cats = make_cats(assignment, r=3)
         rec = triplet_recency(log, cats)
         X = model_from_dense(rng.random((10, 8)), [0.0] * 3, log.l).X
-        sets = build_worksets(rec, X)
+        sets = list(build_worksets(rec, X))
         n_inf = int(np.isinf(rec.recency).sum())
         assert sum(ws.size for ws in sets) + n_inf == log.nnz
         for ws in sets:
@@ -107,7 +107,7 @@ class TestBuildWorksets:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "argsort", spy)
-            worksets = build_worksets(rec, X)
+            worksets = list(build_worksets(rec, X))
         # categories 0, 2 and the empty 3 take the int16 sort below 2**15
         assert sorted_dtypes.count(np.int16) == (3 if l < 2**15 else 0)
         pairs = log.pairs()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from demandrec import kernels
 
 def random_pairs(rng, m=17, n=13, k=5, npairs=60):
@@ -129,3 +131,20 @@ class TestSweepMin:
             grid = np.linspace(0.0, s[-1] + 5.0, 400)
             best = min(self.direct(s, coef, flat, x) for x in grid)
             assert g <= best + 1e-9 * max(1.0, abs(best))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_place_sweep_has_the_bits_of_the_direct_expressions(self, seed):
+        """The in-place sweep returns the bits of the whole-array
+        expressions, on worksets of every size from one record, with tied
+        breakpoints, a zero breakpoint and inputs not tied to a workset."""
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 3, 17, 1000, 20_000):
+            s = np.sort(rng.uniform(0.0, 50.0, size=size))
+            s[: size // 3] = np.floor(s[: size // 3])  # runs of equal breakpoints
+            s[0] = 0.0 if seed % 2 else s[0]
+            coef = rng.uniform(-60.0, 2.0, size=size)
+            flat = rng.uniform(0.0, 4.0, size=size) ** 2
+            want = oracles.sweep_min_direct(s, coef, flat)
+            got = kernels.sweep_min(s, coef, flat)
+            assert np.array(got).view(np.int64).tolist() == \
+                np.array(want).view(np.int64).tolist(), size
