@@ -7,12 +7,12 @@ narrowest of int32 and int64 that fits them (:func:`_id_dtype`).  Slots are
 time bins of configurable granularity.  Recency, "how many slots since user
 i last purchased anything in category c strictly before slot k", is the time
 feature, and two structures hold it, each built in full when it is made:
-:func:`triplet_recency` gives the solver that gap and the category of every
-triplet, and a :class:`RecencyIndex` sorts the log's distinct event keys so
-that ``query`` answers any (user, category, slot), taking arrays that
-broadcast, for the callers that score.  The index is built in chunks of whole
-users, so its build holds about what it keeps, not int64 keys for every
-triplet.
+:func:`triplet_recency` gives the solver one small integer code per triplet
+that holds its category and that gap, and a :class:`RecencyIndex` sorts the
+log's distinct event keys so that ``query`` answers any (user, category,
+slot), taking arrays that broadcast, for the callers that score.  The index
+is built in chunks of whole users, so its build holds about what it keeps,
+not int64 keys for every triplet.
 
 Every sort, dedupe, grouping and order check uses one int64 mixed-radix key
 ``(major * n_middle + middle) * n_minor + minor`` (:func:`_encode_keys`).  It
@@ -553,39 +553,53 @@ def _recency_setup(log: PurchaseLog, cats: CategoryMap):
     return radices, cats.assignment.astype(np.min_scalar_type(max(cats.r - 1, 0)))
 
 
+def _code_dtype(r: int, l: int) -> np.dtype:
+    """The dtype of the triplet codes of r categories and horizon l: uint16
+    while its r * (l + 1) values fit, the narrowest wider unsigned type
+    beyond."""
+    size = r * (l + 1)
+    return np.dtype(np.uint16) if size <= 2**16 else np.min_scalar_type(size - 1)
+
+
 class TripletRecency(NamedTuple):
     """What the solver reads of a log's recency on every iteration, built
-    by :func:`triplet_recency`.  Per-triplet arrays follow the log's
-    storage order.  A category's triplets are found by comparing
-    ``categories`` with it: one pass over 1 byte per triplet, where a kept
-    grouping permutation would hold 8."""
+    by :func:`triplet_recency`: one code per triplet, in the log's storage
+    order.  A triplet of category c whose user last bought in c ``gap``
+    slots earlier has the code ``c * (l + 1) + gap``; the gap ``l``, which
+    no earlier purchase can give, stands for none (infinite recency).  So
+    the codes take r * (l + 1) values, 2 bytes per triplet while that is at
+    most 2**16 (:func:`_code_dtype`), and an ascending order of the codes
+    groups the triplets by category and, within one, by gap, with the
+    triplets without an earlier purchase last."""
 
     log: PurchaseLog
     r: int
-    # float64 gap to the user's closest strictly earlier purchase in the
-    # triplet's category; inf when there is none
-    recency: np.ndarray
-    categories: np.ndarray  # each triplet's category, narrowest unsigned dtype
+    codes: np.ndarray
 
 
 def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
-    """The per-triplet recency gaps and categories of a log, for ``fit``."""
+    """The per-triplet (category, gap) codes of a log, for ``fit``."""
     radices, item_cats = _recency_setup(log, cats)
     trip_cats = _take(item_cats, log.items)
     keys = _encode_keys(log.users, trip_cats, log.slots, radices)
     order = np.argsort(keys)
-    keys = keys[order]
+    keys.sort()  # in place, where a gather through order would copy them
     sk = log.slots[order]
     keys -= sk  # the (user, category) part of each key
     new_group = np.ones(keys.shape[0], dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
     del keys
-    gaps = kernels.strict_prev_gap(sk, new_group)
+    gaps = kernels.strict_prev_gap(sk, new_group, none=log.l)
     del sk, new_group
-    recency = np.empty(log.nnz)
-    recency[order] = gaps
+    codes = np.empty(log.nnz, dtype=_code_dtype(cats.r, log.l))
+    codes[order] = gaps
     del order, gaps
-    return TripletRecency(log=log, r=cats.r, recency=recency, categories=trip_cats)
+    # add each triplet's category part c * (l + 1), a chunk at a time
+    base = (np.arange(cats.r, dtype=np.int64) * (log.l + 1)).astype(codes.dtype)
+    for lo in range(0, log.nnz, _CHUNK_TRIPLETS):
+        chunk = slice(lo, lo + _CHUNK_TRIPLETS)
+        codes[chunk] += base.take(trip_cats[chunk])
+    return TripletRecency(log=log, r=cats.r, codes=codes)
 
 
 class RecencyIndex:

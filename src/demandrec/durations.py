@@ -18,8 +18,9 @@ leave the flat regime; their losses are folded into ``constant_loss``.
 The update holds one category at a time: :func:`build_worksets` yields each
 category's workset as it is built, and :func:`update_durations` sweeps it and
 drops it before the next one is built.  Besides the arrays shared by all
-categories (the grouping permutation and the pair utilities), the largest
-category's workset and its sweep are all that is alive at the peak.
+categories (the code permutation, the sorted codes and the pair utilities),
+the largest category's workset and its sweep are all that is alive at the
+peak.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import TripletRecency
+from .data import _CHUNK_TRIPLETS, TripletRecency, _search, _take
 
 
 @dataclass(eq=False)
@@ -40,7 +41,7 @@ class CategoryWorkSet:
     category: int
     z: np.ndarray  # pair utilities, sorted by s
     t: np.ndarray  # finite recency gaps, sorted by s
-    s: np.ndarray  # breakpoints t + max(z - 1, 0), ascending
+    s: np.ndarray  # breakpoints t + max(z - 1, 0), ascending; t itself when every z <= 1
     constant_loss: float  # summed flat losses of infinite-recency records
 
     @property
@@ -52,51 +53,73 @@ def build_worksets(rec: TripletRecency, X) -> Iterator[CategoryWorkSet]:
     """One workset per category of ``rec`` from the current utilities,
     yielded in category order, each built when it is asked for.
 
-    A category's triplets are a slice of one stable argsort of
-    ``rec.categories``, so each is in storage order, and the grouping costs
-    O(nnz) at any r.  The permutation lives only until the last workset
-    is built, and the utilities are gathered per category through
-    ``pairs.index``, so no per-triplet utility array is held beside it.
-    The work runs as the worksets are taken, not when this is called.  Every
-    finite-recency positive triplet lands in exactly one workset;
-    infinite-recency ones only contribute their flat loss.
+    One stable argsort of ``rec.codes`` groups the triplets: a code is
+    ``c * (l + 1) + gap``, so in that order each category's triplets are a
+    slice, in (gap, storage) order, with its triplets without an earlier
+    purchase last and in storage order.  For 2-byte codes numpy radix-sorts,
+    so the grouping costs O(nnz) at any r.  The permutation is held as
+    int32 while the triplets' count fits, and it and the sorted codes live
+    only until the last workset is built; the utilities are gathered per
+    category through ``pairs.index``, so no per-triplet utility array is
+    held beside them.  The work runs as the worksets are taken, not when
+    this is called.  Every finite-recency positive triplet lands in exactly
+    one workset; infinite-recency ones only contribute their flat loss.
 
-    A category whose breakpoints all equal their gaps (every z <= 1, the
-    common case) is ordered by a stable sort of its gaps as int16, which
-    numpy radix-sorts: the gaps are integers below l, so while l < 2**15
-    that is the permutation the stable float sort of ``s`` gives.
+    Where every z of a category is at most 1, each breakpoint equals its
+    gap, and the (gap, storage) order is the permutation the stable float
+    sort of ``s`` gives.  A category with some z above 1 is put back in
+    storage order and stable-sorted by ``s``.
     """
-    radix = rec.log.l < 2**15
+    span = rec.log.l + 1
     pairs = rec.log.pairs()
     z_pair = X.pair_values(pairs.users, pairs.items)
-    by_cat = np.argsort(rec.categories, kind="stable")
-    ends = [0, *np.cumsum(np.bincount(rec.categories, minlength=rec.r)).tolist()]
+    order = np.argsort(rec.codes, kind="stable")
+    if order.shape[0] < 2**31:
+        order = order.astype(np.int32)
+    codes = _take(rec.codes, order)
+    # where each category's slice starts and where its no-purchase part starts
+    firsts = np.arange(rec.r, dtype=np.int64)[:, None] * span + [0, span - 1]
+    bounds = [*_search(codes, firsts.ravel()).tolist(), codes.shape[0]]
     for cat in range(rec.r):
+        lo, mid, hi = bounds[2 * cat : 2 * cat + 3]
         # built in a call of its own, so no array of it stays behind here
         # while the caller sweeps it
-        yield _workset(rec, cat, by_cat[ends[cat] : ends[cat + 1]], z_pair,
-                       pairs.index, radix)
+        yield _workset(cat, order[lo:mid], codes[lo:mid], cat * span, order[mid:hi],
+                       z_pair, pairs.index)
 
 
-def _workset(rec: TripletRecency, cat: int, idx, z_pair, pair_index,
-             radix: bool) -> CategoryWorkSet:
-    """The workset of category ``cat``, whose triplets are ``idx``."""
-    z = z_pair[pair_index[idx]]
-    t = rec.recency[idx]
-    finite = np.isfinite(t)
+def _gather(z_pair, pair_index, idx) -> np.ndarray:
+    """The utilities of the triplets ``idx``, a chunk at a time, so no
+    index array of the whole length is built."""
+    out = np.empty(idx.shape[0])
+    for lo in range(0, idx.shape[0], _CHUNK_TRIPLETS):
+        chunk = slice(lo, lo + _CHUNK_TRIPLETS)
+        z_pair.take(pair_index.take(idx[chunk]), out=out[chunk])
+    return out
+
+
+def _workset(cat: int, finite, codes, base: int, never, z_pair,
+             pair_index) -> CategoryWorkSet:
+    """The workset of category ``cat`` from its finite-recency triplets
+    ``finite`` in (gap, storage) order, their ``codes`` (gap plus ``base``)
+    and its triplets ``never`` without an earlier purchase."""
     const = 0.0
-    if not finite.all():
-        zi = z[~finite]
-        flat_inf = np.maximum(1.0 - zi, 0.0)
+    if never.shape[0]:
+        flat_inf = np.maximum(1.0 - _gather(z_pair, pair_index, never), 0.0)
         const = float(flat_inf @ flat_inf)
-        del zi, flat_inf
-        z = z[finite]
-        t = t[finite]
-    del finite
+        del flat_inf
+    z = _gather(z_pair, pair_index, finite)
+    t = codes.astype(np.float64)
+    t -= base
+    if (z <= 1.0).all():
+        return CategoryWorkSet(category=cat, z=z, t=t, s=t, constant_loss=const)
+    # storage order, then the stable float sort of the breakpoints
+    back = np.argsort(finite)
+    z = z[back]
+    t = t[back]
+    del back
     s = t + np.maximum(z - 1.0, 0.0)
-    keys = t.astype(np.int16) if radix and np.array_equal(s, t) else s
-    sort = np.argsort(keys, kind="stable")
-    del keys
+    sort = np.argsort(s, kind="stable")
     # one sorted copy at a time, each replacing its input
     z = z[sort]
     t = t[sort]

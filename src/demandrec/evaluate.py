@@ -189,7 +189,8 @@ def _category_ranks_full(model, rec, tu, ti, tk) -> np.ndarray:
     ranks = np.empty(tu.shape[0])
     for blk in _blocks(tu.shape[0], model.n):
         scores = _scores(model, rec, tu[blk], tk[blk])
-        best = np.argmax(np.where(assignment == assignment[ti[blk], None], scores, -np.inf), 1)
+        own = assignment.take(ti[blk])[:, None]
+        best = np.argmax(np.where(assignment == own, scores, -np.inf), 1)
         ranks[blk] = _rank(scores, np.arange(model.n), scores[np.arange(len(best)), best], best)
     return ranks
 
@@ -237,9 +238,10 @@ def category_prediction_metric(
         for part in _blocks(recs.shape[0], r):
             idx, row = recs[part], row_of[part, None]
             pen = _penalties(model, rec, tu[idx], tk[idx])
-            own = assignment[ti[idx], None] == np.arange(r)
+            cat = assignment.take(ti[idx])
+            own = cat[:, None] == np.arange(r)
             # the penalized score of the last, largest utility of the category
-            best = (zs[row[:, 0] + ends[assignment[ti[idx]]] - 1] - pen[own])[:, None]
+            best = (zs[row[:, 0] + ends[cat] - 1] - pen[own])[:, None]
             # first position of each category whose z - p beats the best
             lo = np.broadcast_to(starts, pen.shape).copy()
             hi = np.broadcast_to(ends, pen.shape).copy()
@@ -301,7 +303,8 @@ def time_prediction_metric(
     new_group = np.diff(keys[order], prepend=-1) != 0
     group_of = np.cumsum(new_group) - 1  # group of each record in sorted order
     bounds = np.append(np.nonzero(new_group)[0], tu.shape[0])
-    users, cats = tu[order[new_group]], assignment[ti[order[new_group]]]
+    firsts = order[new_group]
+    users, cats = tu[firsts], assignment.take(ti[firsts])
     # the best utility of every category of each distinct user, one row
     # each; a category that owns no item keeps -inf
     distinct, user_of = np.unique(users, return_inverse=True)
@@ -403,7 +406,7 @@ def item_prediction_metric(
             for sub in _slices(part.stop - part.start, step):
                 blk = slice(part.start + sub.start, part.start + sub.stop)
                 cand = cands[blk]
-                weights = (X.U[users[blk]] * X.sigma)[:, :, None]
+                weights = (X.U.take(users[blk], axis=0) * X.sigma)[:, :, None]
                 z = np.matmul(X.V.take(cand, axis=0), weights)[:, :, 0]
                 scores = z - np.take_along_axis(pens[sub], assignment[cand], axis=1)
                 out[blk] = _rank(scores[:, 1:], cand[:, 1:], scores[:, 0], cand[:, 0])

@@ -40,29 +40,36 @@ def pair_values(U, sigma, V, pair_users, pair_items):
 
 # ---------------------------------------------------------------------------
 # hinge_stats: per-pair sums of max(target - value, 0) over positive triplets
-# plus the total of the squared hinges.  pair_index maps each triplet to its
-# (user, item) pair; pairs are contiguous because triplets are stored sorted.
+# plus the total of the squared hinges.  A triplet's target is the entry of a
+# small target table at the triplet's code; pair_index maps each triplet to
+# its (user, item) pair, and pairs are contiguous because triplets are stored
+# sorted.  The targets are read from the table a block at a time into the one
+# triplet-length array of the pair values, so they are never held for every
+# triplet; the sums and the total are each one pass over that array, as they
+# would be over a whole-array expression.
 
 
-def hinge_stats(targets, pair_x, pair_index, n_pairs):
+def hinge_stats(table, codes, pair_x, pair_index, n_pairs):
     gap = pair_x[pair_index]  # one triplet-length array, updated in place
-    np.subtract(targets, gap, out=gap)
-    np.maximum(gap, 0.0, out=gap)
+    for start in range(0, gap.shape[0], _PAIR_BLOCK):
+        block = gap[start : start + _PAIR_BLOCK]
+        np.subtract(table.take(codes[start : start + _PAIR_BLOCK]), block, out=block)
+        np.maximum(block, 0.0, out=block)
     sums = np.bincount(pair_index, weights=gap, minlength=n_pairs)
     return sums, float(gap @ gap)
 
 
 # ---------------------------------------------------------------------------
 # strict_prev_gap: for slot sequences sorted ascending within groups, the gap
-# to the closest strictly smaller slot in the same group (inf when none).
-# Equal slots share a predecessor, so same-slot purchases never see each other.
-# The run starts are propagated in place, so besides the output at most two
-# index-length integer arrays are alive at once.
+# to the closest strictly smaller slot in the same group, in the slots' dtype;
+# ``none`` where there is none.  Equal slots share a predecessor, so same-slot
+# purchases never see each other.  The run starts are propagated in place, so
+# besides the output at most two index-length integer arrays are alive at once.
 
 
-def strict_prev_gap(slots, new_group):
+def strict_prev_gap(slots, new_group, none):
     n = slots.shape[0]
-    out = np.full(n, np.inf)
+    out = np.full(n, none, dtype=slots.dtype)
     if n == 0:
         return out
     run_start = new_group.copy()

@@ -24,7 +24,14 @@ objective, the gradient step and the duration worksets all ask for them on
 the log's cached pair arrays, and :meth:`FactoredUtilityMatrix.pair_values`
 keeps its last result for those arrays.  Likewise :class:`HingeTargets`
 keeps the hinge pass of the last pair values it saw: the gradient step takes
-its per-pair sums, and the objective reads its total.
+its per-pair sums, and the objective reads its total.  Once the gradient
+step has built its sparse part, :func:`update_X` drops the iterate's pair
+values, so the sketch and the candidate's hinge pass run without them; only
+a retry after a step halving computes them again.
+
+A positive triplet's target depends only on its category and its recency
+gap, so the targets are one table of r * (l + 1) values indexed by the
+triplet codes of :class:`TripletRecency`, not one float per triplet.
 """
 
 from __future__ import annotations
@@ -140,8 +147,12 @@ class FactoredUtilityMatrix:
         return values
 
     def row_scores(self, user: int) -> np.ndarray:
-        """Utilities of every item for a user id or for each id of an array."""
-        return (self.U[user] * self.sigma) @ self.V.T
+        """Utilities of every item for a user id or for each id of an array.
+        An array's rows are gathered with ``take``, which reads int32 ids (a
+        log's test columns) without converting them first; one id indexes
+        ``U``, which costs a single query less than a ``take`` call."""
+        rows = self.U.take(user, axis=0) if isinstance(user, np.ndarray) else self.U[user]
+        return (rows * self.sigma) @ self.V.T
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
         return self.U @ (self.sigma[:, None] * (self.V.T @ B))
@@ -161,9 +172,13 @@ class FactoredUtilityMatrix:
 
 @dataclass(eq=False)
 class HingeTargets:
-    """Per-triplet margin targets plus the pair structure they live on."""
+    """Margin targets of the positive triplets plus the pair structure they
+    live on.  The target of a triplet is ``table[codes[k]]``: the targets
+    take one value per (category, gap) code of :class:`TripletRecency`, so
+    the table holds r * (l + 1) of them instead of one per triplet."""
 
-    a: np.ndarray  # len nnz, target 1 + max(0, d_c - t)
+    table: np.ndarray  # len r * (l + 1), target 1 + max(0, d_c - gap) of each code
+    codes: np.ndarray  # len nnz, each triplet's code, TripletRecency.codes
     pairs: PairStructure
     l: int
     _last_hinge: tuple | None = field(default=None, repr=False)  # (z_pair, sums, total)
@@ -174,8 +189,8 @@ class HingeTargets:
         # drop the stale sums first, so two sets never live at once
         self._last_hinge = None
         pairs = self.pairs
-        self._last_hinge = (z_pair, *kernels.hinge_stats(self.a, z_pair, pairs.index,
-                                                         pairs.counts.shape[0]))
+        self._last_hinge = (z_pair, *kernels.hinge_stats(
+            self.table, self.codes, z_pair, pairs.index, pairs.counts.shape[0]))
         return self._last_hinge
 
     def hinge_total(self, z_pair) -> float:
@@ -203,15 +218,23 @@ class HingeTargets:
 
 def compute_targets(rec: TripletRecency, d) -> HingeTargets:
     """Hinge targets a_ijk = 1 + max(0, d_c - t_ick) for every positive
-    triplet of ``rec``'s log; infinite recency gives the plain margin 1."""
+    triplet of ``rec``'s log, as one table entry per (category, gap) code;
+    infinite recency gives the plain margin 1.  Each entry is that float
+    expression at its code's category and gap, so a triplet's target has
+    the bits the expression gives at the triplet.  Durations must be finite
+    and nonnegative."""
     d = np.asarray(d, dtype=float)
     if d.shape != (rec.r,):
         raise ConfigError(f"duration vector has shape {d.shape}, expected ({rec.r},)")
+    if not np.isfinite(d).all():
+        raise ConfigError("durations must be finite")
     if d.min() < 0:
         raise ConfigError("durations must be nonnegative")
-    a = 1.0 + np.maximum(0.0, d[rec.categories] - rec.recency)
     log = rec.log
-    return HingeTargets(a=a, pairs=log.pairs(), l=log.l)
+    gaps = np.arange(log.l + 1, dtype=float)
+    gaps[-1] = np.inf  # the gap l stands for no earlier purchase
+    table = 1.0 + np.maximum(0.0, d[:, None] - gaps)
+    return HingeTargets(table=table.ravel(), codes=rec.codes, pairs=log.pairs(), l=log.l)
 
 
 def auto_step(targets: HingeTargets, eta: float) -> float:
@@ -405,14 +428,20 @@ def update_X(
     accepted = 0
     while accepted < cfg.inner_iters:
         op = gradient_step(X, targets, cfg, gamma=gamma)
+        # S holds what the step needed of the iterate's pair values, so the
+        # sketch and the candidate's hinge pass run without them; a retry
+        # after a halving computes them again
+        X._last_values = None
+        targets._last_hinge = None
         U, sig, V = randomized_svd(op, cfg.max_rank, rng=rng, start=X.V)
         del op  # its sparse matrix is not needed to score the candidate
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
         cand_obj = objective(cand, targets, cfg)
         if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
-            # free the rejected step before the retry sketches the next one;
-            # the retry's hinge pass drops the pair values and total kept for it
+            # free the rejected step and its hinge pass before the retry
+            # computes the iterate's pair values again
+            targets._last_hinge = None
             del cand, U, V
             halvings += 1
             if halvings > _MAX_HALVINGS:
@@ -423,9 +452,6 @@ def update_X(
             gamma *= 0.5
             continue
         prev = obj
-        # a replaced iterate's pair values are never read again; dropping
-        # them frees the entry's, which the caller still holds
-        X._last_values = None
         X, obj = cand, cand_obj
         accepted += 1
         if abs(obj - prev) <= cfg.tol * max(1.0, abs(prev)):

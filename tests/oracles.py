@@ -52,6 +52,21 @@ def recency_scan(triplets, assignment, user, cat, slot):
     return math.inf if best is None else float(slot - best)
 
 
+def decode_codes(rec):
+    """(categories, gaps) of a triplet recency's codes c * (l + 1) + gap,
+    the gaps as floats with inf where the code holds the no-purchase gap l."""
+    span = rec.log.l + 1
+    cats, gaps = np.divmod(rec.codes.astype(np.int64), span)
+    gaps = gaps.astype(float)
+    gaps[gaps == span - 1] = math.inf
+    return cats, gaps
+
+
+def triplet_targets(targets):
+    """Each triplet's hinge target, read from the target table at its code."""
+    return targets.table[targets.codes.astype(np.int64)]
+
+
 def duration_loss(zs, ts, d):
     """Direct per-record hinge loss sum at duration d (t may be inf)."""
     total = 0.0

@@ -195,7 +195,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
         got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
-            X_dense, trips, targets.a, cfg.eta, cfg.lam, gamma, log.l,
+            X_dense, trips, oracles.triplet_targets(targets), cfg.eta, cfg.lam, gamma, log.l,
             iters=5, tol=1e-12,
         )
         worst = max(worst, abs(got - history[-1]) / max(1.0, abs(history[-1])))
@@ -221,7 +221,7 @@ def test_criterion_6c_gradient_matches_finite_differences():
         gamma = auto_step(targets, cfg.eta)
         op = gradient_step(model_from_dense(X_dense, [0.0] * r, l).X, targets, cfg)
         grad_lib = (X_dense - op.dense()) / gamma
-        grad_fd = oracles.fd_grad_h(X_dense, trips, targets.a, cfg.eta, log.l)
+        grad_fd = oracles.fd_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         denom = np.maximum(1.0, np.abs(grad_fd))
         worst = max(worst, float(np.max(np.abs(grad_lib - grad_fd) / denom)))
     verdict(

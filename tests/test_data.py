@@ -11,7 +11,7 @@ import pytest
 import oracles
 from helpers import make_cats, make_log, random_triplets, triplet_list
 
-from demandrec import data
+from demandrec import data, kernels
 from demandrec.data import (
     CategoryMap,
     PurchaseLog,
@@ -29,6 +29,7 @@ from demandrec.data import (
 )
 from demandrec.errors import DataFormatError
 from demandrec.synthetic import SynthSpec, generate
+from demandrec.utility import compute_targets
 
 FIXTURE_ROWS = """\
 alice,soap,100
@@ -451,14 +452,14 @@ class TestRecencyIndex:
     def test_same_slot_purchases_do_not_see_each_other(self):
         log = make_log([(0, 0, 5), (0, 1, 5)], m=1, n=2)
         cats = make_cats([0, 0], r=1)
-        assert triplet_recency(log, cats).recency.tolist() == [math.inf, math.inf]
+        assert oracles.decode_codes(triplet_recency(log, cats))[1].tolist() == [math.inf, math.inf]
         rec = build_recency_index(log, cats)
         assert rec.query(0, 0, 5) == math.inf
         assert rec.query(0, 0, 6) == 1.0
 
     def test_category_pools_items(self):
         log = make_log([(0, 0, 2), (0, 1, 6)], m=1, n=2)
-        gaps = triplet_recency(log, make_cats([0, 0], r=1)).recency
+        gaps = oracles.decode_codes(triplet_recency(log, make_cats([0, 0], r=1)))[1]
         # second purchase is a different item, same category
         assert gaps.tolist() == [math.inf, 4.0]
 
@@ -481,7 +482,7 @@ class TestRecencyIndex:
         log = make_log(trips, m=6, n=8)
         cats = make_cats(assignment, r=4)
         rec = build_recency_index(log, cats)
-        gaps = triplet_recency(log, cats).recency
+        gaps = oracles.decode_codes(triplet_recency(log, cats))[1]
         for pos in range(log.nnz):
             u, j, k = log.users[pos], log.items[pos], log.slots[pos]
             assert gaps[pos] == rec.query(int(u), assignment[j], int(k))
@@ -490,7 +491,8 @@ class TestRecencyIndex:
         rng = np.random.default_rng(7)
         trips = random_triplets(rng, m=5, n=5, l=10, count=80)
         log = make_log(trips, m=5, n=5)
-        gaps = triplet_recency(log, make_cats(rng.integers(0, 2, size=5), r=2)).recency
+        gaps = oracles.decode_codes(
+            triplet_recency(log, make_cats(rng.integers(0, 2, size=5), r=2)))[1]
         assert (gaps[np.isfinite(gaps)] >= 1.0).all()
 
     def test_dimension_mismatch_rejected(self):
@@ -534,7 +536,7 @@ class TestRecencyIndex:
         empty = np.empty(0, dtype=np.int64)
         log = PurchaseLog(users=empty, items=empty, slots=empty, m=3, n=4, l=5)
         cats = CategoryMap(np.array([0, 1, 0, 1]), r=2)
-        assert triplet_recency(log, cats).recency.shape == (0,)
+        assert triplet_recency(log, cats).codes.shape == (0,)
         rec = build_recency_index(log, cats)
         got = rec.query(np.arange(3)[:, None, None], np.arange(2)[None, :, None],
                         np.array([-1, 0, 3, 5, 9]))
@@ -633,13 +635,77 @@ class TestRecencyHalves:
         rec = build_recency_index(log, make_cats(rng.integers(0, 3, size=7), r=3))
         assert rec.query(np.arange(6)[:, None], np.arange(3), 7).shape == (6, 3)
 
-    @pytest.mark.parametrize("r, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
-    def test_triplet_categories_are_narrow(self, r, dtype):
-        log = make_log([(0, j, j % 5) for j in range(300)], m=1, n=300)
-        assignment = np.arange(300) % r
-        rec = triplet_recency(log, make_cats(assignment, r=r))
-        assert rec.categories.dtype == dtype
-        assert np.array_equal(rec.categories, assignment[log.items])
+
+class TestTripletCodes:
+    """The solver's recency is one code c * (l + 1) + gap per triplet, the
+    gap l standing for no earlier purchase, and its hinge targets are one
+    table entry per code."""
+
+    @pytest.mark.parametrize("r, l, dtype", [
+        (1, 2**16 - 1, np.uint16), (1, 2**16, np.uint32),
+        (4, 2**14 - 1, np.uint16), (4, 2**14, np.uint32),
+    ])
+    def test_codes_are_two_bytes_up_to_two_to_the_sixteen(self, r, l, dtype):
+        assert data._code_dtype(r, l) == dtype
+        # item j is in category j % r; user 1's second purchase has gap l - 1
+        trips = [(0, j, j % 7) for j in range(2 * r)] + [(1, 0, 0), (1, 0, l - 1)]
+        log = make_log(trips, m=2, n=2 * r)
+        assert log.l == l and (r * (l + 1) <= 2**16) == (dtype == np.uint16)
+        rec = triplet_recency(log, make_cats(np.arange(2 * r) % r, r=r))
+        assert rec.codes.dtype == dtype
+        cats, gaps = oracles.decode_codes(rec)
+        assert np.array_equal(cats, log.items % r)
+        assert gaps[np.isfinite(gaps)].max() == l - 1 and np.isinf(gaps).any()
+
+    def random_setup(self, seed):
+        rng = np.random.default_rng(seed)
+        trips = random_triplets(rng, m=7, n=9, l=14, count=160)
+        assignment = rng.integers(0, 4, size=9).tolist()
+        log = make_log(trips, m=7, n=9)
+        return rng, log, triplet_recency(log, make_cats(assignment, r=4)), assignment
+
+    def scanned_gaps(self, log, assignment):
+        trips = triplet_list(log)
+        return np.array([oracles.recency_scan(trips, assignment, u, assignment[j], k)
+                         for u, j, k in trips])
+
+    def test_decoded_codes_match_the_scan(self):
+        _, log, rec, assignment = self.random_setup(31)
+        cats, gaps = oracles.decode_codes(rec)
+        want = self.scanned_gaps(log, assignment)
+        assert np.isinf(want).sum() > 10 and np.isfinite(want).sum() > 10
+        assert np.array_equal(gaps, want)
+        assert np.array_equal(cats, np.asarray(assignment)[log.items])
+
+    def test_table_targets_have_the_bits_of_the_expression(self):
+        rng, log, rec, assignment = self.random_setup(32)
+        d = np.array([0.0, 3.5, 1e-3, 13.25]) * rng.uniform(0.9, 1.1, size=4)
+        targets = compute_targets(rec, d)
+        assert targets.table.shape == (4 * (log.l + 1),)
+        want = 1.0 + np.maximum(0.0, d[np.asarray(assignment)[log.items]]
+                                - self.scanned_gaps(log, assignment))
+        assert np.array_equal(oracles.triplet_targets(targets), want)
+
+    def test_hinge_stats_of_table_and_codes_match_the_brute_oracle(self, monkeypatch):
+        # blocks of 7 triplets, so every block boundary is exercised
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 7)
+        rng, log, rec, assignment = self.random_setup(33)
+        d = rng.uniform(0.0, 9.0, size=4)
+        targets = compute_targets(rec, d)
+        pairs = log.pairs()
+        z_pair = rng.uniform(-0.5, 2.5, size=pairs.counts.shape[0])
+        sums, total = kernels.hinge_stats(targets.table, targets.codes, z_pair,
+                                          pairs.index, pairs.counts.shape[0])
+        want_sums, want_total = np.zeros_like(z_pair), 0.0
+        for pos, gap in enumerate(self.scanned_gaps(log, assignment)):
+            cat = assignment[log.items[pos]]
+            target = 1.0 + (max(0.0, d[cat] - gap) if math.isfinite(gap) else 0.0)
+            hinge = max(target - z_pair[pairs.index[pos]], 0.0)
+            want_sums[pairs.index[pos]] += hinge
+            want_total += hinge * hinge
+        assert want_total > 0.0
+        np.testing.assert_allclose(sums, want_sums, rtol=1e-12)
+        assert total == pytest.approx(want_total, rel=1e-12)
 
 
 def _digest(*arrays):
@@ -683,7 +749,7 @@ class TestPinnedOutputs:
             _digest(*ids(log), [log.m, log.n, log.l]),
             _digest(*ids(train), [train.m, train.n, train.l]),
             _digest(*ids(split.test)),
-            _digest(triplet_recency(train, inst.cats).recency),
+            _digest(oracles.decode_codes(triplet_recency(train, inst.cats))[1]),
         )
         assert got == self.PINNED[noise_ratio]
 

@@ -73,23 +73,27 @@ class TestBuildWorksets:
         rec = triplet_recency(log, cats)
         X = model_from_dense(rng.random((10, 8)), [0.0] * 3, log.l).X
         sets = list(build_worksets(rec, X))
-        n_inf = int(np.isinf(rec.recency).sum())
+        n_inf = int(np.isinf(oracles.decode_codes(rec)[1]).sum())
         assert sum(ws.size for ws in sets) + n_inf == log.nnz
         for ws in sets:
             assert (np.diff(ws.s) >= 0).all()
 
-    @pytest.mark.parametrize("l", [2**15 - 1, 2**15])
-    def test_radix_and_float_sorts_give_equal_worksets(self, monkeypatch, l):
-        """Below l = 2**15 a category whose breakpoints equal its gaps is
-        sorted by its gaps as int16; every workset equals the float-sorted
-        reference, in a category with z > 1, an empty category, and with
-        gaps up to l - 1, many of them tied."""
+    @pytest.mark.parametrize("l", [2**14 - 1, 2**14, 2**15 - 1, 2**15])
+    def test_radix_and_float_sorts_give_equal_worksets(self, l):
+        """One stable argsort of the codes puts every category in gap
+        order, a radix sort while the codes are 2 bytes (here up to
+        l = 2**14 - 1).  Every workset equals the float-sorted reference:
+        in categories whose z are all at most 1, in a category with every
+        z above 1 and one with some above 1 (both put back in storage
+        order and float-sorted), in an empty category, and with gaps up to
+        l - 1, many of them tied."""
         rng = np.random.default_rng(21)
         m, n = 12, 9
         # items in categories 0-2 by id mod 3; category 3 owns no item
         assignment = np.arange(n) % 3
         dense = rng.uniform(-0.5, 0.9, size=(m, n))
         dense[:, assignment == 1] = 1.25  # every breakpoint of category 1 moves
+        dense[: m // 2, 2] = 1.1  # and some of category 2's
         slots = [0, 1, 5, 10, 15, l - 2, l - 1]
         trips = {(u, i, int(rng.choice(slots))) for u in range(m - 1) for i in range(n)
                  for _ in range(4)}
@@ -97,27 +101,19 @@ class TestBuildWorksets:
         log = make_log(trips, m=m, n=n)
         assert log.l == l
         rec = triplet_recency(log, make_cats(assignment, r=4))
+        assert (rec.codes.dtype == np.uint16) == (l < 2**14)
         X = model_from_dense(dense, [0.0] * 4, l).X
-        sorted_dtypes = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            sorted_dtypes.append(np.asarray(a).dtype)
-            return argsort(a, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "argsort", spy)
-            worksets = list(build_worksets(rec, X))
-        # categories 0, 2 and the empty 3 take the int16 sort below 2**15
-        assert sorted_dtypes.count(np.int16) == (3 if l < 2**15 else 0)
+        worksets = list(build_worksets(rec, X))
         pairs = log.pairs()
         z_trip = X.pair_values(pairs.users, pairs.items)[pairs.index]
-        assert (z_trip[rec.categories == 1] > 1.0).all()
-        finite = rec.recency[np.isfinite(rec.recency)]
+        cats, gaps = oracles.decode_codes(rec)
+        assert (z_trip[cats == 1] > 1.0).all()
+        assert 0 < (z_trip[cats == 2] > 1.0).sum() < (cats == 2).sum()
+        finite = gaps[np.isfinite(gaps)]
         assert finite.shape[0] > 100 and finite.max() == l - 1
         for cat, ws in enumerate(worksets):
-            mine = rec.categories == cat
-            want = make_ws(z_trip[mine], rec.recency[mine], category=cat)
+            mine = cats == cat
+            want = make_ws(z_trip[mine], gaps[mine], category=cat)
             assert ws.category == cat
             for name in ("z", "t", "s"):
                 assert np.array_equal(getattr(ws, name), getattr(want, name)), (cat, name)

@@ -58,33 +58,37 @@ class TestPairValues:
 
 
 class TestHingeStats:
-    def brute(self, targets, pair_x, pair_index, n_pairs):
+    def brute(self, table, codes, pair_x, pair_index, n_pairs):
         sums = np.zeros(n_pairs)
         total = 0.0
         for t, p in enumerate(pair_index):
-            gap = max(targets[t] - pair_x[p], 0.0)
+            gap = max(table[codes[t]] - pair_x[p], 0.0)
             sums[p] += gap
             total += gap * gap
         return sums, total
 
-    def inputs(self, rng, n_pairs=25, n_trip=80):
-        targets = rng.uniform(0.0, 5.0, size=n_trip)
+    def inputs(self, rng, n_pairs=25, n_trip=80, n_codes=30):
+        table = rng.uniform(0.0, 5.0, size=n_codes)
+        codes = rng.integers(0, n_codes, size=n_trip).astype(np.uint16)
         pair_x = rng.normal(size=n_pairs)
         pair_index = np.sort(rng.integers(0, n_pairs, size=n_trip)).astype(np.int64)
-        return targets, pair_x, pair_index, n_pairs
+        return table, codes, pair_x, pair_index, n_pairs
 
-    def test_numpy_matches_brute(self):
+    def test_numpy_matches_brute(self, monkeypatch):
         rng = np.random.default_rng(2)
         args = self.inputs(rng)
-        sums, total = kernels.hinge_stats(*args)
         ref_sums, ref_total = self.brute(*args)
-        np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
-        assert total == pytest.approx(ref_total, rel=1e-12)
+        # one block, and blocks of 16 triplets with a partial last one
+        for block in (2**16, 16):
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+            sums, total = kernels.hinge_stats(*args)
+            np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
+            assert total == pytest.approx(ref_total, rel=1e-12)
 
 
 class TestStrictPrevGap:
-    def brute(self, slots, new_group):
-        out = np.full(slots.shape[0], np.inf)
+    def brute(self, slots, new_group, none):
+        out = np.full(slots.shape[0], none)
         start = 0
         for i in range(slots.shape[0]):
             if new_group[i]:
@@ -98,12 +102,13 @@ class TestStrictPrevGap:
         rng = np.random.default_rng(4)
         for _ in range(10):
             slots, new_group = random_groups(rng)
-            got = kernels.strict_prev_gap(slots, new_group)
-            assert np.array_equal(got, self.brute(slots, new_group))
+            got = kernels.strict_prev_gap(slots, new_group, none=99)
+            assert got.dtype == slots.dtype
+            assert np.array_equal(got, self.brute(slots, new_group, none=99))
 
     def test_empty(self):
         out = kernels.strict_prev_gap(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), none=99
         )
         assert out.shape == (0,)
 

@@ -97,13 +97,13 @@ class TestComputeTargets:
         cats = make_cats([0], r=1)
         rec = triplet_recency(log, cats)
         targets = compute_targets(rec, [10.0])
-        assert targets.a.tolist() == [1.0, 8.0]
+        assert oracles.triplet_targets(targets).tolist() == [1.0, 8.0]
 
     def test_infinite_recency_gives_unit_target(self):
         log = make_log([(0, 0, 7)], m=1, n=1)
         cats = make_cats([0], r=1)
         targets = compute_targets(triplet_recency(log, cats), [10.0])
-        assert targets.a.tolist() == [1.0]
+        assert oracles.triplet_targets(targets).tolist() == [1.0]
 
     def test_targets_match_brute_force(self):
         rng = np.random.default_rng(20)
@@ -113,7 +113,7 @@ class TestComputeTargets:
         for pos, (u, j, k) in enumerate(triplet_list(log)):
             t = oracles.recency_scan(trips, assignment, u, assignment[j], k)
             pen = max(0.0, d[assignment[j]] - t) if math.isfinite(t) else 0.0
-            assert targets.a[pos] == pytest.approx(1.0 + pen, rel=1e-12)
+            assert oracles.triplet_targets(targets)[pos] == pytest.approx(1.0 + pen, rel=1e-12)
 
     def test_bad_duration_vector_rejected(self):
         log = make_log([(0, 0, 0)], m=1, n=1)
@@ -123,6 +123,15 @@ class TestComputeTargets:
             compute_targets(rec, [1.0, 2.0])
         with pytest.raises(ConfigError, match="nonnegative"):
             compute_targets(rec, [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_durations_rejected(self, bad):
+        # NaN passed the sign check, and d = inf made the no-purchase
+        # targets 1 + max(0, inf - inf) = NaN
+        log = make_log([(0, 0, 0), (0, 0, 3), (0, 1, 5)], m=1, n=2)
+        rec = triplet_recency(log, make_cats([0, 1], r=2))
+        with pytest.raises(ConfigError, match="finite"):
+            compute_targets(rec, [1.0, bad])
 
 
 class TestFactoredMatrix:
@@ -223,7 +232,7 @@ class TestGradientStep:
         cfg = SolverConfig(eta=0.3)
         gamma = auto_step(targets, cfg.eta)
         op = gradient_step(X, targets, cfg)
-        grad = oracles.dense_grad_h(X_dense, trips, targets.a, cfg.eta, log.l)
+        grad = oracles.dense_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         np.testing.assert_allclose(op.dense(), X_dense - gamma * grad, atol=1e-10)
 
     def test_hinge_sums_live_only_until_the_step_is_built(self, monkeypatch):
@@ -294,7 +303,7 @@ class TestGradientStep:
         gamma = auto_step(targets, cfg.eta)
         op = gradient_step(X, targets, cfg)
         grad_lib = (X_dense - op.dense()) / gamma
-        grad_fd = oracles.fd_grad_h(X_dense, trips, targets.a, cfg.eta, log.l)
+        grad_fd = oracles.fd_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         np.testing.assert_allclose(grad_lib, grad_fd, rtol=1e-5, atol=1e-5)
 
 
@@ -465,7 +474,7 @@ class TestObjective:
         X_dense = rng.uniform(-0.5, 1.5, size=(8, 6))
         X = model_from_dense(X_dense, [0.0] * 2, 7).X
         for eta in (0.25, 0.5, 1.0):
-            expected = oracles.dense_h(X_dense, trips, targets.a, eta, log.l)
+            expected = oracles.dense_h(X_dense, trips, oracles.triplet_targets(targets), eta, log.l)
             assert hinge_objective(X, targets, eta) == pytest.approx(expected, rel=1e-9)
 
     def test_auto_step_formula(self):
@@ -500,7 +509,7 @@ class TestUpdateX:
         got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
-            X_dense, trips, targets.a, cfg.eta, cfg.lam, gamma, log.l,
+            X_dense, trips, oracles.triplet_targets(targets), cfg.eta, cfg.lam, gamma, log.l,
             iters=6, tol=1e-12,
         )
         assert got == pytest.approx(history[-1], rel=1e-4)
