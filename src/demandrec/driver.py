@@ -29,8 +29,10 @@ from .durations import build_worksets, update_durations
 from .errors import DataFormatError, ModelFileError, SolverError
 from .utility import (
     FactoredUtilityMatrix,
+    Iterate,
     MatrixOperator,
     SolverConfig,
+    _evaluate_at,
     compute_targets,
     objective,
     randomized_svd,
@@ -138,7 +140,14 @@ def fit(
         X = init_utility(log, cfg)
         d = np.zeros(cats.r)
 
-    f = evaluate_objective(X, d, rec, cfg)
+    # the starting values at the pairs also build the first round's worksets
+    pairs = log.pairs()
+    z = X.pair_values(pairs.users, pairs.items)
+    f = _evaluate_at(X, z, compute_targets(rec, d), cfg)[0]
+    # the record is the only holder of the iterate, so update_X frees each
+    # one it replaces
+    it = Iterate(X, z, f)
+    del X, z
     history = [f]
     flags: tuple = ()
     seconds = []
@@ -147,10 +156,10 @@ def fit(
     for iteration in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
         # each category's workset is built as the update asks for it
-        d, flags = update_durations(build_worksets(rec, X))
+        d, flags = update_durations(build_worksets(rec, it.z))
         targets = compute_targets(rec, d)
-        X = update_X(X, targets, cfg)
-        f_new = objective(X, targets, cfg)
+        it = update_X(it, targets, cfg)
+        f_new = it.obj
         # the next round's worksets are built without this round's targets
         del targets
         seconds.append(time.perf_counter() - t0)
@@ -168,10 +177,7 @@ def fit(
             converged = iteration >= 2
             break
 
-    # a fresh matrix on the same factors: the model does not keep the pair
-    # values last computed for this log alive
-    X = FactoredUtilityMatrix(X.U, X.sigma, X.V)
-    state = ModelState(X=X, d=d, l=log.l)
+    state = ModelState(X=it.X, d=d, l=log.l)
     report = FitReport(converged=converged, iterations=iteration, objective_history=history,
                        duration_flags=flags, seconds_per_iteration=seconds, final_objective=f)
     return state, report

@@ -49,9 +49,10 @@ class CategoryWorkSet:
         return self.s.shape[0]
 
 
-def build_worksets(rec: TripletRecency, X) -> Iterator[CategoryWorkSet]:
-    """One workset per category of ``rec`` from the current utilities,
-    yielded in category order, each built when it is asked for.
+def build_worksets(rec: TripletRecency, z_pair) -> Iterator[CategoryWorkSet]:
+    """One workset per category of ``rec`` from the current utilities
+    ``z_pair``, their values at the log's purchased pairs, yielded in
+    category order, each built when it is asked for.
 
     One stable argsort of ``rec.codes`` groups the triplets: a code is
     ``c * (l + 1) + gap``, so in that order each category's triplets are a
@@ -72,7 +73,6 @@ def build_worksets(rec: TripletRecency, X) -> Iterator[CategoryWorkSet]:
     """
     span = rec.log.l + 1
     pairs = rec.log.pairs()
-    z_pair = X.pair_values(pairs.users, pairs.items)
     order = np.argsort(rec.codes, kind="stable")
     if order.shape[0] < 2**31:
         order = order.astype(np.int32)
@@ -150,13 +150,6 @@ def sweep_category(ws: CategoryWorkSet):
     flat **= 2
     d_star, g_min = kernels.sweep_min(ws.s, coef, flat)
     return float(max(d_star, 0.0)), float(g_min + ws.constant_loss)
-
-
-def category_objective(ws: CategoryWorkSet, d: float) -> float:
-    """Direct evaluation of the category objective at one d (for checks)."""
-    pen = np.maximum(0.0, d - ws.t)
-    gap = np.maximum(1.0 - (ws.z - pen), 0.0)
-    return float(gap @ gap) + ws.constant_loss
 
 
 def update_durations(worksets: Iterable[CategoryWorkSet]):

@@ -19,15 +19,14 @@ algebra on tall-skinny blocks: CholeskyQR2 orthonormalizes them with matrix
 products, and the SVD is taken of a block x block triangle instead of the
 wide block x n projection.
 
-The values x_ij at the purchased pairs are computed once per iterate: the
-objective, the gradient step and the duration worksets all ask for them on
-the log's cached pair arrays, and :meth:`FactoredUtilityMatrix.pair_values`
-keeps its last result for those arrays.  Likewise :class:`HingeTargets`
-keeps the hinge pass of the last pair values it saw: the gradient step takes
-its per-pair sums, and the objective reads its total.  Once the gradient
-step has built its sparse part, :func:`update_X` drops the iterate's pair
-values, so the sketch and the candidate's hinge pass run without them; only
-a retry after a step halving computes them again.
+The values x_ij at the purchased pairs are computed once per iterate, and
+one hinge pass at them gives both the per-pair hinge sums and the hinge
+total.  :func:`update_X` passes them on as arguments: the objective, the
+gradient step and, through the :class:`Iterate` it returns, the duration
+worksets read them.  Once the gradient step has built its sparse part the
+iterate's pair values and sums are dropped, so the sketch and the
+candidate's hinge pass run without them; only a retry after a step halving
+computes them again.
 
 A positive triplet's target depends only on its category and its recency
 gap, so the targets are one table of r * (l + 1) values indexed by the
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -112,7 +111,6 @@ class FactoredUtilityMatrix:
         self.U = np.ascontiguousarray(self.U, dtype=np.float64)
         self.sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
         self.V = np.ascontiguousarray(self.V, dtype=np.float64)
-        self._last_values = None  # (U, sigma, V, pair_users, pair_items, values)
 
     @property
     def m(self) -> int:
@@ -131,20 +129,8 @@ class FactoredUtilityMatrix:
         return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
 
     def pair_values(self, pair_users, pair_items) -> np.ndarray:
-        """x_ij at the given index pairs, as a read-only array.
-
-        The result for the last pair arrays is kept and returned again while
-        the factors and both arrays are the same objects (``is``); the cache
-        holds them, so their identities cannot be reused meanwhile.
-        """
-        key = (self.U, self.sigma, self.V, pair_users, pair_items)
-        last = self._last_values
-        if last is not None and all(a is b for a, b in zip(key, last)):
-            return last[-1]
-        values = kernels.pair_values(*key)
-        values.flags.writeable = False
-        self._last_values = (*key, values)
-        return values
+        """x_ij at the given index pairs."""
+        return kernels.pair_values(self.U, self.sigma, self.V, pair_users, pair_items)
 
     def row_scores(self, user: int) -> np.ndarray:
         """Utilities of every item for a user id or for each id of an array.
@@ -166,9 +152,6 @@ class FactoredUtilityMatrix:
         gv = self.V.T @ self.V
         return float(np.einsum("ab,b,ba,a->", gu, self.sigma, gv, self.sigma))
 
-    def dense(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
 
 @dataclass(eq=False)
 class HingeTargets:
@@ -181,39 +164,13 @@ class HingeTargets:
     codes: np.ndarray  # len nnz, each triplet's code, TripletRecency.codes
     pairs: PairStructure
     l: int
-    _last_hinge: tuple | None = field(default=None, repr=False)  # (z_pair, sums, total)
 
-    def _hinge_pass(self, z_pair) -> tuple:
-        """Per-pair sums of max(a - x, 0) and the total of their squares at
-        the pair values ``z_pair``, kept as the last pass."""
-        # drop the stale sums first, so two sets never live at once
-        self._last_hinge = None
+    def hinge(self, z_pair) -> tuple:
+        """``(sums, total)``: the per-pair sums of max(a - x, 0) and the
+        total of their squares at the pair values ``z_pair``, in one pass."""
         pairs = self.pairs
-        self._last_hinge = (z_pair, *kernels.hinge_stats(
-            self.table, self.codes, z_pair, pairs.index, pairs.counts.shape[0]))
-        return self._last_hinge
-
-    def hinge_total(self, z_pair) -> float:
-        """The total of the squared hinges at ``z_pair``.  The last pass is
-        kept while its pair values are the same object (``is``), so the
-        gradient step and the objective of one iterate share it; the
-        read-only arrays of :meth:`FactoredUtilityMatrix.pair_values`
-        cannot change meanwhile."""
-        last = self._last_hinge
-        if last is None or last[0] is not z_pair:
-            last = self._hinge_pass(z_pair)
-        return last[2]
-
-    def hinge_sums(self, z_pair) -> np.ndarray:
-        """The per-pair hinge sums at ``z_pair``, handed over to the caller:
-        the kept pass keeps only its total, so the sums live no longer than
-        the caller holds them.  A second call for the same values makes a
-        new pass."""
-        last = self._last_hinge
-        if last is None or last[0] is not z_pair or last[1] is None:
-            last = self._hinge_pass(z_pair)
-        self._last_hinge = (z_pair, None, last[2])
-        return last[1]
+        return kernels.hinge_stats(self.table, self.codes, z_pair, pairs.index,
+                                   pairs.counts.shape[0])
 
 
 def compute_targets(rec: TripletRecency, d) -> HingeTargets:
@@ -267,9 +224,6 @@ class GradStepOperator:
     def rmatmat(self, B: np.ndarray) -> np.ndarray:
         return self.scale * self.X.rmatmat(B) + self.S.T @ B
 
-    def dense(self) -> np.ndarray:
-        return self.scale * self.X.dense() + self.S.toarray()
-
 
 class MatrixOperator:
     """Adapter giving a dense or scipy-sparse matrix the operator interface;
@@ -291,16 +245,21 @@ class MatrixOperator:
 
 def gradient_step(
     X: FactoredUtilityMatrix,
+    z_pair: np.ndarray,
+    hinge_sums: np.ndarray,
     targets: HingeTargets,
     cfg: SolverConfig,
     gamma: float | None = None,
 ) -> GradStepOperator:
-    """Build the implicit gradient-step matrix at the current X.
+    """Build the implicit gradient-step matrix at the current X, whose
+    values at the purchased pairs are ``z_pair`` and whose per-pair hinge
+    sums are ``hinge_sums``.
 
     The dense part is scaled by 1 - 2 gamma (1 - eta) l; the sparse
     correction at a purchased pair is
     2 gamma (1 - eta) n_ij x_ij + 2 gamma eta sum_k max(a_ijk - x_ij, 0).
-    ``gamma`` defaults to the safe step of :func:`auto_step`.
+    ``gamma`` defaults to the safe step of :func:`auto_step`.  The step
+    consumes ``hinge_sums``: it scales them in place.
     """
     eta = cfg.eta
     if gamma is None:
@@ -312,11 +271,8 @@ def gradient_step(
             "omit gamma for the automatic step"
         )
     pairs = targets.pairs
-    z_pair = X.pair_values(pairs.users, pairs.items)
-    hinge_sums = targets.hinge_sums(z_pair)
     # c1 * counts * z + c2 * hinge_sums in that order, built in place so no
-    # pair-length temporary relies on numpy eliding it; the sums are this
-    # call's own, so they are scaled in place and freed on return
+    # pair-length temporary relies on numpy eliding it
     vals = 2.0 * gamma * (1.0 - eta) * pairs.counts
     vals *= z_pair
     hinge_sums *= 2.0 * gamma * eta
@@ -392,24 +348,47 @@ def soft_threshold(sigma: np.ndarray, amount: float):
     return shrunk[:rank], rank
 
 
-def hinge_objective(X: FactoredUtilityMatrix, targets: HingeTargets, eta: float) -> float:
+def hinge_objective(X: FactoredUtilityMatrix, z_pair, hinge_sq: float,
+                    targets: HingeTargets, eta: float) -> float:
     """h(X): weighted hinge losses at positives plus squared shrinkage of
-    everything unlabeled, computed from the factors and the sparse pairs."""
+    everything unlabeled, from the factors, the pair values ``z_pair`` and
+    the total ``hinge_sq`` of the squared hinges there."""
     pairs = targets.pairs
-    z_pair = X.pair_values(pairs.users, pairs.items)
-    hinge_sq = targets.hinge_total(z_pair)
     zero_part = targets.l * X.frob_sq() - float((pairs.counts * z_pair * z_pair).sum())
     return eta * hinge_sq + (1.0 - eta) * zero_part
 
 
+def _evaluate_at(X: FactoredUtilityMatrix, z_pair, targets: HingeTargets,
+                 cfg: SolverConfig) -> tuple:
+    """``(objective, hinge sums)`` at X, whose pair values are ``z_pair``,
+    from one hinge pass."""
+    sums, hinge_sq = targets.hinge(z_pair)
+    obj = hinge_objective(X, z_pair, hinge_sq, targets, cfg.eta) + cfg.lam * float(X.sigma.sum())
+    return obj, sums
+
+
 def objective(X: FactoredUtilityMatrix, targets: HingeTargets, cfg: SolverConfig) -> float:
     """The joint objective h(X) + lam ||X||_* that every block update lowers."""
-    return hinge_objective(X, targets, cfg.eta) + cfg.lam * float(X.sigma.sum())
+    pairs = targets.pairs
+    return _evaluate_at(X, X.pair_values(pairs.users, pairs.items), targets, cfg)[0]
 
 
-def update_X(
-    X: FactoredUtilityMatrix, targets: HingeTargets, cfg: SolverConfig
-) -> FactoredUtilityMatrix:
+@dataclass(eq=False)
+class Iterate:
+    """A utility iterate as the solver hands it on: ``X``, its values ``z``
+    at the log's purchased pairs (``None`` where they are not held) and its
+    objective ``obj`` at the targets of its last update."""
+
+    X: FactoredUtilityMatrix
+    z: np.ndarray | None = None
+    obj: float | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.X.rank
+
+
+def update_X(it: Iterate, targets: HingeTargets, cfg: SolverConfig) -> Iterate:
     """Proximal-gradient descent on h(X) + lam ||X||_* at fixed durations.
 
     Each step soft-thresholds a randomized SVD of the implicit gradient-step
@@ -420,42 +399,56 @@ def update_X(
     product with the operator and one with its transpose.  The step size
     starts at :func:`auto_step`'s 1 / L; if a step raises the objective the
     step size is halved and the step retried; repeated failures abort.
+
+    ``it`` is updated in place and returned, holding the last accepted
+    iterate, its pair values and its objective at ``targets``.  Its entry
+    pair values are used if given and computed otherwise; the record lets go
+    of them at once, so they are freed with the first step built.
     """
+    pairs = targets.pairs
     gamma = auto_step(targets, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    obj = objective(X, targets, cfg)
+    z, it.z = it.z, None
+    if z is None:
+        z = it.X.pair_values(pairs.users, pairs.items)
+    it.obj, sums = _evaluate_at(it.X, z, targets, cfg)
     halvings = 0
     accepted = 0
     while accepted < cfg.inner_iters:
-        op = gradient_step(X, targets, cfg, gamma=gamma)
-        # S holds what the step needed of the iterate's pair values, so the
-        # sketch and the candidate's hinge pass run without them; a retry
-        # after a halving computes them again
-        X._last_values = None
-        targets._last_hinge = None
-        U, sig, V = randomized_svd(op, cfg.max_rank, rng=rng, start=X.V)
+        if z is None:
+            # a retry after a halving: the iterate's values were dropped
+            z = it.X.pair_values(pairs.users, pairs.items)
+            sums = targets.hinge(z)[0]
+        op = gradient_step(it.X, z, sums, targets, cfg, gamma=gamma)
+        # S holds what the step needed of the iterate's pair values and
+        # hinge sums, so the sketch and the candidate's hinge pass run
+        # without them
+        z = sums = None
+        U, sig, V = randomized_svd(op, cfg.max_rank, rng=rng, start=it.X.V)
         del op  # its sparse matrix is not needed to score the candidate
         sig_new, rank = soft_threshold(sig, gamma * cfg.lam)
         cand = FactoredUtilityMatrix(U[:, :rank], sig_new, V[:, :rank])
-        cand_obj = objective(cand, targets, cfg)
-        if cand_obj > obj + 1e-10 * max(1.0, abs(obj)):
+        z = cand.pair_values(pairs.users, pairs.items)
+        cand_obj, sums = _evaluate_at(cand, z, targets, cfg)
+        if cand_obj > it.obj + 1e-10 * max(1.0, abs(it.obj)):
             # free the rejected step and its hinge pass before the retry
             # computes the iterate's pair values again
-            targets._last_hinge = None
+            z = sums = None
             del cand, U, V
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise SolverError(
                     f"objective kept increasing after {_MAX_HALVINGS} step halvings "
-                    f"({obj:.6g} -> {cand_obj:.6g}); raise max_rank or lambda"
+                    f"({it.obj:.6g} -> {cand_obj:.6g}); raise max_rank or lambda"
                 )
             gamma *= 0.5
             continue
-        prev = obj
-        X, obj = cand, cand_obj
+        prev = it.obj
+        it.X, it.obj = cand, cand_obj
         accepted += 1
-        if abs(obj - prev) <= cfg.tol * max(1.0, abs(prev)):
+        if abs(it.obj - prev) <= cfg.tol * max(1.0, abs(prev)):
             break
-    if X.rank == 0:
+    it.z = z
+    if it.rank == 0:
         warnings.warn("utility matrix collapsed to rank 0; lambda may be too large")
-    return X
+    return it

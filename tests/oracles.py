@@ -67,6 +67,23 @@ def triplet_targets(targets):
     return targets.table[targets.codes.astype(np.int64)]
 
 
+def category_objective(ws, d):
+    """A duration workset's category objective at one d, summed directly."""
+    pen = np.maximum(0.0, d - ws.t)
+    gap = np.maximum(1.0 - (ws.z - pen), 0.0)
+    return float(gap @ gap) + ws.constant_loss
+
+
+def dense_factored(X):
+    """The dense matrix U diag(sigma) V^T of a factored utility matrix."""
+    return (X.U * X.sigma) @ X.V.T
+
+
+def dense_step(op):
+    """The dense matrix scale * X + S of a gradient-step operator."""
+    return op.scale * dense_factored(op.X) + op.S.toarray()
+
+
 def duration_loss(zs, ts, d):
     """Direct per-record hinge loss sum at duration d (t may be inf)."""
     total = 0.0

@@ -39,6 +39,7 @@ from demandrec.utility import (
     SolverConfig,
     auto_step,
     compute_targets,
+    Iterate,
     gradient_step,
     objective,
     update_X,
@@ -191,7 +192,7 @@ def test_criterion_6b_x_update_matches_dense_reference():
         cfg = SolverConfig(
             lam=0.8, eta=0.5, max_rank=min(m, n), inner_iters=5, tol=1e-12,
         )
-        X1 = update_X(model_from_dense(X_dense, [0.0] * r, l).X, targets, cfg)
+        X1 = update_X(Iterate(model_from_dense(X_dense, [0.0] * r, l).X), targets, cfg).X
         got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
@@ -219,8 +220,10 @@ def test_criterion_6c_gradient_matches_finite_differences():
         X_dense = rng.uniform(-0.5, 1.5, size=(m, n))
         cfg = SolverConfig(eta=0.35)
         gamma = auto_step(targets, cfg.eta)
-        op = gradient_step(model_from_dense(X_dense, [0.0] * r, l).X, targets, cfg)
-        grad_lib = (X_dense - op.dense()) / gamma
+        X = model_from_dense(X_dense, [0.0] * r, l).X
+        z = X.pair_values(targets.pairs.users, targets.pairs.items)
+        op = gradient_step(X, z, targets.hinge(z)[0], targets, cfg)
+        grad_lib = (X_dense - oracles.dense_step(op)) / gamma
         grad_fd = oracles.fd_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         denom = np.maximum(1.0, np.abs(grad_fd))
         worst = max(worst, float(np.max(np.abs(grad_lib - grad_fd) / denom)))

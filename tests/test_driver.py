@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -104,13 +103,6 @@ class TestFit:
         assert np.array_equal(a.X.V, b.X.V)
         assert np.array_equal(a.d, b.d)
         assert ra.objective_history == rb.objective_history
-
-    def test_model_keeps_no_pair_values(self):
-        # the pair values cached for the fitting log would outlive the fit
-        # inside the model, one float per purchased pair
-        log, cats, *_ = small_instance(seed=53, count=60)
-        state, _ = fit(log, cats, SolverConfig(outer_iters=2, seed=9))
-        assert state.X._last_values is None
 
     def test_warm_start_does_not_increase_objective(self):
         log, cats, *_ = small_instance(seed=54, m=12, n=10, l=6, r=2, count=120)
@@ -297,8 +289,10 @@ class TestWorkingSet:
         (category, gap) code per triplet in place of the float64 gaps, the
         1-byte categories and the float64 targets, and dropping an
         iterate's pair values once its gradient step is built, bring it to
-        58.5.  scipy.sparse is imported at the top of this file: a first
-        import inside the traced fit would add about 68 bytes per record."""
+        58.5, and freeing the round's entry factors at the first accepted
+        step to 54.5.  scipy.sparse is imported at the top of this file: a
+        first import inside the traced fit would add about 68 bytes per
+        record."""
         assert self.traced_fit_peak(np.arange(self.N, dtype=np.int64) % 10) < 61
 
     def test_peak_memory_with_one_dominant_category(self):
@@ -367,7 +361,7 @@ class TestIdDtypeEquivalence:
             rec = build_recency_index(train, cats)
             tu, ti, tk = test.users, test.items, test.slots
             time_errors = time_prediction_metric(state, rec, tu, ti, tk,
-                                                 tau=0.5 * state.X.dense().max())[1]
+                                                 tau=0.5 * oracles.dense_factored(state.X).max())[1]
             assert len(np.unique(time_errors)) > 1
             got.append((
                 _bits(state.d, state.X.U, state.X.sigma, state.X.V, report.objective_history),
@@ -457,7 +451,7 @@ class TestInitUtility:
         X1 = init_utility(log, cfg)
         X2 = init_utility(log, cfg)
         assert X1.sigma[0] == pytest.approx(1.0, rel=1e-9)
-        assert np.array_equal(X1.dense(), X2.dense())
+        assert np.array_equal(oracles.dense_factored(X1), oracles.dense_factored(X2))
         assert X1.rank <= 4
 
 
@@ -477,15 +471,6 @@ class TestModelFile:
         assert np.array_equal(back.X.V, state.X.V)
         assert np.array_equal(back.d, state.d)
         assert (back.m, back.n, back.l, back.r) == (state.m, state.n, state.l, state.r)
-
-    def test_pair_value_cache_never_reaches_the_file(self, tmp_path):
-        state, path, log, _ = self.fitted(tmp_path)
-        pairs = log.pairs()
-        state.X.pair_values(pairs.users, pairs.items)
-        fresh = FactoredUtilityMatrix(state.X.U, state.X.sigma, state.X.V)
-        again = tmp_path / "model2.bin"
-        save_model(dataclasses.replace(state, X=fresh), again)
-        assert path.read_bytes() == again.read_bytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         _, path, *_ = self.fitted(tmp_path)

@@ -10,7 +10,6 @@ from demandrec.data import triplet_recency
 from demandrec.durations import (
     CategoryWorkSet,
     build_worksets,
-    category_objective,
     sweep_category,
     update_durations,
 )
@@ -33,6 +32,12 @@ def make_ws(zs, ts, category=0):
     )
 
 
+def worksets_of(rec, X):
+    """build_worksets at the values of X at ``rec``'s purchased pairs."""
+    pairs = rec.log.pairs()
+    return build_worksets(rec, X.pair_values(pairs.users, pairs.items))
+
+
 def random_ws(rng, count, inf_share=0.2):
     zs = rng.uniform(-0.5, 2.0, size=count)
     ts = rng.integers(1, 30, size=count).astype(float)
@@ -46,7 +51,7 @@ class TestBuildWorksets:
         cats = make_cats(assignment, r=r)
         rec = triplet_recency(log, cats)
         X = model_from_dense(np.full((log.m, log.n), x_value), [0.0] * r, log.l).X
-        return build_worksets(rec, X)
+        return worksets_of(rec, X)
 
     def test_breakpoint_equals_recency_when_z_at_most_one(self):
         (ws,) = self.build(1.0, [(0, 0, 0), (0, 0, 5)], [0], r=1)
@@ -72,7 +77,7 @@ class TestBuildWorksets:
         cats = make_cats(assignment, r=3)
         rec = triplet_recency(log, cats)
         X = model_from_dense(rng.random((10, 8)), [0.0] * 3, log.l).X
-        sets = list(build_worksets(rec, X))
+        sets = list(worksets_of(rec, X))
         n_inf = int(np.isinf(oracles.decode_codes(rec)[1]).sum())
         assert sum(ws.size for ws in sets) + n_inf == log.nnz
         for ws in sets:
@@ -103,7 +108,7 @@ class TestBuildWorksets:
         rec = triplet_recency(log, make_cats(assignment, r=4))
         assert (rec.codes.dtype == np.uint16) == (l < 2**14)
         X = model_from_dense(dense, [0.0] * 4, l).X
-        worksets = list(build_worksets(rec, X))
+        worksets = list(worksets_of(rec, X))
         pairs = log.pairs()
         z_trip = X.pair_values(pairs.users, pairs.items)[pairs.index]
         cats, gaps = oracles.decode_codes(rec)
@@ -154,7 +159,7 @@ class TestSweep:
             d_star, g_min = res
             _, g_grid = oracles.grid_min_duration(zs, ts, d_max=40.0, step=1e-3)
             assert g_min == pytest.approx(g_grid, rel=1e-9, abs=1e-9)
-            assert category_objective(ws, d_star) == pytest.approx(g_min, rel=1e-9)
+            assert oracles.category_objective(ws, d_star) == pytest.approx(g_min, rel=1e-9)
 
     def test_returned_value_is_attained_at_returned_point(self):
         rng = np.random.default_rng(2)
@@ -179,7 +184,7 @@ class TestSweep:
         zs, ts, ws = random_ws(rng, count=40)
         for d in np.linspace(0.0, 35.0, 40):
             expected = oracles.duration_loss(zs, ts, float(d))
-            assert category_objective(ws, float(d)) == pytest.approx(
+            assert oracles.category_objective(ws, float(d)) == pytest.approx(
                 expected, rel=1e-9, abs=1e-12
             )
 
@@ -201,8 +206,8 @@ class TestUpdateDurations:
             d_new = update_durations([ws])[0][0]
             for d_old in rng.uniform(0.0, 35.0, size=8):
                 assert (
-                    category_objective(ws, float(d_new))
-                    <= category_objective(ws, float(d_old)) + 1e-12
+                    oracles.category_objective(ws, float(d_new))
+                    <= oracles.category_objective(ws, float(d_old)) + 1e-12
                 )
 
     def test_random_records_match_grid_per_category(self):
@@ -214,7 +219,7 @@ class TestUpdateDurations:
         rec = triplet_recency(log, cats)
         X_dense = rng.uniform(0.0, 1.5, size=(6, 9))
         X = model_from_dense(X_dense, [0.0] * 3, log.l).X
-        sets = build_worksets(rec, X)
+        sets = worksets_of(rec, X)
         d, _ = update_durations(sets)
         for cat in range(3):
             # records rebuilt fully independently from raw triplets
@@ -238,6 +243,6 @@ class TestUpdateDurations:
         inst = simulate_purchases(x_true, spec)
         rec = triplet_recency(inst.log, inst.cats)
         X = model_from_dense(x_true, [0.0] * 3, inst.log.l).X
-        d, flags = update_durations(build_worksets(rec, X))
+        d, flags = update_durations(worksets_of(rec, X))
         assert flags == ()
         assert np.array_equal(d, true_durations(3))

@@ -463,7 +463,7 @@ class TestCategoryMetric:
         model, rec, trips, tu, ti, tk = category_case(case)
         _, ranks = category_prediction_metric(model, rec, tu, ti, tk)
         want = oracle_category_ranks(
-            model.X.dense(), model.d, rec.cats.assignment, trips, tu, ti, tk
+            oracles.dense_factored(model.X), model.d, rec.cats.assignment, trips, tu, ti, tk
         )
         assert np.array_equal(ranks, want)
 

@@ -13,6 +13,7 @@ from demandrec.data import triplet_recency
 from demandrec.errors import ConfigError, SolverError
 from demandrec.utility import (
     FactoredUtilityMatrix,
+    Iterate,
     MatrixOperator,
     SolverConfig,
     auto_step,
@@ -36,6 +37,13 @@ def build_setup(rng, m, n, l, r, count, d=None):
         d = rng.uniform(0.0, 8.0, size=r)
     targets = compute_targets(rec, d)
     return log, cats, rec, targets, trips, assignment.tolist(), np.asarray(d, float)
+
+
+def step_at(X, targets, cfg, gamma=None):
+    """gradient_step at X from a fresh hinge pass at its pair values."""
+    pairs = targets.pairs
+    z = X.pair_values(pairs.users, pairs.items)
+    return gradient_step(X, z, targets.hinge(z)[0], targets, cfg, gamma=gamma)
 
 
 class TestSolverConfig:
@@ -139,7 +147,7 @@ class TestFactoredMatrix:
         rng = np.random.default_rng(21)
         dense = rng.standard_normal((9, 5))
         X = model_from_dense(dense, [0.0], 4).X
-        np.testing.assert_allclose(X.dense(), dense, atol=1e-10)
+        np.testing.assert_allclose(oracles.dense_factored(X), dense, atol=1e-10)
         users = rng.integers(0, 9, size=30)
         items = rng.integers(0, 5, size=30)
         np.testing.assert_allclose(
@@ -161,54 +169,12 @@ class TestFactoredMatrix:
         assert X.frob_sq() == 0.0
 
 
-class TestPairValueCache:
-    def instance(self, seed):
-        rng = np.random.default_rng(seed)
-        dense = rng.standard_normal((9, 5))
-        X = model_from_dense(dense, [0.0], 4).X
-        users = rng.integers(0, 9, size=30)
-        items = rng.integers(0, 5, size=30)
-        return X, dense, users, items
-
-    def test_values_are_read_only(self):
-        X, _, users, items = self.instance(41)
-        z = X.pair_values(users, items)
-        with pytest.raises(ValueError, match="read-only"):
-            z[0] = 1.0
-        assert X.pair_values(users, items)[0] == z[0]
-
-    def test_same_arrays_reuse_other_arrays_recompute(self, monkeypatch):
-        X, dense, users, items = self.instance(42)
-        calls = []
-        original = kernels.pair_values
-        monkeypatch.setattr(kernels, "pair_values",
-                            lambda *args: calls.append(1) or original(*args))
-        first = X.pair_values(users, items)
-        assert X.pair_values(users, items) is first
-        assert len(calls) == 1
-        # equal contents in new arrays are not the same arrays: recomputed
-        again = X.pair_values(users.copy(), items)
-        assert again is not first and np.array_equal(again, first)
-        other = X.pair_values(items, users % 5)
-        np.testing.assert_allclose(other, dense[items, users % 5], atol=1e-10)
-        assert len(calls) == 3
-        # the cache holds the last pair arrays only
-        X.pair_values(users, items)
-        assert len(calls) == 4
-
-    def test_new_factors_recompute(self):
-        X, dense, users, items = self.instance(43)
-        first = X.pair_values(users, items)
-        X.sigma = 2.0 * X.sigma
-        np.testing.assert_allclose(X.pair_values(users, items), 2.0 * first, rtol=1e-12)
-
-
 class TestGradientStep:
     def test_positives_only_leaves_dense_part_unscaled(self):
         rng = np.random.default_rng(23)
         log, cats, rec, targets, *_ = build_setup(rng, 5, 4, 6, 2, 25)
         X = model_from_dense(rng.random((5, 4)), [0.0, 0.0], 6).X
-        op = gradient_step(X, targets, SolverConfig(eta=1.0))
+        op = step_at(X, targets, SolverConfig(eta=1.0))
         assert op.scale == 1.0
 
     def test_inactive_hinges_leave_only_count_correction(self):
@@ -218,11 +184,11 @@ class TestGradientStep:
         X = model_from_dense(np.full((5, 4), 2.0), [0.0, 0.0], 6).X
         cfg = SolverConfig(eta=0.4)
         gamma = auto_step(targets, cfg.eta)
-        op = gradient_step(X, targets, cfg)
-        expected = op.scale * X.dense()
+        op = step_at(X, targets, cfg)
+        expected = op.scale * oracles.dense_factored(X)
         for u, i, c in zip(targets.pairs.users, targets.pairs.items, targets.pairs.counts):
             expected[u, i] += 2.0 * gamma * (1.0 - cfg.eta) * c * 2.0
-        np.testing.assert_allclose(op.dense(), expected, atol=1e-12)
+        np.testing.assert_allclose(oracles.dense_step(op), expected, atol=1e-12)
 
     def test_operator_matches_dense_gradient_step(self):
         rng = np.random.default_rng(25)
@@ -231,43 +197,44 @@ class TestGradientStep:
         X = model_from_dense(X_dense, [0.0] * 3, 7).X
         cfg = SolverConfig(eta=0.3)
         gamma = auto_step(targets, cfg.eta)
-        op = gradient_step(X, targets, cfg)
+        op = step_at(X, targets, cfg)
         grad = oracles.dense_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
-        np.testing.assert_allclose(op.dense(), X_dense - gamma * grad, atol=1e-10)
+        np.testing.assert_allclose(oracles.dense_step(op), X_dense - gamma * grad, atol=1e-10)
 
     def test_hinge_sums_live_only_until_the_step_is_built(self, monkeypatch):
-        """The step takes the iterate's per-pair hinge sums and frees them;
-        the objective of the same iterate reads the kept total without a
-        second pass, and a second step at it makes a new pass."""
+        """The step scales the hinge sums it is given in place, so they are
+        spent once S is built; the objective makes one hinge pass of its
+        own, and a step from a new pass builds the same S."""
         rng = np.random.default_rng(27)
-        log, cats, rec, targets, *_, d = build_setup(rng, 10, 8, 7, 3, 120)
+        log, cats, rec, targets, *_ = build_setup(rng, 10, 8, 7, 3, 120)
         X = model_from_dense(rng.uniform(-0.5, 1.5, size=(10, 8)), [0.0] * 3, 7).X
         cfg = SolverConfig(eta=0.3)
+        pairs = targets.pairs
+        z = X.pair_values(pairs.users, pairs.items)
+        sums, _ = targets.hinge(z)
+        given = sums.copy()
+        op = gradient_step(X, z, sums, targets, cfg)
+        assert np.array_equal(sums, given * (2.0 * auto_step(targets, cfg.eta) * cfg.eta))
         passes = []
         original = kernels.hinge_stats
 
         def spy(*args):
-            sums, total = original(*args)
-            passes.append(weakref.ref(sums))
-            return sums, total
+            passes.append(1)
+            return original(*args)
 
         monkeypatch.setattr(kernels, "hinge_stats", spy)
-        op = gradient_step(X, targets, cfg)
-        assert len(passes) == 1 and passes[0]() is None
-        h = hinge_objective(X, targets, cfg.eta)
+        objective(X, targets, cfg)
         assert len(passes) == 1
-        again = gradient_step(X, targets, cfg)
+        again = step_at(X, targets, cfg)
         assert len(passes) == 2
         assert (op.S != again.S).nnz == 0
-        # fresh targets make their own pass, with the same result
-        assert hinge_objective(X, compute_targets(rec, d), cfg.eta) == h
 
     def test_operator_products_agree_with_dense(self):
         rng = np.random.default_rng(26)
         log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 60)
         X = model_from_dense(rng.standard_normal((9, 7)), [0.0] * 2, 6).X
-        op = gradient_step(X, targets, SolverConfig())
-        dense = op.dense()
+        op = step_at(X, targets, SolverConfig())
+        dense = oracles.dense_step(op)
         B = rng.standard_normal((7, 3))
         np.testing.assert_allclose(op.matmat(B), dense @ B, atol=1e-10)
         C = rng.standard_normal((9, 3))
@@ -282,7 +249,7 @@ class TestGradientStep:
         cats = make_cats(rng.integers(0, 2, size=9), r=2)
         targets = compute_targets(triplet_recency(log, cats), [1.0, 2.5])
         X = model_from_dense(rng.standard_normal((11, 9)), [0.0] * 2, log.l).X
-        op = gradient_step(X, targets, SolverConfig(eta=0.3))
+        op = step_at(X, targets, SolverConfig(eta=0.3))
         assert op.shape == (11, 9)
         C = rng.standard_normal((11, 4))
         assert np.array_equal(op.rmatmat(C), op.scale * X.rmatmat(C) + op.S.T.tocsr() @ C)
@@ -292,7 +259,7 @@ class TestGradientStep:
         log, cats, rec, targets, *_ = build_setup(rng, 5, 4, 6, 2, 25)
         X = model_from_dense(rng.random((5, 4)), [0.0] * 2, 6).X
         with pytest.raises(SolverError, match="step size"):
-            gradient_step(X, targets, SolverConfig(eta=0.5), gamma=10.0)
+            step_at(X, targets, SolverConfig(eta=0.5), gamma=10.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(28)
@@ -301,8 +268,8 @@ class TestGradientStep:
         X = model_from_dense(X_dense, [0.0] * 2, 5).X
         cfg = SolverConfig(eta=0.35)
         gamma = auto_step(targets, cfg.eta)
-        op = gradient_step(X, targets, cfg)
-        grad_lib = (X_dense - op.dense()) / gamma
+        op = step_at(X, targets, cfg)
+        grad_lib = (X_dense - oracles.dense_step(op)) / gamma
         grad_fd = oracles.fd_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         np.testing.assert_allclose(grad_lib, grad_fd, rtol=1e-5, atol=1e-5)
 
@@ -475,7 +442,9 @@ class TestObjective:
         X = model_from_dense(X_dense, [0.0] * 2, 7).X
         for eta in (0.25, 0.5, 1.0):
             expected = oracles.dense_h(X_dense, trips, oracles.triplet_targets(targets), eta, log.l)
-            assert hinge_objective(X, targets, eta) == pytest.approx(expected, rel=1e-9)
+            z = X.pair_values(targets.pairs.users, targets.pairs.items)
+            got = hinge_objective(X, z, targets.hinge(z)[1], targets, eta)
+            assert got == pytest.approx(expected, rel=1e-9)
 
     def test_auto_step_formula(self):
         rng = np.random.default_rng(34)
@@ -492,7 +461,7 @@ class TestUpdateX:
         X0 = model_from_dense(rng.random((6, 5)), [0.0] * 2, 6).X
         cfg = SolverConfig(lam=1e4, inner_iters=5, max_rank=5)
         with pytest.warns(UserWarning, match="rank 0"):
-            X1 = update_X(X0, targets, cfg)
+            X1 = update_X(Iterate(X0), targets, cfg).X
         assert X1.rank == 0
 
     def test_matches_dense_reference_run(self):
@@ -505,7 +474,7 @@ class TestUpdateX:
         cfg = SolverConfig(
             lam=0.8, eta=0.5, max_rank=10, inner_iters=6, tol=1e-12,
         )
-        X1 = update_X(X0, targets, cfg)
+        X1 = update_X(Iterate(X0), targets, cfg).X
         got = objective(X1, targets, cfg)
         gamma = auto_step(targets, cfg.eta)
         _, history = oracles.dense_prox_reference(
@@ -521,7 +490,7 @@ class TestUpdateX:
         cfg = SolverConfig(lam=0.5, inner_iters=1, max_rank=6, tol=1e-12)
         obj = objective(X, targets, cfg)
         for _ in range(8):
-            X = update_X(X, targets, cfg)
+            X = update_X(Iterate(X), targets, cfg).X
             new = objective(X, targets, cfg)
             assert new <= obj + 1e-10 * max(1.0, abs(obj))
             obj = new
@@ -530,7 +499,7 @@ class TestUpdateX:
         rng = np.random.default_rng(38)
         log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 70)
         X0 = model_from_dense(rng.uniform(0.0, 1.0, size=(9, 7)), [0.0] * 2, 6).X
-        X1 = update_X(X0, targets, SolverConfig(lam=0.3, inner_iters=5, max_rank=5))
+        X1 = update_X(Iterate(X0), targets, SolverConfig(lam=0.3, inner_iters=5, max_rank=5)).X
         k = X1.rank
         assert k > 0
         np.testing.assert_allclose(X1.U.T @ X1.U, np.eye(k), atol=1e-8)
@@ -538,17 +507,30 @@ class TestUpdateX:
         assert (np.diff(X1.sigma) <= 1e-12).all()
 
     def test_entry_pair_values_are_freed(self):
-        """The caller keeps the iterate it passed in, but not the pair values
-        cached on it: they would double the pair-length arrays live from the
+        """The caller keeps the record it passed in, but not the pair values
+        it held: they would double the pair-length arrays live from the
         second step on."""
         rng = np.random.default_rng(41)
         log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 70)
         X0 = model_from_dense(rng.uniform(0.0, 1.0, size=(9, 7)), [0.0] * 2, 6).X
         pairs = log.pairs()
-        entry_values = weakref.ref(X0.pair_values(pairs.users, pairs.items))
-        X1 = update_X(X0, targets, SolverConfig(lam=0.3, inner_iters=3, max_rank=5))
-        assert X1 is not X0
+        it = Iterate(X0, X0.pair_values(pairs.users, pairs.items))
+        entry_values = weakref.ref(it.z)
+        update_X(it, targets, SolverConfig(lam=0.3, inner_iters=3, max_rank=5))
+        assert it.X is not X0
         assert entry_values() is None
+
+    def test_result_holds_the_last_iterate(self):
+        """The result's rank, pair values and objective are its X's."""
+        rng = np.random.default_rng(42)
+        log, cats, rec, targets, *_ = build_setup(rng, 9, 7, 6, 2, 70)
+        X0 = model_from_dense(rng.uniform(0.0, 1.0, size=(9, 7)), [0.0] * 2, 6).X
+        cfg = SolverConfig(lam=0.3, inner_iters=3, max_rank=5)
+        result = update_X(Iterate(X0), targets, cfg)
+        assert result.rank == result.X.rank > 0
+        pairs = log.pairs()
+        assert np.array_equal(result.z, result.X.pair_values(pairs.users, pairs.items))
+        assert result.obj == objective(result.X, targets, cfg)
 
     @pytest.mark.parametrize("rank", [0, 3])
     def test_step_sketches_from_the_current_V(self, monkeypatch, rank):
@@ -573,9 +555,9 @@ class TestUpdateX:
         monkeypatch.setattr(utility.GradStepOperator, "matmat", matmat)
         # rank 3 plus the default oversampling of 10 is capped at n = 8 columns
         cfg = SolverConfig(lam=0.1, max_rank=3, inner_iters=1, seed=11)
-        update_X(X0, targets, cfg)
+        update_X(Iterate(X0), targets, cfg)
         first_run = len(blocks)
-        update_X(X0, targets, cfg)
+        update_X(Iterate(X0), targets, cfg)
         gauss = np.random.default_rng(cfg.seed).standard_normal((8, 8 - rank))
         assert np.array_equal(blocks[0], np.hstack([X0.V, gauss]))
         assert len(blocks) == 2 * first_run
@@ -592,5 +574,5 @@ class TestUpdateX:
         targets = compute_targets(rec, [0.0])
         X_dense = rng.uniform(0.5, 1.0, size=(6, 5))
         X0 = model_from_dense(X_dense, [0.0], 6).X
-        X1 = update_X(X0, targets, SolverConfig(lam=0.1, inner_iters=10, max_rank=5))
+        X1 = update_X(Iterate(X0), targets, SolverConfig(lam=0.1, inner_iters=10, max_rank=5)).X
         assert np.linalg.norm(X1.row_scores(3)) < np.linalg.norm(X_dense[3])
