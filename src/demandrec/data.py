@@ -33,6 +33,7 @@ import csv
 import hashlib
 import itertools
 import math
+import operator
 import os
 import struct
 import warnings
@@ -631,37 +632,62 @@ class RecencyIndex:
             keys.sort()
             parts.append(keys[np.append(True, keys[1:] != keys[:-1])])
         self._event_keys = np.concatenate(parts)
-        # the key of each category's slot 0 within a user's groups; the key
-        # space was checked above, so a user's offset added to them is exact
+        # the keys after the sentinel: a search there for a needle returns
+        # the index, in _event_keys, of the last key below it, the sentinel
+        # when no key is, so no index needs shifting or clamping
+        self._after_sentinel = self._event_keys[1:]
+        # the key of each category's slot 0 within a user's groups, and the
+        # key span of one user; the key space was checked above, so a
+        # user's offset added to them is exact
         self._cat_keys = np.arange(self.r, dtype=np.int64) * (log.l + 1)
+        self._user_span = self.r * (log.l + 1)
 
     def query(self, users, cats, slots):
         """Slots since each user's last purchase in ``cats`` strictly before
         ``slots``; ``inf`` where there is no earlier purchase, which includes
         every slot below 0.  The arguments broadcast against each other;
         scalars give a scalar.  Users outside ``[0, m)`` or categories
-        outside ``[0, r)`` raise ``ValueError``."""
-        users, cats, slots = (np.asarray(a, dtype=np.int64) for a in (users, cats, slots))
+        outside ``[0, r)`` raise ``ValueError``, and so do slots outside
+        the int64 range."""
+        try:
+            slots = np.asarray(slots, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("slot must be below 2**63 and at least -2**63") from None
+        users, cats = (np.asarray(a, dtype=np.int64) for a in (users, cats))
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
             if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
-        return self._gaps(_encode_keys(users, cats, 0, self._radices), slots)[()]
+        group = _encode_keys(users, cats, 0, self._radices)
+        # every event slot is below l, so clamping keeps later slots exact
+        prev = self._event_keys.take(
+            self._after_sentinel.searchsorted(group + np.minimum(slots, self.log.l)))
+        return np.where(prev >= group, slots - (prev - group), np.inf)[()]
 
     def user_gaps(self, user: int, slot: int) -> np.ndarray:
         """The r gaps of one user at one slot, bit for bit
         ``query(user, np.arange(r), slot)``: one search of r keys, without
-        the broadcast path's array checks.  A user outside ``[0, m)``
-        raises ``ValueError``."""
+        the broadcast path's array checks.  A user outside ``[0, m)`` or a
+        slot of 2**63 or more raises ``ValueError``.
+
+        The needles are the keys of ``(user, c, s)``, ``s = min(slot, l)``.
+        ``rel``, the found key minus the needle, is in ``[-s, -1]`` exactly
+        when that key is a purchase of the user in ``c``, and the gap is
+        then ``slot - s - rel``.  The found key is at least the sentinel
+        -1, so ``rel`` cannot wrap in int64, where ``needle - key`` could."""
+        user, slot = operator.index(user), operator.index(slot)
         if not 0 <= user < self.log.m:
             raise ValueError(f"user ids must be in [0, {self.log.m})")
-        return self._gaps(self._cat_keys + user * self.r * (self.log.l + 1), slot)
-
-    def _gaps(self, group, slots):
-        """Gaps at ``slots`` of the groups whose slot-0 keys are ``group``."""
-        # every event slot is below l, so clamping keeps later slots exact
-        pos = np.searchsorted(self._event_keys, group + np.minimum(slots, self.log.l)) - 1
-        prev = self._event_keys.take(np.maximum(pos, 0))
-        return np.where(prev >= group, slots - (prev - group), np.inf)
+        if slot >= 2**63:
+            raise ValueError(f"slot must be below 2**63, got {slot}")
+        if slot < 0:  # no purchase lies before slot 0
+            return np.full(self.r, np.inf)
+        s = min(slot, self.log.l)  # every event slot is below l
+        needles = self._cat_keys + (user * self._user_span + s)
+        rel = self._event_keys.take(self._after_sentinel.searchsorted(needles))
+        rel -= needles
+        gaps = ((slot - s) - rel).astype(np.float64)
+        gaps[rel < -s] = np.inf
+        return gaps
 
 
 def build_recency_index(log: PurchaseLog, cats: CategoryMap) -> RecencyIndex:

@@ -9,16 +9,22 @@ The three holdout metrics follow a per-user 90/10 protocol: each test record
 purchase time) at slot t, with recency computed from training purchases
 only.  All are averages of "top percentage" style quantities, lower better.
 
-A top-N query is one row GEMV, one r-key recency probe
-(:meth:`RecencyIndex.user_gaps`) and one selection: a partition finds the
-``n_top``-th score, and only the items that tie or beat it are sorted, so a
-query costs O(n + c log c) for c such candidates, not O(n log n).  The
-metrics work in blocks of at most ``_BLOCK_CELLS`` cells, so memory stays
-bounded.  No metric builds a record's score row.  The category and time
-metrics score each test user's utility row once: the first binary-searches
-it, sorted within categories, and the second reads each category's best
-utility from it.  The item metric scores only the
-target and its sample, and draws all its samples in chunks of a fixed size,
+A top-N query is one r-key recency probe (:meth:`RecencyIndex.user_gaps`)
+and four passes over the n items: the row GEMV, the penalty gather
+subtracted in place, a partition of a copy that finds the ``n_top``-th
+score, and one comparison that picks the items that tie or beat it.  Only
+those c candidates are sorted, so a query costs O(n + c log c), not
+O(n log n).  The list is a stable argsort's: highest score first, ties
+toward the smaller item id, NaN scores last, each score returned as
+computed (a ``+0.0`` keeps its sign).  Single queries take slots in
+``[0, 2**63)``, the range of the recency keys.
+
+The metrics work in blocks of at most ``_BLOCK_CELLS`` cells, so memory
+stays bounded.  No metric builds a record's score row.  The category and
+time metrics score each test user's utility row once: the first
+binary-searches it, sorted within categories, and the second reads each
+category's best utility from it.  The item metric scores only the target
+and its sample, and draws all its samples in chunks of a fixed size,
 so the draws do not depend on the block size.
 """
 
@@ -71,14 +77,22 @@ def _category_segments(assignment: np.ndarray, r: int):
     return np.argsort(assignment, kind="stable"), ends - counts, ends
 
 
+def _is_int(value) -> bool:
+    """True for an int, numpy's too, but not a bool; a plain int is
+    accepted before the slower ABC check."""
+    return type(value) is int or (not isinstance(value, bool)
+                                  and isinstance(value, numbers.Integral))
+
+
 def _check_query(**ids) -> None:
     """Query ids must be integers, numpy's too but not bools: a float would
     be truncated to a neighbouring id, and a bool or a string would reach
     numpy's own indexing errors.  The slot must be >= 0: below 0 every
     category would read as never bought, which is the recency index's
-    answer but no valid query."""
+    answer but no valid query.  The recency probe refuses slots from 2**63
+    on, where its keys end."""
     for name, value in ids.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if ids["slot"] < 0:
         raise ValueError(f"slot must be >= 0, got {ids['slot']}")
@@ -89,7 +103,7 @@ def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int)
     item's category's entry of one :meth:`RecencyIndex.user_gaps` probe,
     bit for bit the broadcast ``query``'s answer.  Ids that are not integers,
     items outside ``[0, n)``, users outside ``[0, m)`` and slots below 0
-    raise ``ValueError``."""
+    or from 2**63 on raise ``ValueError``."""
     _check_query(user=user, item=item, slot=slot)
     if not 0 <= item < model.n:
         raise ValueError(f"item ids must be in [0, {model.n})")
@@ -115,31 +129,41 @@ def recommend_topn(
     model: ModelState, rec: RecencyIndex, user: int, slot: int, n_top: int
 ):
     """Top ``n_top`` items for a user at a slot, highest score first, ties
-    broken toward the smaller item id.  Returns (item, score) pairs.
+    broken toward the smaller item id, NaN scores last.  Returns (item,
+    score) pairs: the first ``n_top`` of a stable argsort of ``-scores``,
+    with each score as computed, so a score of exactly ``+0.0`` stays
+    ``+0.0``.
 
-    The row is the user's utilities minus the penalties of one
-    :meth:`RecencyIndex.user_gaps` probe, the float expressions of
-    ``_scores``, so it equals ``_scores(model, rec, user, slot)`` bit for
-    bit.  The list is the first ``n_top`` of a stable argsort of
-    ``-scores``, NaNs last, without sorting the whole row:
-    ``np.partition`` finds the ``n_top``-th smallest ``-score``, every item
-    that ties or beats it (and every NaN, so a NaN there keeps all items)
-    is a candidate, in ascending id order, and only the candidates are
-    stable-sorted.  The cost is O(n + c log c) for c candidates:
-    ``n_top``, the items tied at the boundary and any NaNs, so only a row
-    of mostly equal scores costs a full sort.  Ids that are not integers,
-    users outside ``[0, m)`` and slots below 0 raise ``ValueError``.
+    The row is ``_scores(model, rec, user, slot)`` bit for bit: the GEMV
+    ``(U[user] * sigma) @ V.T`` minus the penalties ``max(0, d - t)`` of
+    one r-key :meth:`RecencyIndex.user_gaps` probe.  Four passes over the
+    n items select from it: the GEMV, the penalty gather subtracted in
+    place, a partition of a copy that finds the ``n_top``-th largest
+    score, and one comparison with it whose nonzero entries, in ascending
+    id order, are the candidates.  Only the candidates are stable-sorted,
+    so the cost is O(n + c log c) for c candidates: ``n_top`` and the
+    items tied at the boundary.
+
+    A NaN is never a candidate, and the partition places NaNs above every
+    number, so a row with NaNs may leave fewer than ``n_top`` candidates;
+    then the whole row is stable-sorted.  At least ``n_top`` candidates
+    always hold the answer.  Ids that are not integers, users outside
+    ``[0, m)`` and slots below 0 or from 2**63 on raise ``ValueError``.
     """
-    if (isinstance(n_top, bool) or not isinstance(n_top, numbers.Integral)
-            or not 1 <= n_top <= model.n):
-        raise ValueError(f"n_top must be in [1, {model.n}], got {n_top}")
+    n = model.n
+    if not _is_int(n_top) or not 1 <= n_top <= n:
+        raise ValueError(f"n_top must be in [1, {n}], got {n_top}")
     _check_query(user=user, slot=slot)
     penalties = np.maximum(0.0, model.d - rec.user_gaps(user, slot))
-    scores = model.X.row_scores(user) - penalties[rec.cats.assignment]
-    neg = -scores
-    kth = np.partition(neg, n_top - 1)[n_top - 1]
-    cands = np.flatnonzero(~(neg > kth))
-    order = cands[np.argsort(neg[cands], kind="stable")[:n_top]]
+    scores = model.X.row_scores(user)
+    scores -= penalties.take(rec.cats.assignment)
+    part = scores.copy()
+    part.partition(n - n_top)
+    cands = (scores >= part[n - n_top]).nonzero()[0]
+    if cands.shape[0] < n_top:  # NaNs took places of the top n_top
+        order = (-scores).argsort(kind="stable")[:n_top]
+    else:
+        order = cands.take((-scores.take(cands)).argsort(kind="stable")[:n_top])
     return list(zip(order.tolist(), scores.take(order).tolist()))
 
 
@@ -347,13 +371,19 @@ def _draw_others(rng, items: np.ndarray, n: int, draws: int) -> np.ndarray:
     of the items, so each set of ``draws`` items is equally likely.  From
     half on, where duplicates would take many rounds, each row takes its
     ``draws`` smallest of n - 1 uniform keys instead.
+
+    The integers are drawn as int32 while n - 1 < 2**31: numpy gives the
+    same values, and leaves the generator in the same state, as int64
+    draws below that bound, and the sorts and comparisons read half the
+    bytes.
     """
     rows = items.shape[0]
     if 2 * draws >= n:
         keys = rng.random((rows, n - 1))
         others = np.argpartition(keys, draws - 1, axis=1)[:, :draws]
     else:
-        others = np.sort(rng.integers(0, n - 1, size=(rows, draws)), axis=1)
+        dtype = np.int32 if n - 1 < 2**31 else np.int64
+        others = np.sort(rng.integers(0, n - 1, size=(rows, draws), dtype=dtype), axis=1)
         redo, block = np.arange(rows), others
         while True:
             dup = block[:, 1:] == block[:, :-1]
@@ -361,7 +391,7 @@ def _draw_others(rng, items: np.ndarray, n: int, draws: int) -> np.ndarray:
             if not hit.any():
                 break
             redo, block = redo[hit], block[hit]
-            block[:, 1:][dup[hit]] = rng.integers(0, n - 1, size=int(dup.sum()))
+            block[:, 1:][dup[hit]] = rng.integers(0, n - 1, size=int(dup.sum()), dtype=dtype)
             block.sort(axis=1)
             others[redo] = block
     return others + (others >= items[:, None])

@@ -562,6 +562,13 @@ class TestRecommend:
         assert capsys.readouterr().err.splitlines() == [
             "error:config: slot must be >= 0, got -1"]
 
+    @pytest.mark.parametrize("slot", [2**63, 2**64 + 3])
+    def test_slot_beyond_int64_is_one_config_error(self, pipeline_dir, capsys, slot):
+        capsys.readouterr()
+        assert run(pipeline_dir, "recommend", "--user", "0", "--slot", str(slot)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: slot must be below 2**63, got {slot}"]
+
     def test_bad_topn(self, pipeline_dir, capsys):
         code = run(pipeline_dir, "recommend", "--user", "0", "--slot", "0", "--topn", "0")
         assert code == 2

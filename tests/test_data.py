@@ -590,6 +590,32 @@ class TestRecencyIndex:
             with pytest.raises(ValueError, match=r"^user ids must be in \[0, 2\)$"):
                 probe()
 
+    @pytest.mark.parametrize("slot", [-1, -5])
+    def test_user_gaps_at_negative_slots_equal_the_query(self, slot):
+        # user 0 buys in category 0 at slot 0, so the needle of (0, 0, -1)
+        # is the sentinel -1 itself, and the first key after it is 0
+        rng = np.random.default_rng(50)
+        log = make_log([(0, 0, 0), (0, 3, 2)] + random_triplets(rng, 4, 6, 9, 30), m=4, n=6)
+        rec = build_recency_index(log, make_cats(np.arange(6) % 3, r=3))
+        for user in range(log.m):
+            want = rec.query(user, np.arange(3), slot)
+            got = rec.user_gaps(user, slot)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.isinf(got).all()
+
+    def test_slots_beyond_int64_rejected(self):
+        log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
+        rec = build_recency_index(log, make_cats([0, 1], r=2))
+        for slot in (2**63, 2**70):
+            for probe in (lambda: rec.user_gaps(1, slot), lambda: rec.query(1, 0, slot),
+                          lambda: rec.query(1, [0, 1], [5, slot])):
+                with pytest.raises(ValueError, match=r"^slot must be below 2\*\*63"):
+                    probe()
+        # the last slot of the key range is still answered
+        got = rec.user_gaps(1, 2**63 - 1)
+        assert got.tobytes() == rec.query(1, np.arange(2), 2**63 - 1).tobytes()
+        assert got.tolist() == [float(2**63 - 3), float(2**63 - 7)]
+
     def test_peak_memory_per_triplet(self):
         """An index build that keyed and sorted every triplet at once peaked
         at 17.0 traced bytes per triplet here, to keep 0.16 bytes of

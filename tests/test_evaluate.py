@@ -182,6 +182,13 @@ class TestQueryIds:
         numpy_ids = {"user": np.int64(1), "item": np.uint8(2), "slot": np.int32(5)}
         assert self.CALLS[call](model, rec, numpy_ids) == plain
 
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("slot", [2**63, 2**64, np.uint64(2**63)])
+    def test_rejects_slots_from_two_to_the_63(self, call, slot):
+        model, rec = self.setup_model()
+        with pytest.raises(ValueError, match=r"^slot must be below 2\*\*63, got "):
+            self.CALLS[call](model, rec, {"user": 1, "item": 2, "slot": slot})
+
 
 class TestPredictDemand:
     def setup_model(self):
@@ -265,6 +272,26 @@ class TestRecommendTopn:
         model, rec = self.one_user(values)
         assert recommend_topn(model, rec, 0, 4, n_top) == [(j, values[j]) for j in want]
 
+    @pytest.mark.parametrize("n_top, sorted_size", [(1, 1), (2, 2), (3, 5), (5, 5), (6, 6)])
+    def test_sorts_only_the_candidates(self, monkeypatch, n_top, sorted_size):
+        # without NaNs only the items that tie or beat the n_top-th score
+        # are sorted: from n_top = 3 on the three items tied at 0.3 join 1
+        # and 5, and only at n_top = 6 does item 3 join them
+        sizes = []
+
+        class Row(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                sizes.append(self.shape[0])
+                return np.asarray(self).argsort(*args, **kwargs)
+
+        values = [0.3, 0.9, 0.3, 0.1, 0.3, 0.8]
+        model, rec = self.one_user(values)
+        row_scores = model.X.row_scores
+        monkeypatch.setattr(model.X, "row_scores", lambda user: row_scores(user).view(Row))
+        want = sorted(range(6), key=lambda j: (-values[j], j))[:n_top]
+        assert recommend_topn(model, rec, 0, 4, n_top) == [(j, values[j]) for j in want]
+        assert sizes == [sorted_size]
+
     def test_all_equal_row(self):
         model, rec = self.one_user(np.full(7, 0.25))
         for n_top in range(1, 8):
@@ -335,6 +362,27 @@ class TestRecommendTopn:
                         assert [j for j, _ in out] == order.tolist()
                         assert all(type(j) is int and type(v) is float for j, v in out)
                         assert np.array_equal([v for _, v in out], scores[order])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_scores_keep_their_sign(self, seed):
+        # integer utilities and durations: at slot 2 category 0, bought at
+        # slot 0, has the penalty 3, so items of utility 3 score exactly
+        # z - p = +0.0, and so do the zero utilities of the unpenalized
+        # category 1; the lists must equal the reference in repr, which
+        # tells +0.0 from -0.0 where == does not
+        rng = np.random.default_rng(70 + seed)
+        n = 12
+        V = rng.integers(-1, 5, size=(n, 1))
+        V[:3, 0] = [3, 3, 0]
+        model = model_from_factors([[1.0]], V, [5.0, 2.0], l=6)
+        cats = make_cats([0, 0, 1] + rng.integers(0, 2, size=n - 3).tolist(), r=2)
+        rec = build_recency_index(make_log([(0, 0, 0)], m=1, n=n), cats)
+        scores = evaluate._scores(model, rec, 0, 2)
+        assert (scores == 0.0).sum() >= 3 and not np.signbit(scores[scores == 0.0]).any()
+        for n_top in range(1, n + 1):
+            order = np.argsort(-scores, kind="stable")[:n_top]
+            want = list(zip(order.tolist(), scores[order].tolist()))
+            assert repr(recommend_topn(model, rec, 0, 2, n_top)) == repr(want)
 
     @pytest.mark.parametrize("where", ["item", "user"])
     def test_nan_factor_keeps_the_stable_argsort_order(self, where):
@@ -754,6 +802,36 @@ class TestItemMetric:
         assert not (others == items[:, None]).any()
         for row in others:
             assert np.unique(row).shape[0] == draws
+
+    @pytest.mark.parametrize("n, draws", [(20, 7), (40, 19), (1000, 120)])
+    def test_int32_draws_equal_int64_draws(self, n, draws):
+        # the same values and the same generator state as draws widened to
+        # int64, over the first draw and every redraw round
+
+        class Int64Draws:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def integers(self, low, high, size, dtype=None):
+                self.calls += 1
+                return self.rng.integers(low, high, size=size)
+
+        items = np.random.default_rng(20).integers(0, n, size=500).astype(np.int32)
+        rng, wide = np.random.default_rng(21), Int64Draws(np.random.default_rng(21))
+        want = _draw_others(wide, items, n, draws)
+        got = _draw_others(rng, items, n, draws)
+        assert wide.calls >= 3  # the first draw and at least two redraw rounds
+        assert got.dtype == np.int32 and want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == wide.rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, dtype", [(2**31, np.int32), (2**31 + 1, np.int64)])
+    def test_draws_widen_only_past_int32(self, n, dtype):
+        # the largest draw, n - 2, plus one must fit the draws' dtype
+        items = np.array([0, n - 1])
+        others = _draw_others(np.random.default_rng(22), items, n, 3)
+        assert others.dtype == dtype
+        assert ((others >= 0) & (others < n) & (others != items[:, None])).all()
 
     @pytest.mark.parametrize("draws", [7, 15])  # sorted draws; random keys
     def test_draw_counts_are_uniform(self, draws):
