@@ -653,10 +653,16 @@ class RecencyIndex:
             slots = np.asarray(slots, dtype=np.int64)
         except OverflowError:
             raise ValueError("slot must be below 2**63 and at least -2**63") from None
-        users, cats = (np.asarray(a, dtype=np.int64) for a in (users, cats))
+        checked = []
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
-            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+            try:
+                ids = np.asarray(ids, dtype=np.int64)
+            except OverflowError:  # an id outside int64 is out of range too
+                ids = None
+            if ids is None or ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
+            checked.append(ids)
+        users, cats = checked
         group = _encode_keys(users, cats, 0, self._radices)
         # every event slot is below l, so clamping keeps later slots exact
         prev = self._event_keys.take(

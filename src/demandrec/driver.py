@@ -12,6 +12,10 @@ aborts with a diagnostic.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 import time
 from dataclasses import dataclass
 
@@ -110,6 +114,68 @@ def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     return FactoredUtilityMatrix(U, sig, V)
 
 
+# ---------------------------------------------------------------------------
+# BLAS held at one thread while a fit runs.  The solver's pair-length passes
+# take the second core (kernels.in_halves), where a second BLAS thread would
+# compete for it; and at the solver's block widths a second BLAS thread buys
+# little.  The thread count is OpenBLAS's, set through the functions the
+# library numpy links exports; where none is found (another BLAS, or an
+# OpenBLAS without them) the hold does nothing.
+
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """``(get, set)`` of the BLAS thread count numpy uses, or ``None``.  The
+    symbols are looked up through numpy's core extension, whose handle also
+    searches the libraries it links."""
+    try:
+        core = getattr(np, "_core", None) or np.core
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_blas_hold_lock = threading.Lock()
+_blas_hold = [0, None]  # fits running, and the thread count before the first
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread, and restore the count found on entry once
+    the last of the fits running at once has left."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_hold_lock:
+        if _blas_hold[0] == 0:
+            _blas_hold[1] = get()
+            set_(1)
+        _blas_hold[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_hold_lock:
+            _blas_hold[0] -= 1
+            if _blas_hold[0] == 0:
+                set_(_blas_hold[1])
+
+
 def fit(
     log: PurchaseLog,
     cats: CategoryMap,
@@ -120,9 +186,18 @@ def fit(
     change drops below ``cfg.tol`` or ``cfg.outer_iters`` is reached.
 
     Returns ``(ModelState, FitReport)``.  Deterministic: the same inputs and
-    seed reproduce the model exactly.  ``init`` warm-starts from a previous
-    state, cut to its ``cfg.max_rank`` leading singular triplets.
+    seed reproduce the model exactly, on any number of cores.  ``init``
+    warm-starts from a previous state, cut to its ``cfg.max_rank`` leading
+    singular triplets.  While it runs, OpenBLAS is held at one thread, and
+    its thread count is restored on return or on an exception; with
+    another BLAS the count is left alone.
     """
+    with _one_blas_thread():
+        return _fit(log, cats, cfg, init)
+
+
+def _fit(log: PurchaseLog, cats: CategoryMap, cfg: SolverConfig,
+         init: ModelState | None):
     if log.nnz == 0:
         raise DataFormatError("purchase log contains no records")
     rec = triplet_recency(log, cats)

@@ -106,7 +106,9 @@ def _workset(cat: int, finite, codes, base: int, never, z_pair,
     const = 0.0
     if never.shape[0]:
         flat_inf = np.maximum(1.0 - _gather(z_pair, pair_index, never), 0.0)
-        const = float(flat_inf @ flat_inf)
+        # numpy's sum, in an order BLAS's thread count does not change
+        np.square(flat_inf, out=flat_inf)
+        const = float(flat_inf.sum())
         del flat_inf
     z = _gather(z_pair, pair_index, finite)
     t = codes.astype(np.float64)

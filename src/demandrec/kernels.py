@@ -2,11 +2,79 @@
 
 Each kernel is a vectorized numpy function over flat arrays; none of them
 loops in Python over records, pairs or slots.
+
+The two pair-length passes of the solver, :func:`pair_values` and
+:func:`hinge_stats`, run on two cores where the process may use two: the
+pairs (or triplets) are split at the block boundary nearest the middle, the
+calling thread runs the first half's blocks and a second thread the other
+half's, each writing into its own part of the one output array
+(:func:`in_halves`).  numpy's gathers, element-wise loops and sums release
+the interpreter lock, so the halves overlap.  Every output value is computed by
+the same operations on the same inputs whichever thread runs its block, and
+every reduction is taken in an order the code fixes (per block, then in
+block order), so the bits depend neither on the split nor on the thread
+count.  No kernel reduces through BLAS, whose order depends on how many
+threads it runs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# in_halves: the second thread.  A process has one, made on first use, since
+# like BLAS's own pool it belongs to the cores, not to a caller; importing
+# this module starts nothing.  It is remade in a forked child, where the
+# parent's thread does not run.  With one usable CPU there is none, and the
+# calling thread runs both halves in order.
+
+_second = None  # (pid, executor or None)
+_second_lock = threading.Lock()
+
+
+def _second_thread():
+    global _second
+    with _second_lock:
+        if _second is None or _second[0] != os.getpid():
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            executor = None
+            if cpus > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                executor = ThreadPoolExecutor(max_workers=1,
+                                              thread_name_prefix="demandrec-half")
+            _second = (os.getpid(), executor)
+        return _second[1]
+
+
+def in_halves(work, halves) -> None:
+    """``work(half)`` for each of one or two ``halves``: the first in the
+    calling thread, the second in the process's second thread if it has one.
+    Both have finished when this returns, and an exception of either is
+    raised.  ``work`` must not itself call :func:`in_halves`."""
+    first, *rest = halves
+    executor = _second_thread() if rest else None
+    if executor is None:
+        for half in halves:
+            work(half)
+        return
+    future = executor.submit(work, rest[0])
+    try:
+        work(first)
+    finally:
+        future.result()  # the second half is done before anything is read
+
+
+def _split(n: int) -> list:
+    """``[(0, mid), (mid, n)]``, split at the ``_PAIR_BLOCK`` boundary
+    nearest n / 2, or ``[(0, n)]`` when that boundary is an end."""
+    mid = round(n / (2 * _PAIR_BLOCK)) * _PAIR_BLOCK
+    return [(0, mid), (mid, n)] if 0 < mid < n else [(0, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -17,24 +85,30 @@ import numpy as np
 # transient at a few block-length vectors.  Each index block is widened to
 # intp once: numpy gathers about three times slower with the int32 indices of
 # the log's CSR pattern, as it converts them on every gather.  ``take`` gathers
-# the same values as fancy indexing with less overhead per call.
+# the same values as fancy indexing with less overhead per call.  The blocks of
+# each half of the pairs (``_split``) go to one thread; at 2**15 pairs a block,
+# two threads hold the transient one thread held at 2**16.
 
-_PAIR_BLOCK = 1 << 16
+_PAIR_BLOCK = 1 << 15
 
 
 def pair_values(U, sigma, V, pair_users, pair_items):
     UT = np.ascontiguousarray((U * sigma).T)
     VT = np.ascontiguousarray(V.T)
     out = np.zeros(len(pair_users))
-    for start in range(0, out.shape[0], _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        users = pair_users[block].astype(np.intp, copy=False)
-        items = pair_items[block].astype(np.intp, copy=False)
-        acc = out[block]
-        for j in range(sigma.shape[0]):
-            prod = UT[j].take(users)
-            prod *= VT[j].take(items)
-            acc += prod
+
+    def fill(half):
+        for start in range(*half, _PAIR_BLOCK):
+            block = slice(start, start + _PAIR_BLOCK)
+            users = pair_users[block].astype(np.intp, copy=False)
+            items = pair_items[block].astype(np.intp, copy=False)
+            acc = out[block]
+            for j in range(sigma.shape[0]):
+                prod = UT[j].take(users)
+                prod *= VT[j].take(items)
+                acc += prod
+
+    in_halves(fill, _split(out.shape[0]))
     return out
 
 
@@ -43,20 +117,36 @@ def pair_values(U, sigma, V, pair_users, pair_items):
 # plus the total of the squared hinges.  A triplet's target is the entry of a
 # small target table at the triplet's code; pair_index maps each triplet to
 # its (user, item) pair, and pairs are contiguous because triplets are stored
-# sorted.  The targets are read from the table a block at a time into the one
-# triplet-length array of the pair values, so they are never held for every
-# triplet; the sums and the total are each one pass over that array, as they
-# would be over a whole-array expression.
+# sorted.  Each block of triplets gathers its pair values into its part of the
+# one triplet-length gap array and subtracts them from its targets, read from
+# the table, in place; so the targets are never held for every triplet.  The
+# blocks of each half of the triplets go to one thread.  The per-pair sums are
+# one bincount pass over the whole array, as over a whole-array expression.
+# The total is fixed by the code: each block's squares are summed by numpy,
+# and the block totals are added in block order.
 
 
 def hinge_stats(table, codes, pair_x, pair_index, n_pairs):
-    gap = pair_x[pair_index]  # one triplet-length array, updated in place
-    for start in range(0, gap.shape[0], _PAIR_BLOCK):
-        block = gap[start : start + _PAIR_BLOCK]
-        np.subtract(table.take(codes[start : start + _PAIR_BLOCK]), block, out=block)
-        np.maximum(block, 0.0, out=block)
+    n = pair_index.shape[0]
+    gap = np.empty(n)
+    block_sq = np.empty(-(-n // _PAIR_BLOCK))
+
+    def fill(half):
+        sq = np.empty(min(_PAIR_BLOCK, half[1] - half[0]))
+        for start in range(*half, _PAIR_BLOCK):
+            block = gap[start : start + _PAIR_BLOCK]
+            pair_x.take(pair_index[start : start + _PAIR_BLOCK], out=block)
+            np.subtract(table.take(codes[start : start + _PAIR_BLOCK]), block, out=block)
+            np.maximum(block, 0.0, out=block)
+            squares = np.multiply(block, block, out=sq[: block.shape[0]])
+            block_sq[start // _PAIR_BLOCK] = squares.sum()
+
+    in_halves(fill, _split(n))
     sums = np.bincount(pair_index, weights=gap, minlength=n_pairs)
-    return sums, float(gap @ gap)
+    total = 0.0
+    for part in block_sq.tolist():
+        total += part
+    return sums, total
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,15 @@ computes them again.
 A positive triplet's target depends only on its category and its recency
 gap, so the targets are one table of r * (l + 1) values indexed by the
 triplet codes of :class:`TripletRecency`, not one float per triplet.
+
+Three passes of a step are as long as the purchased pairs: the pair values
+and the hinge pass (see :mod:`kernels`), and the two sparse products of the
+gradient-step operator.  Each runs in two halves on two threads where the
+process may use two cores.  A sparse product ``S @ B`` or ``S.T @ B`` is
+split by B's column halves: scipy multiplies each column on its own, so
+each output column is computed by the same operations as in the whole
+product, and the halves are added into one output the dense part already
+filled.  The bits are those of one thread.
 """
 
 from __future__ import annotations
@@ -219,10 +228,28 @@ class GradStepOperator:
         return self.S.shape
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
-        return self.scale * self.X.matmat(B) + self.S @ B
+        out = self.X.matmat(B)
+        out *= self.scale
+        return _add_sparse_product(out, self.S, B)
 
     def rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return self.scale * self.X.rmatmat(B) + self.S.T @ B
+        out = self.X.rmatmat(B)
+        out *= self.scale
+        return _add_sparse_product(out, self.S.T, B)
+
+
+def _add_sparse_product(out: np.ndarray, A, B: np.ndarray) -> np.ndarray:
+    """``out += A @ B`` for a scipy-sparse A, in place, with B's columns in
+    two halves on two threads (:func:`kernels.in_halves`).  scipy multiplies
+    each column of B on its own, so a half's columns of ``A @ B`` have the
+    bits of the whole product's, and ``out`` those of ``out + A @ B``."""
+    k = B.shape[1]
+
+    def add(cols):
+        out[:, cols] += A @ B[:, cols]
+
+    kernels.in_halves(add, [slice(0, k // 2), slice(k // 2, k)] if k > 1 else [slice(0, k)])
+    return out
 
 
 class MatrixOperator:

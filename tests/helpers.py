@@ -1,7 +1,10 @@
 """Small constructors shared across test files."""
 
+import os
+
 import numpy as np
 
+from demandrec import kernels
 from demandrec.data import CategoryMap, _build_log, _write_arrays
 from demandrec.driver import ModelState
 from demandrec.utility import FactoredUtilityMatrix
@@ -50,6 +53,14 @@ def model_from_dense(X_dense, d, l):
     else:
         X = FactoredUtilityMatrix.zeros(*X_dense.shape)
     return ModelState(X=X, d=np.asarray(d, dtype=float), l=l)
+
+
+def one_thread_run(monkeypatch, fn, *args):
+    """``fn(*args)`` with no second thread: the calling thread runs both
+    halves of every split pass."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_second", (os.getpid(), None))
+        return fn(*args)
 
 
 def triplet_list(log):

@@ -67,6 +67,16 @@ def triplet_targets(targets):
     return targets.table[targets.codes.astype(np.int64)]
 
 
+def block_sum_of_squares(values, block):
+    """The sum of squares of ``values`` as the hinge total takes it: numpy's
+    sum of each block's squares, the block totals added left to right."""
+    total = 0.0
+    for start in range(0, len(values), block):
+        part = values[start : start + block]
+        total += float((part * part).sum())
+    return total
+
+
 def category_objective(ws, d):
     """A duration workset's category objective at one d, summed directly."""
     pen = np.maximum(0.0, d - ws.t)

@@ -623,6 +623,19 @@ def test_only_train_imports_scipy_sparse(pipeline_dir, tmp_path):
                                        "train": True})
 
 
+def test_import_starts_no_thread():
+    """The split passes' second thread and its module are made on first
+    use, inside a fit: importing the package and its CLI loads neither."""
+    probe = ("import sys, threading; import demandrec, demandrec.cli; "
+             "print('concurrent.futures' in sys.modules, threading.active_count())")
+    src = str(Path(demandrec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "1"]
+
+
 class TestRankDemo:
     def test_spectra_and_summary(self, tmp_path, capsys):
         assert run(tmp_path, "rank-demo") == 0

@@ -524,7 +524,9 @@ class TestRecencyIndex:
         # with r = 1, category 1 of user 0 used to alias user 1's category 0
         log = make_log([(1, 0, 2)], m=2, n=1)
         rec = build_recency_index(log, make_cats([0], r=1))
-        for user, cat in ((0, 1), (0, -1), (2, 0), (-1, 0)):
+        # ids beyond int64 are out of range too, not an OverflowError
+        for user, cat in ((0, 1), (0, -1), (2, 0), (-1, 0), (2**64, 0), (0, 2**64),
+                          (-2**64, 0), (0, [0, 2**70])):
             with pytest.raises(ValueError, match="must be in"):
                 rec.query(user, cat, 5)
         with pytest.raises(ValueError, match="user ids"):

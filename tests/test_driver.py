@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +260,144 @@ class TestPairValueReuse:
                  for name in ("matmat", "rmatmat", "randomized_svd")}
         assert len({g for n, g in calls if n == "gradient_step"}) > 1  # halvings
         assert count["matmat"] == count["rmatmat"] == count["randomized_svd"] > 3
+
+
+class TestBlasThreads:
+    def test_fit_holds_one_thread_and_restores_the_count(self, monkeypatch):
+        calls = driver._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS exports no thread-count functions")
+        get, set_ = calls
+        log, cats, *_ = small_instance(seed=61, m=15, n=12, l=8, r=3, count=150)
+        cfg = SolverConfig(outer_iters=2, inner_iters=3, seed=1)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return utility.update_X(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise SolverError("stop")
+
+        before = get()
+        try:
+            set_(2)
+            monkeypatch.setattr(driver, "update_X", spy)
+            fit(log, cats, cfg)
+            assert seen and set(seen) == {1}
+            assert get() == 2
+            seen.clear()
+            monkeypatch.setattr(driver, "update_X", failing)
+            with pytest.raises(SolverError, match="stop"):
+                fit(log, cats, cfg)
+            assert seen == [1]
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_concurrent_fits_hold_one_thread_and_restore_the_count(self, monkeypatch,
+                                                                     two_threads):
+        """Three fits at once in three threads, sharing the one second
+        thread: each sees BLAS at one thread, each gets the model a lone fit
+        gets, and the count found before the first is back after the last."""
+        calls = driver._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS exports no thread-count functions")
+        get, set_ = calls
+        log, cats, *_ = small_instance(seed=62, m=40, n=30, l=8, r=3, count=600)
+        cfg = SolverConfig(outer_iters=2, inner_iters=3, seed=1, tol=1e-12)
+        seen, results = [], []
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return utility.update_X(*args, **kwargs)
+
+        def run():
+            results.append(fit(log, cats, cfg)[1].objective_history)
+
+        before, interval = get(), sys.getswitchinterval()
+        try:
+            set_(2)
+            monkeypatch.setattr(driver, "update_X", spy)
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", 64)  # split every pass
+            want = fit(log, cats, cfg)[1].objective_history
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=run) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            final = get()
+            set_(before)
+        assert results == [want] * 3
+        assert set(seen) == {1}
+        assert final == 2
+        assert two_threads.threads
+
+
+# Runs in a fresh interpreter, under one BLAS setting: the sha256 of a hinge
+# pass on 150,000 random triplets, of a fit's objective trace and of its U
+# and d.  "pinned" runs on one CPU, with no second thread for the split
+# passes and OpenBLAS choosing its own thread count.
+_THREAD_PROBE = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from demandrec import kernels
+from demandrec.data import CategoryMap, _build_log
+from demandrec.driver import fit
+from demandrec.utility import SolverConfig
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+rng = np.random.default_rng(0)
+n_trip, n_pairs = 150_000, 60_000
+table = rng.uniform(0.0, 5.0, size=2_010)
+codes = rng.integers(0, 2_010, size=n_trip).astype(np.uint16)
+pair_x = rng.normal(size=n_pairs)
+pair_index = np.sort(rng.integers(0, n_pairs, size=n_trip))
+sums, total = kernels.hinge_stats(table, codes, pair_x, pair_index, n_pairs)
+
+m = n = 2_000
+l, nnz = 50, 60_000
+rng = np.random.default_rng(7)
+draw = np.unique(rng.integers(0, m * n * l, size=nnz))
+log = _build_log(draw // (n * l), (draw // l) % n, draw % l, m=m, n=n)
+cats = CategoryMap(assignment=np.arange(n) % 4, r=4)
+state, report = fit(log, cats, SolverConfig(outer_iters=2, inner_iters=3, seed=0, tol=1e-12))
+print(digest(sums, [total]), digest(report.objective_history), digest(state.X.U, state.d))
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads_or_cores():
+    """The hinge total and the fit's objective trace, U and d are the same
+    bits with OpenBLAS at one thread, at two, and on one CPU.  BLAS dots over
+    triplet-length arrays gave totals whose last bits moved with the BLAS
+    thread count."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity control on this platform")
+    src = str(Path(driver.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = {}
+    for setting, env in (("1", {"OPENBLAS_NUM_THREADS": "1"}),
+                         ("2", {"OPENBLAS_NUM_THREADS": "2"}), ("pinned", {})):
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, setting],
+                              capture_output=True, text=True, env={**base, **env},
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs[setting] = done.stdout.split()
+    assert len(outputs["1"]) == 3
+    assert outputs["1"] == outputs["2"] == outputs["pinned"], outputs
 
 
 class TestWorkingSet:

@@ -1,11 +1,23 @@
 """Each kernel against a brute-force or dense reference on random inputs."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 import oracles
+from helpers import one_thread_run
 
 from demandrec import kernels
+
+
+# pair counts at blocks of 64: one partial block, one block, two blocks (the
+# split), three blocks with a partial last one (an odd count), four, and five
+# with a partial last one
+SPLIT_SIZES = [5, 64, 128, 130, 192 - 7, 256, 5 * 64 - 1]
+
 
 def random_pairs(rng, m=17, n=13, k=5, npairs=60):
     U = rng.normal(size=(m, k))
@@ -49,6 +61,51 @@ class TestPairValues:
         got = kernels.pair_values(U, sigma, V, pu.astype(np.int32), pi.astype(np.int32))
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("npairs", SPLIT_SIZES)
+    def test_halves_have_the_bits_of_one_thread(self, monkeypatch, two_threads, npairs,
+                                                dtype):
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 64)
+        rng = np.random.default_rng(npairs)
+        U, sigma, V, pu, pi = random_pairs(rng, k=10, npairs=npairs)
+        pu, pi = pu.astype(dtype), pi.astype(dtype)
+        got = kernels.pair_values(U, sigma, V, pu, pi)
+        ref = np.einsum("pk,k,pk->p", U[pu], sigma, V[pi])
+        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == one_thread_run(monkeypatch, kernels.pair_values,
+                                               U, sigma, V, pu, pi).tobytes()
+        # below two blocks nothing is split; from two on the second thread runs
+        # the second half
+        assert len(two_threads.threads) == (npairs >= 128)
+        assert threading.get_ident() not in two_threads.threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_does_not_wait_on_the_parents_thread(self, monkeypatch,
+                                                                two_threads):
+        """The parent's second thread does not run in a forked child, so
+        the child's split passes make their own or run in one thread."""
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 64)
+        U, sigma, V, pu, pi = random_pairs(np.random.default_rng(4), k=10, npairs=256)
+        kernels.pair_values(U, sigma, V, pu, pi)  # the parent's thread runs a half
+        assert two_threads.threads
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(kernels.pair_values(U, sigma, V, pu, pi).tobytes())
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            got = receive.recv_bytes() if receive.poll(60) else None
+        finally:
+            proc.join(timeout=60)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert got == np.einsum("pk,k,pk->p", U[pu], sigma, V[pi]).tobytes()
+        assert proc.exitcode == 0
+
     def test_empty_pairs(self):
         U, sigma, V, *_ = random_pairs(np.random.default_rng(3), k=10)
         none = np.zeros(0, dtype=np.int64)
@@ -84,6 +141,24 @@ class TestHingeStats:
             sums, total = kernels.hinge_stats(*args)
             np.testing.assert_allclose(sums, ref_sums, rtol=1e-12)
             assert total == pytest.approx(ref_total, rel=1e-12)
+
+    @pytest.mark.parametrize("n_trip", SPLIT_SIZES)
+    def test_halves_have_the_bits_of_one_thread(self, monkeypatch, two_threads, n_trip):
+        """The sums have the bits of one bincount over the whole-array
+        hinges, and the total those of numpy's per-block sums of squares
+        added in block order, with or without a second thread."""
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 64)
+        rng = np.random.default_rng(n_trip)
+        args = self.inputs(rng, n_pairs=max(1, n_trip // 3), n_trip=n_trip)
+        table, codes, pair_x, pair_index, n_pairs = args
+        sums, total = kernels.hinge_stats(*args)
+        gap = np.maximum(table[codes] - pair_x[pair_index], 0.0)
+        assert sums.tobytes() == np.bincount(pair_index, weights=gap,
+                                             minlength=n_pairs).tobytes()
+        assert total == oracles.block_sum_of_squares(gap, 64)
+        ref_sums, ref_total = one_thread_run(monkeypatch, kernels.hinge_stats, *args)
+        assert (sums.tobytes(), total) == (ref_sums.tobytes(), ref_total)
+        assert len(two_threads.threads) == (n_trip >= 128)
 
 
 class TestStrictPrevGap:

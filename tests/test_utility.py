@@ -6,7 +6,14 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from helpers import make_cats, make_log, model_from_dense, random_triplets, triplet_list
+from helpers import (
+    make_cats,
+    make_log,
+    model_from_dense,
+    one_thread_run,
+    random_triplets,
+    triplet_list,
+)
 
 from demandrec import kernels, utility
 from demandrec.data import triplet_recency
@@ -200,6 +207,24 @@ class TestGradientStep:
         op = step_at(X, targets, cfg)
         grad = oracles.dense_grad_h(X_dense, trips, oracles.triplet_targets(targets), cfg.eta, log.l)
         np.testing.assert_allclose(oracles.dense_step(op), X_dense - gamma * grad, atol=1e-10)
+
+    @pytest.mark.parametrize("cols", [1, 2, 21])
+    def test_products_in_column_halves_have_the_bits_of_whole_products(
+            self, monkeypatch, two_threads, cols):
+        rng = np.random.default_rng(28)
+        log, cats, rec, targets, *_ = build_setup(rng, 30, 25, 7, 3, 400)
+        X = model_from_dense(rng.uniform(-0.5, 1.5, size=(30, 25)), [0.0] * 3, 7).X
+        op = step_at(X, targets, SolverConfig(eta=0.3))
+        B, Bt = rng.normal(size=(25, cols)), rng.normal(size=(30, cols))
+        want = op.scale * X.matmat(B) + op.S @ B
+        want_t = op.scale * X.rmatmat(Bt) + op.S.T @ Bt
+        got, got_t = op.matmat(B), op.rmatmat(Bt)
+        assert (got.tobytes(), got_t.tobytes()) == (want.tobytes(), want_t.tobytes())
+        assert one_thread_run(monkeypatch, op.matmat, B).tobytes() == want.tobytes()
+        assert one_thread_run(monkeypatch, op.rmatmat, Bt).tobytes() == want_t.tobytes()
+        # one column is not split; from two on the second thread takes a half
+        # of each product
+        assert len(two_threads.threads) == (cols > 1)
 
     def test_hinge_sums_live_only_until_the_step_is_built(self, monkeypatch):
         """The step scales the hinge sums it is given in place, so they are
