@@ -7,8 +7,10 @@ and ``rank-demo`` dumps the low-rank-versus-full-rank spectra.
 
 Configuration is a flat ``key = value`` namespace resolved in order:
 built-in defaults, then ``--config`` file, then ``--set key=value`` overrides,
-then the direct ``--seed/--output-dir`` flags.  Every command
-writes the resolved configuration beside its outputs.
+then the direct ``--seed/--output-dir`` flags.  Every command checks every
+key before it reads or writes a file, by the rule on the key's
+``CONFIG_SCHEMA`` row or by ``SolverConfig`` and ``SynthSpec`` for their own
+fields, and writes the resolved configuration beside its outputs.
 """
 
 from __future__ import annotations
@@ -71,23 +73,29 @@ _SYNTH_HELP = {
     "noise_ratio": "noisy positives to add, as a fraction of nnz",
 }
 
-# key, default, help; types are inferred from the defaults
+# key, default, help, rule; types are inferred from the defaults.  A rule is
+# None or (what, test), and a value that fails test is "<key> must be <what>".
 CONFIG_SCHEMA = [
-    ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)"),
-    ("categories", "", "item-category CSV for train (default: <output_dir>/categories.csv)"),
-    ("granularity", 1.0, "slot width in days when bucketing timestamps"),
-    ("timestamp_format", "days", "purchase timestamp format: 'days' or 'iso'"),
-    ("split_fraction", 0.1, "per-user fraction of records held out for testing"),
-    ("init_model", "", "optional saved model to warm-start train from"),
-    *((f.name, f.default, _SOLVER_HELP[f.name]) for f in dataclasses.fields(SolverConfig)),
-    *((f.name, f.default, _SYNTH_HELP[f.name])
+    ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)", None),
+    ("categories", "", "item-category CSV for train (default: <output_dir>/categories.csv)",
+     None),
+    ("granularity", 1.0, "slot width in days when bucketing timestamps",
+     ("finite and positive", lambda value: 0.0 < value < math.inf)),
+    ("timestamp_format", "days", "purchase timestamp format: 'days' or 'iso'",
+     (f"one of {TIMESTAMP_FORMATS}", lambda value: value in TIMESTAMP_FORMATS)),
+    ("split_fraction", 0.1, "per-user fraction of records held out for testing",
+     ("in [0, 1)", lambda value: 0.0 <= value < 1.0)),
+    ("init_model", "", "optional saved model to warm-start train from", None),
+    *((f.name, f.default, _SOLVER_HELP[f.name], None) for f in dataclasses.fields(SolverConfig)),
+    *((f.name, f.default, _SYNTH_HELP[f.name], None)
       for f in dataclasses.fields(synthetic.SynthSpec) if f.name != "seed"),
-    ("tau", 0.5, "demand decision threshold of the time metric"),
-    ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)"),
-    ("dump_records", False, "also write per-record metric values as CSV"),
-    ("output_dir", "out", "directory all artifacts are written to"),
+    ("tau", 0.5, "demand decision threshold of the time metric", ("finite", math.isfinite)),
+    ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)",
+     (">= 1", lambda value: value >= 1)),
+    ("dump_records", False, "also write per-record metric values as CSV", None),
+    ("output_dir", "out", "directory all artifacts are written to", None),
 ]
-DEFAULTS = {key: default for key, default, _ in CONFIG_SCHEMA}
+DEFAULTS = {key: default for key, default, _, _ in CONFIG_SCHEMA}
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -127,6 +135,12 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _from_config(klass, cfg: dict):
+    """An instance of the config dataclass ``klass`` whose fields, each
+    also a config key, take their values from ``cfg``."""
+    return klass(**{f.name: cfg[f.name] for f in dataclasses.fields(klass)})
+
+
 def resolve(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -143,12 +157,19 @@ def resolve(args: argparse.Namespace) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "output_dir", None) is not None:
         cfg["output_dir"] = args.output_dir
+    # every key is checked before any command reads or writes a file: by its
+    # schema row's rule, or by the config class that owns it
+    for key, _, _, rule in CONFIG_SCHEMA:
+        if rule is not None and not rule[1](cfg[key]):
+            raise ConfigError(f"{key} must be {rule[0]}, got {cfg[key]!r}")
+    _from_config(SolverConfig, cfg)
+    _from_config(synthetic.SynthSpec, cfg)
     return cfg
 
 
 def _config_help() -> str:
     lines = ["config keys (set via --config file or --set key=value):"]
-    for key, default, text in CONFIG_SCHEMA:
+    for key, default, text, _ in CONFIG_SCHEMA:
         lines.append(f"  {key} = {default!r:<12} {text}")
     return "\n".join(lines)
 
@@ -160,14 +181,8 @@ def _outdir(cfg: dict) -> Path:
 
 
 def write_resolved(cfg: dict, outdir: Path, command: str) -> None:
-    lines = [f"{key} = {cfg[key]}" for key, _, _ in CONFIG_SCHEMA]
+    lines = [f"{key} = {cfg[key]}" for key, _, _, _ in CONFIG_SCHEMA]
     (outdir / f"resolved_{command}.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _from_config(klass, cfg: dict):
-    """An instance of the config dataclass ``klass`` whose fields, each
-    also a config key, take their values from ``cfg``."""
-    return klass(**{f.name: cfg[f.name] for f in dataclasses.fields(klass)})
 
 
 # rows per formatting block of _write_int_csv
@@ -207,15 +222,6 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    # a bad setting is refused before any file is read or written
-    fraction = cfg["split_fraction"]
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"split_fraction must be in [0, 1), got {fraction}")
-    if not 0.0 < cfg["granularity"] < math.inf:
-        raise ConfigError(f"granularity must be finite and positive, got {cfg['granularity']}")
-    if cfg["timestamp_format"] not in TIMESTAMP_FORMATS:
-        raise ConfigError(f"timestamp_format must be one of {TIMESTAMP_FORMATS}, "
-                          f"got {cfg['timestamp_format']!r}")
     solver_cfg = _from_config(SolverConfig, cfg)
     outdir = _outdir(cfg)
     purchases = Path(cfg["purchases"]) if cfg["purchases"] else outdir / "purchases.csv"
@@ -223,7 +229,7 @@ def cmd_train(cfg: dict) -> int:
     log = ingest_purchases(purchases, granularity=cfg["granularity"],
                            timestamp_format=cfg["timestamp_format"])
     cats = ingest_categories(categories, log)
-    split = split_train_test(log, fraction, seed=cfg["seed"])
+    split = split_train_test(log, cfg["split_fraction"], seed=cfg["seed"])
     # the split's logs are copies: the fit does not hold the unsplit one
     del log
     init = load_model(cfg["init_model"]) if cfg["init_model"] else None
@@ -261,23 +267,16 @@ def _load_artifacts(outdir: Path, user: int | None = None):
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    # a bad setting is refused before any file is read or written
-    tau = cfg["tau"]
-    if not np.isfinite(tau):
-        raise ConfigError(f"tau must be finite, got {tau}")
-    if cfg["sample_size"] < 1:
-        raise ConfigError(f"sample_size must be >= 1, got {cfg['sample_size']}")
-    seed = SolverConfig(seed=cfg["seed"]).seed  # the solver's rule for the seed
     outdir = _outdir(cfg)
     model, test, rec = _load_artifacts(outdir)
     if test.nnz == 0:
         raise DataFormatError(f"{outdir / 'split.bin'}: the split holds no test records")
     tu, ti, tk = test.users, test.items, test.slots
     cat_pct, cat_ranks = category_prediction_metric(model, rec, tu, ti, tk)
-    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
+    time_pct, time_errors = time_prediction_metric(model, rec, tu, ti, tk, tau=cfg["tau"])
     item_pct, item_ranks = item_prediction_metric(
         model, rec, tu, ti, tk,
-        sample_size=min(cfg["sample_size"], model.n), seed=seed,
+        sample_size=min(cfg["sample_size"], model.n), seed=cfg["seed"],
     )
     report = MetricReport(
         n_records=tu.shape[0],

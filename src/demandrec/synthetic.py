@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import CategoryMap, PurchaseLog, _build_log, _decode_keys, _encode_keys
 from .errors import ConfigError, DataFormatError
+from .utility import check_int_fields
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if min(self.m, self.n, self.l, self.r, self.rank) < 1:
             raise ConfigError("m, n, l, r, rank must all be >= 1")
         if not 0.0 < self.obs_prob <= 1.0:
             raise ConfigError(f"obs_prob must be in (0, 1], got {self.obs_prob}")
-        if self.noise_ratio < 0.0:
-            raise ConfigError(f"noise_ratio must be >= 0, got {self.noise_ratio}")
+        _check_noise_ratio(self.noise_ratio)
 
 
 @dataclass(eq=False)
@@ -138,9 +139,9 @@ def generate(spec: SynthSpec) -> SynthInstance:
 
 def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInstance:
     """Add exactly ceil(noise_ratio * nnz) uniformly random positive
-    triplets that are not already present (0 -> 1 flips)."""
-    if noise_ratio < 0:
-        raise ConfigError(f"noise_ratio must be >= 0, got {noise_ratio}")
+    triplets that are not already present (0 -> 1 flips).  A negative or
+    non-finite ``noise_ratio`` is a ConfigError."""
+    _check_noise_ratio(noise_ratio)
     log = inst.log
     count = math.ceil(noise_ratio * log.nnz)
     if count == 0:
@@ -175,6 +176,13 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     )
     assert noisy.nnz == log.nnz + count
     return replace(inst, log=noisy)
+
+
+def _check_noise_ratio(noise_ratio) -> None:
+    if noise_ratio < 0:
+        raise ConfigError(f"noise_ratio must be >= 0, got {noise_ratio}")
+    if not math.isfinite(noise_ratio):
+        raise ConfigError(f"noise_ratio must be finite, got {noise_ratio}")
 
 
 def _isin_sorted(values, keys):

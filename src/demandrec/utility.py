@@ -61,6 +61,20 @@ if TYPE_CHECKING:
 _MAX_HALVINGS = 10
 
 
+def check_int_fields(config) -> None:
+    """Refuse, as a ConfigError, any field of the frozen dataclass ``config``
+    whose default is an int but whose value is not a true integer (a bool is
+    not) below 2**63; numpy integers are stored back as ``int``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(f.default, int):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value >= 2**63:
+                raise ConfigError(f"{f.name} must be below 2**63, got {value}")
+            object.__setattr__(config, f.name, int(value))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the alternating solver.
@@ -83,15 +97,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):
-                # an integer setting is a true integer within int64
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-                if value >= 2**63:
-                    raise ConfigError(f"{f.name} must be below 2**63, got {value}")
-                object.__setattr__(self, f.name, int(value))
+        check_int_fields(self)
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 < self.lam < math.inf:

@@ -98,6 +98,17 @@ class TestSynth:
         assert same == (b / "purchases.csv").read_bytes()
         assert same != (c / "purchases.csv").read_bytes()
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--set", "noise_ratio=nan"], "noise_ratio must be finite, got nan"),
+        (["--seed", str(2**63)], f"seed must be below 2**63, got {2**63}"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ])
+    def test_bad_seed_or_noise_ratio_is_one_config_error(self, tmp_path, capsys, setting,
+                                                         message):
+        assert run(tmp_path / "out", "synth", *setting) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {message}"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigResolution:
     def test_precedence_defaults_file_set_flag(self, tmp_path):
@@ -147,15 +158,16 @@ class TestConfigResolution:
         cfgfile.write_text(block, encoding="utf-8")
         values = parse_config_file(cfgfile)
         assert len(values) == block.count("=")
-        SolverConfig(**values)
+        cfg = cli.resolve(build_parser().parse_args(["train", "--config", str(cfgfile)]))
+        assert {key: cfg[key] for key in values} == values
 
     def test_help_lists_every_key(self):
         text = build_parser().format_help()
-        for key, _, _ in CONFIG_SCHEMA:
+        for key, _, _, _ in CONFIG_SCHEMA:
             assert key in text
 
     def test_solver_keys_match_solver_config(self):
-        defaults = {key: default for key, default, _ in CONFIG_SCHEMA}
+        defaults = {key: default for key, default, _, _ in CONFIG_SCHEMA}
         for field in dataclasses.fields(SolverConfig):
             assert field.name in defaults
             value = getattr(SolverConfig(), field.name)
@@ -163,11 +175,32 @@ class TestConfigResolution:
             assert type(defaults[field.name]) is type(value)
 
     def test_synth_keys_match_synth_spec(self):
-        defaults = {key: default for key, default, _ in CONFIG_SCHEMA}
+        defaults = {key: default for key, default, _, _ in CONFIG_SCHEMA}
         for field in dataclasses.fields(SynthSpec):
             value = getattr(SynthSpec(), field.name)
             assert defaults[field.name] == value
             assert type(defaults[field.name]) is type(value)
+
+    # one bad value per checked key; each message starts with the key
+    # (``lam``'s says "lambda")
+    BAD_VALUES = [
+        ("split_fraction", "1.5"), ("granularity", "0"), ("timestamp_format", "unix"),
+        ("tau", "nan"), ("sample_size", "0"), ("eta", "5"), ("lam", "-1"),
+        ("max_rank", "0"), ("tol", "0"), ("seed", "-1"), ("m", str(2**63)),
+        ("obs_prob", "0"), ("noise_ratio", "inf"),
+    ]
+    COMMANDS = [["synth"], ["train"], ["evaluate"],
+                ["recommend", "--user", "0", "--slot", "0"], ["rank-demo"]]
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_every_command_refuses_every_bad_key(self, tmp_path, capsys, command, key, value):
+        outdir = tmp_path / "out"
+        assert main([command[0], "--output-dir", str(outdir), *SMALL,
+                     "--set", f"{key}={value}", *command[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error:config: {key}"), err
+        assert not outdir.exists()
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

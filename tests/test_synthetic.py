@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,32 @@ class TestSynthSpec:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             SynthSpec(**base)
+
+    @pytest.mark.parametrize("noise_ratio", [math.nan, math.inf])
+    def test_rejects_non_finite_noise_ratio(self, noise_ratio):
+        message = f"noise_ratio must be finite, got {noise_ratio}"
+        with pytest.raises(ConfigError, match=message):
+            SynthSpec(m=4, n=4, l=10, r=2, noise_ratio=noise_ratio)
+        with pytest.raises(ConfigError, match=message):
+            flip_noise(generate(MEDIUM), noise_ratio, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(m=2.5), "m must be an integer, got 2.5"),
+        (dict(n=True), "n must be an integer, got True"),
+        (dict(rank="3"), "rank must be an integer, got '3'"),
+        (dict(l=2**63), f"l must be below 2**63, got {2**63}"),
+        (dict(seed=2**63), f"seed must be below 2**63, got {2**63}"),
+    ])
+    def test_int_fields_follow_the_solver_config_rule(self, kwargs, message):
+        base = dict(m=4, n=4, l=10, r=2)
+        base.update(kwargs)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SynthSpec(**base)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        spec = SynthSpec(m=np.int64(4), n=np.int32(4), l=10, r=2)
+        assert spec == SynthSpec(m=4, n=4, l=10, r=2)
+        assert type(spec.m) is int and type(spec.n) is int
 
     def test_frozen(self):
         spec = SynthSpec(m=4, n=4, l=10, r=2)
