@@ -24,7 +24,8 @@ gathers indexed by a column run a chunk at a time (:func:`_take`).
 
 The split bundle and the model file share one checksummed container, which
 is written and read an entry at a time: loading an artifact holds about the
-file's size in memory, not a second copy of it.
+file's size in memory, not a second copy of it.  The split bundle holds each
+id column in its log's dtype, so a log has one form on disk and in memory.
 """
 
 from __future__ import annotations
@@ -751,25 +752,25 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
 #
 # Arrays are stored little-endian in C order.  A spec lists the entries of one
 # file format in order as ``(name, dtype, ndim)``; writer and reader share it.
-# Both stream the data: the writer hashes and writes each entry from the
-# caller's arrays (a 2-d entry may come as a tuple of its rows, cast one at a
-# time), and the reader reads each entry straight into the array it returns,
-# or a chunk at a time into a narrower integer array when the caller asks for
-# one.  Neither holds a copy of the file, so a process that loads an artifact
-# keeps at most about its size in memory.
+# ``dtype`` is one code, to which the writer casts the value, or a tuple of
+# accepted codes, in which the writer stores the value as it is given, so an
+# id column is written in the dtype its log holds.  Both stream the data: the
+# writer hashes and writes each entry from the caller's array, and the reader
+# reads each entry straight into the array it returns.  Neither holds a copy
+# of the file, so a process that loads an artifact keeps at most about its
+# size in memory.
 
 
 def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
-    """Write ``arrays`` (name -> array-like) in ``spec`` order, cast to the
-    spec dtypes, to one checksummed file.  A 2-d entry may be given as a
-    tuple of equal-length 1-d rows, which are cast and written one after
-    another without being stacked.
+    """Write ``arrays`` (name -> array-like) in ``spec`` order to one
+    checksummed file: an entry of one dtype code cast to it, an entry of a
+    tuple of codes in its own dtype, which must be one of them.
 
     Each entry is hashed and written as it is cast, into ``<path>.tmp``,
     which replaces ``path`` once the digest is written.  A refused entry (a
     name over 16 bytes, which ``struct`` would cut; a value that does not
-    cast to the spec's dtype and dims) raises, and leaves ``path`` as it
-    was and no temporary file."""
+    cast to the spec's dtype, or is not of one of its dtypes, or has other
+    dims) raises, and leaves ``path`` as it was and no temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
     digest = hashlib.sha256()
     try:
@@ -783,16 +784,15 @@ def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
                 key = name.encode()
                 if len(key) > 16:
                     raise ValueError(f"entry name {name!r} is longer than 16 bytes")
-                value = arrays[name]
-                stacked = isinstance(value, tuple)  # the rows of a 2-d entry
-                rows = value if stacked else (value,)
-                shapes = {np.shape(row) for row in rows}
-                shape = (len(rows), *next(iter(shapes))) if stacked else np.shape(value)
-                if len(shape) != ndim or len(shapes) != 1:
-                    raise ValueError(f"entry {name!r} is not a {ndim}-d array")
-                put(struct.pack(f"<16s3sB{ndim}Q", key, dtype.encode(), ndim, *shape))
-                for row in rows:
-                    put(np.asarray(row, dtype=dtype, order="C"))
+                codes = dtype if isinstance(dtype, tuple) else (dtype,)
+                value = np.asarray(arrays[name], order="C",
+                                   dtype=None if isinstance(dtype, tuple) else dtype)
+                if value.dtype.str not in codes or value.ndim != ndim:
+                    raise ValueError(f"entry {name!r} is not a {ndim}-d array of "
+                                     f"{' or '.join(codes)}")
+                put(struct.pack(f"<16s3sB{ndim}Q", key, value.dtype.str.encode(), ndim,
+                                *value.shape))
+                put(value)
             fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
@@ -801,38 +801,16 @@ def _write_arrays(path, magic: bytes, version: int, spec, arrays: dict) -> None:
         raise
 
 
-def _read_narrow(fh, digest, shape, stored, dtype) -> np.ndarray:
-    """An integer entry of ``shape``, stored as ``stored``, read from ``fh``
-    a chunk at a time into a native ``dtype`` array.  Each chunk is hashed
-    as stored.  A value outside ``dtype`` saturates at its bound, so the
-    caller's range check refuses it."""
-    out = np.empty(shape, dtype=dtype)
-    flat = out.reshape(-1)
-    info = np.iinfo(dtype)
-    for lo in range(0, flat.shape[0], _CHUNK_TRIPLETS):
-        chunk = np.empty(min(_CHUNK_TRIPLETS, flat.shape[0] - lo), dtype=stored)
-        fh.readinto(chunk.view(np.uint8))
-        digest.update(chunk)
-        np.clip(chunk, info.min, info.max, out=flat[lo : lo + chunk.shape[0]],
-                casting="unsafe")
-    return out
-
-
-def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str,
-                 narrow=None) -> dict:
+def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str) -> dict:
     """Read a file written by :func:`_write_arrays` into native arrays.
 
-    Checks the magic, then the version, then each entry's header and that
+    Checks the magic, then the version, then each entry's header (its dtype
+    code against the spec's codes before a dtype is built from it) and that
     its data ends before the digest starts, then that the entries end
     exactly there, then the digest; a failure raises ``error``.  A size is
     checked against the file's before anything is allocated for it.  Each
     entry is read straight into the writable, native-order array returned
-    for it and hashed there, so the file is read once and not copied.
-
-    ``narrow(name, arrays)``, given the entries read so far, may name an
-    integer dtype for an integer entry; that entry is then read by
-    :func:`_read_narrow`, a chunk at a time, into an array of that dtype.
-    """
+    for it and hashed there, so the file is read once and not copied."""
     digest = hashlib.sha256()
     arrays = {}
     with open(path, "rb") as fh:
@@ -858,16 +836,15 @@ def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str,
             return data
 
         for name, dtype, ndim in spec:
+            codes = dtype if isinstance(dtype, tuple) else (dtype,)
             key, code, dims = struct.unpack("<16s3sB", take(20))
-            if (key.rstrip(b"\0"), code, dims) != (name.encode(), dtype.encode(), ndim):
-                raise error(f"{path}: expected {dtype} array {name!r} of {ndim} dims in {kind}")
+            if (key.rstrip(b"\0"), dims) != (name.encode(), ndim) or code.decode(
+                    "ascii", "replace") not in codes:
+                raise error(f"{path}: expected {' or '.join(codes)} array {name!r} "
+                            f"of {ndim} dims in {kind}")
             shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-            stored = np.dtype(dtype)
+            stored = np.dtype(code.decode())
             room(math.prod(shape) * stored.itemsize)
-            into = narrow(name, arrays) if narrow else None
-            if into is not None:
-                arrays[name] = _read_narrow(fh, digest, shape, stored, into)
-                continue
             array = np.empty(shape, dtype=stored)
             fh.readinto(array.reshape(-1).view(np.uint8))
             digest.update(array)
@@ -883,11 +860,14 @@ def _read_arrays(path, magic: bytes, version: int, spec, error, kind: str,
 # split bundle: what train hands to evaluate and recommend
 
 _SPLIT_MAGIC = b"DRECSPL\x00"
-_SPLIT_VERSION = 1
+_SPLIT_VERSION = 2
+_ID_CODES = ("<i4", "<i8")
+_ID_COLUMNS = ("users", "items", "slots")
 _SPLIT_SPEC = (
     ("dims", "<i8", 1),  # m n l r
-    ("train", "<i8", 2),  # rows: users, items, slots
-    ("test", "<i8", 2),
+    # train_users, train_items, train_slots, then the same of test
+    *((f"{part}_{column}", _ID_CODES, 1)
+      for part in ("train", "test") for column in _ID_COLUMNS),
     ("assignment", "<i8", 1),
 )
 
@@ -895,23 +875,38 @@ _SPLIT_SPEC = (
 def export_log(train: PurchaseLog, test: PurchaseLog, cats: CategoryMap, path) -> None:
     """Write a train/test split and its category map as one bundle: the
     dimensions ``m n l r``, both sorted triplet sets with dense ids (the
-    test set may be empty) and the dense item -> category assignment.  The
-    ids are stored as int64 whatever the logs' dtype, each column cast on
-    its own as it is written."""
+    test set may be empty) and the dense item -> category assignment.  Each
+    id column is stored in :func:`_id_dtype` of the dims, so a log's own
+    columns are written without a copy and an int64 log of small dims is
+    stored as int32; an id that the narrower dtype cannot hold is refused,
+    not wrapped round to another id."""
+    dtype = _id_dtype(train.m, train.n, train.l)
+    columns = {}
+    for part, log in (("train", train), ("test", test)):
+        for column in _ID_COLUMNS:
+            ids = getattr(log, column)
+            columns[f"{part}_{column}"] = stored = ids.astype(dtype, copy=False)
+            if stored is not ids and not np.array_equal(stored, ids):
+                raise DataFormatError(f"{path}: {part}_{column} holds ids beyond {dtype}")
     _write_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC, {
         "dims": [train.m, train.n, train.l, cats.r],
-        "train": (train.users, train.items, train.slots),
-        "test": (test.users, test.items, test.slots),
+        **columns,
         "assignment": cats.assignment,
     })
 
 
-def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
-    """Validate one triplet block of a bundle: 3 rows, within the declared
-    bounds, strictly sorted (so free of duplicates)."""
-    if triplets.shape[0] != 3:
-        raise DataFormatError(f"{path}: triplet block has {triplets.shape[0]} rows, expected 3")
-    users, items, slots = triplets
+def _bundled_log(path, arrays, part, m, n, l) -> PurchaseLog:
+    """Validate the ``<part>_users``, ``_items`` and ``_slots`` entries of a
+    bundle: in :func:`_id_dtype` of the dims, of one length, within the
+    declared bounds, strictly sorted (so free of duplicates)."""
+    users, items, slots = (arrays[f"{part}_{column}"] for column in _ID_COLUMNS)
+    dtype = _id_dtype(m, n, l)
+    for column, ids in zip(_ID_COLUMNS, (users, items, slots)):
+        if ids.dtype != dtype:
+            raise DataFormatError(f"{path}: {part}_{column} holds {ids.dtype} ids, "
+                                  f"expected {dtype} for dims m={m} n={n} l={l}")
+    if not users.shape == items.shape == slots.shape:
+        raise DataFormatError(f"{path}: {part} triplet columns differ in length")
     if users.shape[0] and (
         users.min() < 0 or users.max() >= m
         or items.min() < 0 or items.max() >= n
@@ -931,24 +926,18 @@ def _bundled_log(path, triplets, m, n, l) -> PurchaseLog:
 
 def load_log(path) -> tuple[PurchaseLog, PurchaseLog, CategoryMap]:
     """Read a bundle written by :func:`export_log` back, verbatim, as
-    ``(train, test, cats)``; ``test`` may hold no records.  The triplet
-    blocks are read a chunk at a time into :func:`_id_dtype` columns of the
-    bundle's dims, so loading holds the narrow logs, not their int64 rows."""
-
-    def narrow(name, arrays):
-        if name in ("train", "test") and arrays["dims"].shape == (4,):
-            return _id_dtype(*arrays["dims"][:3].tolist())
-        return None
-
+    ``(train, test, cats)``; ``test`` may hold no records.  The id columns
+    are read straight into the arrays of the logs; a bundle whose columns
+    are not in :func:`_id_dtype` of its dims is refused."""
     arrays = _read_arrays(path, _SPLIT_MAGIC, _SPLIT_VERSION, _SPLIT_SPEC,
-                          DataFormatError, "split bundle", narrow)
+                          DataFormatError, "split bundle")
     if arrays["dims"].shape != (4,):
         raise DataFormatError(f"{path}: expected dims 'm n l r'")
     m, n, l, r = (int(v) for v in arrays["dims"])
-    train = _bundled_log(path, arrays["train"], m, n, l)
+    train = _bundled_log(path, arrays, "train", m, n, l)
     if train.nnz == 0:
         raise DataFormatError(f"{path}: empty train log")
-    test = _bundled_log(path, arrays["test"], m, n, l)
+    test = _bundled_log(path, arrays, "test", m, n, l)
     assignment = arrays["assignment"]
     if assignment.shape[0] != n:
         raise DataFormatError(f"{path}: expected {n} category assignments, "

@@ -73,11 +73,17 @@ class ModelState:
 @dataclass(eq=False)
 class FitReport:
     converged: bool
-    iterations: int
-    objective_history: list
+    objective_history: list  # the starting objective, then one per iteration
     duration_flags: tuple
     seconds_per_iteration: list
-    final_objective: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.seconds_per_iteration)
+
+    @property
+    def final_objective(self) -> float:
+        return self.objective_history[-1]
 
     def to_text(self) -> str:
         lines = [
@@ -227,7 +233,6 @@ def _fit(log: PurchaseLog, cats: CategoryMap, cfg: SolverConfig,
     flags: tuple = ()
     seconds = []
     converged = False
-    iteration = 0
     for iteration in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
         # each category's workset is built as the update asks for it
@@ -253,8 +258,8 @@ def _fit(log: PurchaseLog, cats: CategoryMap, cfg: SolverConfig,
             break
 
     state = ModelState(X=it.X, d=d, l=log.l)
-    report = FitReport(converged=converged, iterations=iteration, objective_history=history,
-                       duration_flags=flags, seconds_per_iteration=seconds, final_objective=f)
+    report = FitReport(converged=converged, objective_history=history, duration_flags=flags,
+                       seconds_per_iteration=seconds)
     return state, report
 
 

@@ -38,8 +38,11 @@ class SynthSpec:
 
     def __post_init__(self):
         check_int_fields(self)
-        if min(self.m, self.n, self.l, self.r, self.rank) < 1:
-            raise ConfigError("m, n, l, r, rank must all be >= 1")
+        for name in ("m", "n", "l", "r", "rank"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.obs_prob <= 1.0:
             raise ConfigError(f"obs_prob must be in (0, 1], got {self.obs_prob}")
         _check_noise_ratio(self.noise_ratio)

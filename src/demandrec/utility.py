@@ -101,11 +101,10 @@ class SolverConfig:
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 < self.lam < math.inf:
-            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
-        if self.max_rank < 1:
-            raise ConfigError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.inner_iters < 1 or self.outer_iters < 1:
-            raise ConfigError("iteration limits must be >= 1")
+            raise ConfigError(f"lam must be positive and finite, got {self.lam}")
+        for name in ("max_rank", "inner_iters", "outer_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.seed < 0:

@@ -15,7 +15,13 @@ import pytest
 import demandrec
 from demandrec import cli
 from demandrec.cli import _load_artifacts, build_parser, main, parse_config_file, CONFIG_SCHEMA
-from demandrec.data import build_recency_index, ingest_purchases, load_log
+from demandrec.data import (
+    _SPLIT_SPEC,
+    _write_arrays,
+    build_recency_index,
+    ingest_purchases,
+    load_log,
+)
 from demandrec.driver import load_model, save_model
 from demandrec.evaluate import (
     category_prediction_metric,
@@ -182,12 +188,12 @@ class TestConfigResolution:
             assert type(defaults[field.name]) is type(value)
 
     # one bad value per checked key; each message starts with the key
-    # (``lam``'s says "lambda")
     BAD_VALUES = [
         ("split_fraction", "1.5"), ("granularity", "0"), ("timestamp_format", "unix"),
         ("tau", "nan"), ("sample_size", "0"), ("eta", "5"), ("lam", "-1"),
-        ("max_rank", "0"), ("tol", "0"), ("seed", "-1"), ("m", str(2**63)),
-        ("obs_prob", "0"), ("noise_ratio", "inf"),
+        ("max_rank", "0"), ("inner_iters", "0"), ("outer_iters", "0"), ("tol", "0"),
+        ("seed", "-1"), ("m", str(2**63)), ("n", "0"), ("obs_prob", "0"),
+        ("noise_ratio", "inf"),
     ]
     COMMANDS = [["synth"], ["train"], ["evaluate"],
                 ["recommend", "--user", "0", "--slot", "0"], ["rank-demo"]]
@@ -522,6 +528,20 @@ class TestEvaluate:
             assert run(tmp_path, "evaluate") == 2, pos
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error:{kind}:"), (pos, err)
+
+    def test_int64_ids_of_small_dims_are_one_data_error(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "model.bin").write_bytes((pipeline_dir / "model.bin").read_bytes())
+        train, test, cats = load_log(pipeline_dir / "split.bin")
+        arrays = {"dims": [train.m, train.n, train.l, cats.r], "assignment": cats.assignment}
+        for part, log in (("train", train), ("test", test)):
+            for column in ("users", "items", "slots"):
+                arrays[f"{part}_{column}"] = getattr(log, column).astype(np.int64)
+        _write_arrays(tmp_path / "split.bin", b"DRECSPL\x00", 2, _SPLIT_SPEC, arrays)
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data:"), err
+        assert "train_users holds int64 ids, expected int32" in err[0], err
 
     def test_version_2_model_is_one_model_error(self, pipeline_dir, tmp_path, capsys):
         (tmp_path / "split.bin").write_bytes((pipeline_dir / "split.bin").read_bytes())

@@ -146,14 +146,16 @@ class TestExportLoad:
         split = split_train_test(log, 0.3, seed=1)
         return split.train, split.test, cats
 
-    def write_raw(self, path, dims, train, test, assignment, version=1):
-        """A bundle with a valid digest but arbitrary contents."""
-        arrays = {
-            "dims": dims,
-            "train": np.reshape(train, (-1, 3)).T,
-            "test": np.reshape(test, (-1, 3)).T,
-            "assignment": assignment,
-        }
+    def write_raw(self, path, dims, train, test, assignment, version=2, dtype=None):
+        """A bundle with a valid digest but arbitrary contents: ``train`` and
+        ``test`` are flat (user, item, slot) lists, whose columns are stored
+        in ``dtype``, by default the id dtype of ``dims``."""
+        dtype = dtype or data._id_dtype(*dims[:3])
+        arrays = {"dims": dims, "assignment": assignment}
+        for part, triplets in (("train", train), ("test", test)):
+            columns = np.reshape(np.asarray(triplets, dtype=dtype), (-1, 3)).T
+            for column, ids in zip(("users", "items", "slots"), columns):
+                arrays[f"{part}_{column}"] = ids
         _write_arrays(path, b"DRECSPL\x00", version, _SPLIT_SPEC, arrays)
         return path
 
@@ -200,6 +202,60 @@ class TestExportLoad:
         out = self.write_raw(tmp_path / "split.bin", [2, 2, 8, 1], [0, 0, 3], [], [0, 0],
                              version=7)
         with pytest.raises(DataFormatError, match="version 7"):
+            load_log(out)
+
+    def test_version_1_refused(self, tmp_path):
+        out = self.write_raw(tmp_path / "split.bin", [2, 2, 8, 1], [0, 0, 3], [], [0, 0],
+                             version=1)
+        with pytest.raises(DataFormatError, match="unsupported split bundle version 1$"):
+            load_log(out)
+
+    def test_bundle_bytes_are_pinned(self, tmp_path):
+        """The sha256 of a fixed small bundle: any change to the format,
+        version 2 with int32 id columns here, is deliberate."""
+        train, test, cats = self.split_parts(tmp_path)
+        out = tmp_path / "split.bin"
+        export_log(train, test, cats, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7efbc0959841bbacdabd48d97809fec7a8c5ae1db1e06854f691c0289e435743")
+
+    @pytest.mark.parametrize("dims, stored, expected", [
+        ([2, 2, 8, 1], np.int64, "int32"), ([2, 2, 2**31, 1], np.int32, "int64")])
+    def test_ids_not_in_the_dtype_of_the_dims_refused(self, tmp_path, dims, stored, expected):
+        out = self.write_raw(tmp_path / "split.bin", dims, [0, 0, 3, 1, 1, 7], [], [0, 0],
+                             dtype=stored)
+        with pytest.raises(DataFormatError,
+                           match=f"train_users holds {np.dtype(stored)} ids, expected {expected}"):
+            load_log(out)
+
+    def test_int64_log_of_small_dims_is_stored_as_int32(self, tmp_path):
+        train, test, cats = self.split_parts(tmp_path)
+        wide = [PurchaseLog(users=log.users.astype(np.int64), items=log.items.astype(np.int64),
+                            slots=log.slots.astype(np.int64), m=log.m, n=log.n, l=log.l)
+                for log in (train, test)]
+        export_log(train, test, cats, tmp_path / "narrow.bin")
+        export_log(*wide, cats, tmp_path / "wide.bin")
+        assert (tmp_path / "wide.bin").read_bytes() == (tmp_path / "narrow.bin").read_bytes()
+
+    def test_an_int64_id_beyond_int32_is_refused_not_wrapped(self, tmp_path):
+        # user 2**32 + 1 of a 2-user log would be stored as user 1
+        log = PurchaseLog(users=np.array([0, 2**32 + 1]), items=np.array([0, 0]),
+                          slots=np.array([1, 1]), m=2, n=1, l=2)
+        out = tmp_path / "split.bin"
+        with pytest.raises(DataFormatError, match="train_users holds ids beyond int32"):
+            export_log(log, log.user_log(0), CategoryMap(np.zeros(1, dtype=np.int64), r=1), out)
+        assert not out.exists()
+
+    def test_columns_of_unequal_length_refused(self, tmp_path):
+        arrays = {"dims": [2, 2, 8, 1], "assignment": [0, 0]}
+        for part in ("train", "test"):
+            for column in ("users", "items", "slots"):
+                arrays[f"{part}_{column}"] = np.zeros(0, dtype=np.int32)
+        arrays["train_users"] = np.array([0, 1], dtype=np.int32)
+        arrays["train_items"] = arrays["train_slots"] = np.array([0], dtype=np.int32)
+        out = tmp_path / "split.bin"
+        _write_arrays(out, b"DRECSPL\x00", 2, _SPLIT_SPEC, arrays)
+        with pytest.raises(DataFormatError, match="train triplet columns differ in length"):
             load_log(out)
 
     def test_truncated_body(self, tmp_path):
@@ -328,6 +384,52 @@ class TestStreamedContainer:
         self.write(path, dims=(9, 9, 9))
         assert self.read(path)["dims"].tolist() == [9, 9, 9]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    CODES = (("ids", ("<i4", "<i8"), 1),)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_an_entry_of_accepted_codes_keeps_its_dtype(self, tmp_path, dtype):
+        path = tmp_path / "a.bin"
+        ids = np.arange(5, dtype=dtype)
+        _write_arrays(path, b"DRECTST\x00", 1, self.CODES, {"ids": ids})
+        assert path.read_bytes()[28:31] == np.dtype(dtype).str.encode()
+        back = _read_arrays(path, b"DRECTST\x00", 1, self.CODES, DataFormatError, "test file")
+        assert back["ids"].dtype == dtype and back["ids"].tolist() == list(range(5))
+
+    @pytest.mark.parametrize("value", [np.arange(3, dtype=np.uint32), np.zeros(3),
+                                       np.zeros((1, 3), dtype=np.int32)])
+    def test_an_entry_outside_its_codes_or_dims_is_refused(self, tmp_path, value):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="'ids'"):
+            _write_arrays(path, b"DRECTST\x00", 1, self.CODES, {"ids": value})
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("code", [b"<i2", b"<f8", b"\xff\x00z"])
+    def test_a_stored_code_outside_the_spec_is_refused(self, tmp_path, code):
+        """The code is checked against the spec's before a dtype is built
+        from it, so a code numpy cannot read is the file's error too."""
+        body = (b"DRECTST\x00" + struct.pack("<I", 1)
+                + struct.pack("<16s3sBQ", b"ids", code, 1, 1) + bytes(8))
+        path = tmp_path / "a.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(DataFormatError, match="expected <i4 or <i8 array 'ids'"):
+            _read_arrays(path, b"DRECTST\x00", 1, self.CODES, DataFormatError, "test file")
+
+    def test_export_log_writes_int32_columns_without_a_copy(self, tmp_path):
+        """Version 1 cast every int32 column to an int64 row as it wrote
+        it; version 2 writes the log's own arrays."""
+        wide = _every_item_once_log()
+        log = PurchaseLog(users=wide.users.astype(np.int32), items=wide.items.astype(np.int32),
+                          slots=wide.slots.astype(np.int32), m=wide.m, n=wide.n, l=wide.l)
+        del wide
+        cats = CategoryMap(np.arange(log.n) % 4, r=4)
+        tracemalloc.start()
+        try:
+            export_log(log, log.user_log(log.m), cats, tmp_path / "split.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_load_log_peak_is_about_the_file(self, tmp_path):
         """load_log held the file's bytes and an astype copy of every entry,
@@ -824,6 +926,10 @@ class TestIdDtype:
         cats = CategoryMap(assignment=np.zeros(2, dtype=np.int64), r=1)
         export_log(split.train, split.test, cats, tmp_path / "split.bin")
         train, test, _ = load_log(tmp_path / "split.bin")
+        stored = _read_arrays(tmp_path / "split.bin", b"DRECSPL\x00", 2, _SPLIT_SPEC,
+                              DataFormatError, "split bundle")
+        assert {stored[name].dtype.str for name, codes, _ in _SPLIT_SPEC
+                if isinstance(codes, tuple)} == {"<i8"}
         for part in (log, split.train, split.test, log.user_log(1), train, test):
             assert self.dtypes(part) == {np.dtype(np.int64)}
         assert triplet_list(log) == [(0, 0, 5), (0, 0, 2**31), (1, 1, 0), (1, 1, 2**31 - 1)]
@@ -832,9 +938,9 @@ class TestIdDtype:
 
     @pytest.mark.parametrize("value", [2**32, 2**31, -2**32])
     def test_a_bundle_id_beyond_int32_is_out_of_bounds(self, tmp_path, value):
-        """Read into int32, an id that int32 cannot hold saturates instead of
-        wrapping round to a valid id, so the bounds check still refuses it."""
-        out = TestExportLoad().write_raw(tmp_path / "split.bin", [2, 2, 4, 1],
+        """A bundle of int64 dims stores int64 ids, so a user id that int32
+        cannot hold is read as it is stored, and the bounds check refuses it."""
+        out = TestExportLoad().write_raw(tmp_path / "split.bin", [2, 2, 2**31 + 1, 1],
                                          [0, 0, 1, value, 1, 1], [], [0, 0])
         with pytest.raises(DataFormatError, match="bounds"):
             load_log(out)

@@ -31,6 +31,7 @@ from demandrec.data import (
     triplet_recency,
 )
 from demandrec.driver import (
+    FitReport,
     evaluate_objective,
     fit,
     init_utility,
@@ -88,6 +89,14 @@ class TestFit:
         assert report.iterations == 1
         assert report.converged is False
         assert len(report.objective_history) == 2
+
+    def test_report_derives_iterations_and_final_objective(self):
+        report = FitReport(converged=False, objective_history=[3.0, 2.0, 1.5],
+                           duration_flags=(1,), seconds_per_iteration=[0.25, 0.5])
+        assert (report.iterations, report.final_objective) == (2, 1.5)
+        assert report.to_text() == (
+            "converged = False\niterations = 2\nfinal_objective = 1.5\n"
+            "empty_categories = 1\niteration_1 = 2.0 (0.25s)\niteration_2 = 1.5 (0.50s)\n")
 
     def test_converges_with_monotone_trace(self):
         log, cats, *_ = small_instance(seed=52, m=15, n=12, l=8, r=3, count=150)

@@ -44,6 +44,18 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             SynthSpec(**base)
 
+    @pytest.mark.parametrize("field", ["m", "n", "l", "r", "rank"])
+    def test_the_field_below_1_is_named(self, field):
+        base = dict(m=4, n=4, l=10, r=2, rank=2)
+        base[field] = 0
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got 0$"):
+            SynthSpec(**base)
+
+    def test_rejects_negative_seed(self):
+        # numpy's default_rng refused it in generate, with a bare ValueError
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            generate(SynthSpec(m=4, n=4, l=10, r=2, rank=2, seed=-1))
+
     @pytest.mark.parametrize("noise_ratio", [math.nan, math.inf])
     def test_rejects_non_finite_noise_ratio(self, noise_ratio):
         message = f"noise_ratio must be finite, got {noise_ratio}"

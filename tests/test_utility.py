@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -77,6 +78,15 @@ class TestSolverConfig:
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(inner_iters=0), "inner_iters must be >= 1, got 0"),
+        (dict(outer_iters=0), "outer_iters must be >= 1, got 0"),
+        (dict(lam=-1.0), "lam must be positive and finite, got -1.0"),
+    ])
+    def test_messages_name_the_key(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize(
