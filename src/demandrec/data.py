@@ -711,22 +711,25 @@ class SplitSpec:
 
 
 def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
-    """Hold out round(fraction * count) of each user's triplets, chosen
-    uniformly per user, never leaving a user empty.  Deterministic in seed."""
+    """Hold out ``min(int(fraction * cnt + 0.5), cnt - 1)`` of each user's
+    ``cnt`` triplets, a uniform subset, so no user is left empty.
+
+    A triplet's int64 key is its user over ``63 - m.bit_length()`` bits of
+    one draw; a stable argsort of the keys shuffles each user's block in
+    place (the log is sorted by user; equal draws keep log order), and the
+    first triplets of each block are held out.  Deterministic in seed."""
     if not 0.0 <= fraction < 1.0:
         raise DataFormatError(f"split fraction must be in [0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    ranges = _search(log.users, np.arange(log.m + 1))  # user blocks
-    held_mask = np.zeros(log.nnz, dtype=bool)
-    for u in range(log.m):
-        lo, hi = ranges[u], ranges[u + 1]
-        cnt = hi - lo
-        if cnt <= 1:
-            continue
-        held = min(int(fraction * cnt + 0.5), cnt - 1)
-        if held == 0:
-            continue
-        held_mask[lo + rng.choice(cnt, size=held, replace=False)] = True
+    bits = 63 - int(log.m).bit_length()
+    keys = np.random.default_rng(seed).integers(0, 1 << bits, size=log.nnz)
+    keys |= log.users.astype(np.int64) << bits
+    order = np.argsort(keys, kind="stable")
+    del keys
+    counts = np.bincount(log.users, minlength=log.m)
+    # min(., cnt - 1) holds out nothing of a one-triplet user
+    held = np.minimum((fraction * counts + 0.5).astype(np.int64), counts - 1)
+    held_mask = np.empty(log.nnz, dtype=bool)
+    held_mask[order] = np.arange(log.nnz) < np.repeat(np.cumsum(counts) - counts + held, counts)
 
     def part(keep):
         # masking keeps the log's (user, item, slot) order and id dtype

@@ -188,9 +188,10 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_test(test_users, test_items, test_slots):
+def _check_test(model: ModelState, test_users, test_items, test_slots):
     """The test columns as arrays: int32 and int64 arrays as they are (a
-    log's columns are not widened), anything else as int64."""
+    log's columns are not widened), anything else as int64.  An id outside
+    the model's dims, which an index would wrap round, raises ValueError."""
     tu, ti, tk = (np.asarray(a) for a in (test_users, test_items, test_slots))
     tu, ti, tk = (a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
                   for a in (tu, ti, tk))
@@ -198,6 +199,10 @@ def _check_test(test_users, test_items, test_slots):
         raise ValueError("no test records")
     if not (tu.shape == ti.shape == tk.shape):
         raise ValueError("test arrays must have matching length")
+    for name, ids, bound in (("test_users", tu, model.m), ("test_items", ti, model.n),
+                             ("test_slots", tk, model.l)):
+        if not 0 <= ids.min() <= ids.max() < bound:
+            raise ValueError(f"{name} must be in [0, {bound})")
     return tu, ti, tk
 
 
@@ -239,7 +244,7 @@ def category_prediction_metric(
     full-row path, which breaks ties by id.  The cost is
     O(users * n * log n + records * r * log n), not O(records * n).
     """
-    tu, ti, tk = _check_test(test_users, test_items, test_slots)
+    tu, ti, tk = _check_test(model, test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     n, r = model.n, model.r
     by_cat, starts, ends = _category_segments(assignment, r)
@@ -319,7 +324,7 @@ def time_prediction_metric(
     category's best utility from it.  A group whose best utility is not
     above ``tau`` is never predicted, so it is not profiled.
     """
-    tu, ti, tk = _check_test(test_users, test_items, test_slots)
+    tu, ti, tk = _check_test(model, test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     n, l, r = model.n, model.l, model.r
     keys = _encode_keys(tu, _take(assignment, ti), 0, (model.m, r, 1))
@@ -419,9 +424,9 @@ def item_prediction_metric(
     draw chunk at the CLI shape), and at least one block's.  The cost is
     O(records * sample_size * k).
     """
-    tu, ti, tk = _check_test(test_users, test_items, test_slots)
-    if not 1 <= sample_size <= model.n:
-        raise ValueError(f"sample_size must be in [1, {model.n}], got {sample_size}")
+    tu, ti, tk = _check_test(model, test_users, test_items, test_slots)
+    if not _is_int(sample_size) or not 1 <= sample_size <= model.n:
+        raise ValueError(f"sample_size must be an integer in [1, {model.n}]: {sample_size!r}")
     rng = np.random.default_rng(seed)
     X, assignment = model.X, rec.cats.assignment
     ranks = np.empty(tu.shape[0])

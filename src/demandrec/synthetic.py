@@ -7,7 +7,9 @@ utility clears 0.5 and the user's recency in the item's category has reached
 the category duration (an untouched category counts as infinitely recent);
 eligible events are observed with probability ``obs_prob`` and every
 purchase resets the user-category clock.  Same-slot purchases never block
-each other because recency looks strictly backwards.
+each other because recency looks strictly backwards.  Noise then adds
+``ceil(noise_ratio * nnz)`` purchases at a uniform set of the empty
+(user, item, slot) cells, drawn at once without replacement.
 """
 
 from __future__ import annotations
@@ -141,9 +143,15 @@ def generate(spec: SynthSpec) -> SynthInstance:
 
 
 def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInstance:
-    """Add exactly ceil(noise_ratio * nnz) uniformly random positive
-    triplets that are not already present (0 -> 1 flips).  A negative or
-    non-finite ``noise_ratio`` is a ConfigError."""
+    """Add exactly ceil(noise_ratio * nnz) positive triplets that are not
+    already present (0 -> 1 flips), a uniform set of that many zero cells.
+    A negative or non-finite ``noise_ratio`` is a ConfigError.
+
+    One draw without replacement picks the ranks of the new cells among the
+    zero cells.  The log's sorted keys ``existing`` turn a rank ``q`` into
+    its cell: ``existing[j] - j`` zero cells lie below ``existing[j]``, so
+    the cell is ``q`` plus the number of present keys with
+    ``existing[j] - j <= q``."""
     _check_noise_ratio(noise_ratio)
     log = inst.log
     count = math.ceil(noise_ratio * log.nnz)
@@ -155,20 +163,11 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     radices = (log.m, log.n, log.l)
     existing = _encode_keys(log.users, log.items, log.slots, radices)  # sorted, as the log
     rng = np.random.default_rng([seed, 3])
-    picked = []
-    n_picked = 0
-    while n_picked < count:
-        draw = rng.integers(0, cells, size=2 * (count - n_picked) + 16)
-        # dedupe keeping first-draw order, then reject already-present cells
-        _, first = np.unique(draw, return_index=True)
-        draw = draw[np.sort(first)]
-        draw = draw[~_isin_sorted(draw, existing)]
-        if picked:
-            draw = draw[~_isin_sorted(draw, np.sort(np.concatenate(picked)))]
-        draw = draw[: count - n_picked]
-        picked.append(draw)
-        n_picked += draw.shape[0]
-    users, items, slots = _decode_keys(np.concatenate(picked), radices)
+    # sorted needles search about ten times faster on a dense grid
+    ranks = np.sort(rng.choice(cells - log.nnz, count, replace=False, shuffle=False))
+    existing -= np.arange(log.nnz)
+    picked = ranks + np.searchsorted(existing, ranks, side="right")
+    users, items, slots = _decode_keys(picked, radices)
     noisy = _build_log(
         np.concatenate([log.users, users]),
         np.concatenate([log.items, items]),
@@ -186,14 +185,6 @@ def _check_noise_ratio(noise_ratio) -> None:
         raise ConfigError(f"noise_ratio must be >= 0, got {noise_ratio}")
     if not math.isfinite(noise_ratio):
         raise ConfigError(f"noise_ratio must be finite, got {noise_ratio}")
-
-
-def _isin_sorted(values, keys):
-    """``np.isin(values, keys)`` for ascending ``keys``, by binary search."""
-    if keys.shape[0] == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, values), keys.shape[0] - 1)
-    return keys[pos] == values
 
 
 def duration_error(d_est, d_true) -> float:

@@ -212,12 +212,13 @@ class TestExportLoad:
 
     def test_bundle_bytes_are_pinned(self, tmp_path):
         """The sha256 of a fixed small bundle: any change to the format,
-        version 2 with int32 id columns here, is deliberate."""
+        version 2 with int32 id columns here, or to the split's draw is
+        deliberate."""
         train, test, cats = self.split_parts(tmp_path)
         out = tmp_path / "split.bin"
         export_log(train, test, cats, out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7efbc0959841bbacdabd48d97809fec7a8c5ae1db1e06854f691c0289e435743")
+            "863b45493b64b83c4cacf4668b73b4e6a760c6254d717932dcff9893fcbc8470")
 
     @pytest.mark.parametrize("dims, stored, expected", [
         ([2, 2, 8, 1], np.int64, "int32"), ([2, 2, 2**31, 1], np.int32, "int64")])
@@ -847,20 +848,22 @@ def _digest(*arrays):
 
 class TestPinnedOutputs:
     """sha256 of the generated log, its split and the triplet recency on a
-    small seeded instance, recorded before the ordering code was rewritten
-    around one int64 key: a refactor must reproduce them byte for byte.
-    The ids were int64 then, so they are hashed as int64 values whatever
-    dtype the log holds them in."""
+    small seeded instance: a refactor must reproduce them byte for byte.
+    The noise-free log's digest was recorded before the ordering code was
+    rewritten around one int64 key; the others were re-recorded when the
+    split and the noise flips became one draw each.  The ids were int64
+    then, so they are hashed as int64 values whatever dtype the log holds
+    them in."""
 
     PINNED = {
         0.0: ("481f3e10a1163a912edd7318cc2410dba99d810429096bba7fe512b8eb3d2da7",
-              "64baf75d56eb614581c9aeb4630fde6873774290eee7df2686498328f941c5dc",
-              "68b77111721f1db71bd3baf405bbabea9c2dec0d600305ac44519ffd6dfa83a5",
-              "21721ab8c3107c1ea95ee98df2873a07de3611d2575439f66439a0fcee0dc7b0"),
-        0.3: ("557a71be270a3db9e6f674bd0339d8121bd17337ef4ed627031b1973184b58dc",
-              "964ed259be46dbecaeb0d65e029695a0eddd953fc04702be06683f223f95bf9e",
-              "52bf256f7dafd3c2eb219b0ee0ee1a94e599fd3d1e2d9ae476a108268d040ffd",
-              "35a2b66c3b2f8f04a17c54ec318bd0733b1b91a6a342f29a6c764db5f6dc3d37"),
+              "2a2a167458c87d1db3f66063e590df2274e61fc0f895e3f0417ad14361d14b3e",
+              "07f4456953b09dc3a9bd0ee9cf751784c71e0acd666ff74fe774c974c1ad0a79",
+              "bde8867c27f895fc9655548d512c04f332c46e76be470087d1d7879fcc17aa48"),
+        0.3: ("b45a1e6cbac67ce67104dce28c0ba3b3fac1b3395cd63ed5d9458af749a3c567",
+              "5e8563e309c29e20ff743cab988dded3e661e86fb24b7632809dc16130b510c6",
+              "30e052de4a6941bb5fbb073a280d44089cfd7857f7953353463a2a0d43b4ba45",
+              "ccec5176e8745fddec7a3578e43f2735fcdc049076b32938d2a3e03a0ba164b5"),
     }
 
     @pytest.mark.parametrize("noise_ratio", sorted(PINNED))
@@ -1018,34 +1021,65 @@ class TestSplit:
         assert 0 in split.train.users
 
     def test_reference_shuffle_reproduces_split(self):
-        # documented protocol: one generator, users ascending,
-        # choice(count, held, replace=False) within each user's block
+        # documented protocol: one integers draw of 63 - m.bit_length() bits
+        # per triplet under its user's bits, a stable sort of those keys,
+        # and the first held_u triplets of each user's block in that order
         rng = np.random.default_rng(10)
         trips = random_triplets(rng, 25, 12, 30, 500)
         log = make_log(trips, m=25, n=12)
         split = split_train_test(log, 0.1, seed=7)
 
-        ref = np.random.default_rng(7)
+        bits = 63 - (25).bit_length()
+        draws = np.random.default_rng(7).integers(0, 2**bits, size=log.nnz).tolist()
+        users = log.users.tolist()
+        keys = [(u << bits) | x for u, x in zip(users, draws)]
+        order = sorted(range(log.nnz), key=keys.__getitem__)  # a stable sort
         expected = set()
         start = 0
-        users = log.users.tolist()
         for u in range(25):
-            stop = start
-            while stop < len(users) and users[stop] == u:
-                stop += 1
-            cnt = stop - start
-            if cnt > 1:
-                held = min(int(0.1 * cnt + 0.5), cnt - 1)
-                if held:
-                    for off in ref.choice(cnt, size=held, replace=False):
-                        expected.add(start + int(off))
-            start = stop
+            cnt = users.count(u)
+            held = min(int(0.1 * cnt + 0.5), cnt - 1) if cnt > 1 else 0
+            expected.update(order[start:start + held])
+            start += cnt
         got = {
             triplet_list(log).index((u, i, k))
             for u, i, k in zip(split.test.users.tolist(), split.test.items.tolist(),
                                split.test.slots.tolist())
         }
         assert got == expected
+
+    def test_each_user_holds_out_its_rounded_share(self):
+        rng = np.random.default_rng(11)
+        log = make_log(random_triplets(rng, 40, 12, 30, 600), m=45, n=12)
+        for fraction in (0.0, 0.1, 0.25, 0.5, 0.9):
+            split = split_train_test(log, fraction, seed=2)
+            cnt = np.bincount(log.users, minlength=45)
+            want = np.where(cnt > 1, np.minimum((fraction * cnt + 0.5).astype(int), cnt - 1),
+                            0)
+            assert np.array_equal(np.bincount(split.test.users, minlength=45), want)
+
+    def test_held_out_subsets_are_uniform(self):
+        """Over many seeds each triplet is held out at the rate
+        held_u / cnt_u, and the 10 subsets of 2 of a 5-triplet user come up
+        about equally often."""
+        counts = {0: 2, 1: 5, 2: 10}  # held 1, 2 and 3 at fraction 0.3
+        log = make_log([(u, j, j) for u, cnt in counts.items() for j in range(cnt)],
+                       m=3, n=10)
+        seeds = 4000
+        held = np.zeros(log.nnz)
+        subsets = {}
+        for seed in range(seeds):
+            test = split_train_test(log, 0.3, seed=seed).test
+            mask = np.isin(log.users * 10 + log.items, test.users * 10 + test.items)
+            held += mask
+            key = tuple(np.flatnonzero(mask[2:7]))
+            subsets[key] = subsets.get(key, 0) + 1
+        rate = dict(zip(counts, (1 / 2, 2 / 5, 3 / 10)))
+        want = np.array([rate[u] for u in log.users.tolist()])
+        # a binomial rate over 4000 seeds has a standard deviation below 0.008
+        assert np.abs(held / seeds - want).max() < 0.04
+        assert len(subsets) == 10 and all(len(key) == 2 for key in subsets)
+        assert max(abs(c / seeds - 0.1) for c in subsets.values()) < 0.03
 
     def test_bad_fraction_rejected(self):
         log = make_log([(0, 0, 0), (0, 1, 1)], m=1, n=2)

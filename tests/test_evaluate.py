@@ -897,12 +897,51 @@ class TestItemMetric:
             )
             assert ranks[pos] == want
 
-    @pytest.mark.parametrize("bad", [0, -2, 10])
+    @pytest.mark.parametrize("bad", [0, -2, 10, 2.5, True, np.float64(3.0), "3"])
     def test_rejects_bad_sample_size(self, bad):
         model = model_from_dense(np.zeros((2, 9)), np.zeros(1), l=5)
         rec = build_recency_index(make_log([(0, 0, 0)], m=2, n=9), make_cats([0] * 9))
         with pytest.raises(ValueError, match="sample_size"):
             item_prediction_metric(model, rec, [0], [1], [2], sample_size=bad)
+
+
+class TestHoldoutIds:
+    """The three metrics refuse test ids outside the model's dims, naming
+    the column, rather than wrap a negative id round to another row."""
+
+    METRICS = {
+        "category": lambda model, rec, *cols: category_prediction_metric(model, rec, *cols),
+        "time": lambda model, rec, *cols: time_prediction_metric(model, rec, *cols, tau=0.0),
+        "item": lambda model, rec, *cols: item_prediction_metric(model, rec, *cols,
+                                                                 sample_size=4),
+    }
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("column, value", [
+        ("test_users", -1), ("test_users", 6), ("test_items", -1), ("test_items", 9),
+        ("test_slots", -5), ("test_slots", 15),
+    ])
+    def test_an_id_outside_the_dims_is_refused(self, metric, column, value):
+        model, rec, _, log, _ = random_setup(np.random.default_rng(4))  # 6 x 9, l = 15
+        cols = {"test_users": log.users[:3].copy(), "test_items": log.items[:3].copy(),
+                "test_slots": log.slots[:3].copy()}
+        cols[column][1] = value
+        with pytest.raises(ValueError, match=rf"^{column} must be in \[0, "):
+            self.METRICS[metric](model, rec, *cols.values())
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_ids_at_the_edges_are_scored(self, metric):
+        model, rec, _, _, _ = random_setup(np.random.default_rng(4))
+        pct, ranks = self.METRICS[metric](model, rec, [0, 5], [0, 8], [0, 14])
+        assert ranks.shape == (2,) and 0 <= pct <= 100
+
+    def test_a_numpy_integer_sample_size_is_accepted(self):
+        model, rec, _, log, _ = random_setup(np.random.default_rng(4))
+        want = item_prediction_metric(model, rec, log.users, log.items, log.slots,
+                                      sample_size=4, seed=1)
+        got = item_prediction_metric(model, rec, log.users, log.items, log.slots,
+                                     sample_size=np.int64(4), seed=1)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 class TestProtocolProperties:

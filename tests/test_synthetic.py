@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from demandrec.data import build_recency_index
+from demandrec.data import _build_log, build_recency_index
 from demandrec.errors import ConfigError, DataFormatError
 from demandrec.synthetic import (
+    SynthInstance,
     SynthSpec,
     duration_error,
     flip_noise,
@@ -208,6 +209,43 @@ class TestFlipNoise:
         inst = generate(MEDIUM)
         with pytest.raises(ConfigError):
             flip_noise(inst, -0.5, seed=0)
+
+    @staticmethod
+    def bare(log):
+        """An instance that carries only a log, all flip_noise reads."""
+        return SynthInstance(log=log, cats=None, d_true=None, x_true=None, spec=None)
+
+    GRID = [(0, 0, 1), (0, 1, 0), (1, 0, 2), (1, 1, 1)]  # 4 of the 2 x 2 x 3 cells
+
+    def test_each_zero_cell_is_picked_at_the_same_rate(self):
+        log = _build_log(*map(np.array, zip(*self.GRID)), m=2, n=2, l=3)
+        seeds = 4000
+        hits = {}
+        for seed in range(seeds):
+            noisy = triplet_list(flip_noise(self.bare(log), 0.75, seed=seed).log)
+            assert len(noisy) == 7
+            for cell in set(noisy) - set(self.GRID):
+                hits[cell] = hits.get(cell, 0) + 1
+        assert len(hits) == 8  # every zero cell, and no present one
+        # 3 of 8 cells per seed: the rate 3/8 has a standard deviation below 0.008
+        assert max(abs(h / seeds - 3 / 8) for h in hits.values()) < 0.04
+
+    def test_flipping_every_zero_cell_fills_the_grid(self):
+        log = _build_log(*map(np.array, zip(*self.GRID)), m=2, n=2, l=3)
+        noisy = flip_noise(self.bare(log), 2.0, seed=5).log
+        assert triplet_list(noisy) == [(u, i, k) for u in range(2) for i in range(2)
+                                       for k in range(3)]
+
+    @pytest.mark.parametrize("dims", [(2**20, 2**21, 2**21), (2**21, 2**21, 2**21)])
+    def test_key_spaces_of_2_62_and_2_63_cells_get_distinct_cells_in_range(self, dims):
+        m, n, l = dims
+        corners = [(0, 0, 0), (0, 0, 1), (m - 1, n - 1, l - 2), (m - 1, n - 1, l - 1)]
+        log = _build_log(*map(np.array, zip(*corners)), m=m, n=n, l=l)
+        noisy = flip_noise(self.bare(log), 50.0, seed=1).log
+        assert (noisy.m, noisy.n, noisy.l) == dims and noisy.nnz == 204
+        got = triplet_list(noisy)
+        assert len(set(got)) == 204 and set(corners) < set(got)
+        assert all(0 <= u < m and 0 <= i < n and 0 <= k < l for u, i, k in got)
 
 
 class TestDurationError:
