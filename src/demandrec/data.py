@@ -34,6 +34,7 @@ import csv
 import hashlib
 import itertools
 import math
+import numbers
 import operator
 import os
 import struct
@@ -604,6 +605,32 @@ def triplet_recency(log: PurchaseLog, cats: CategoryMap) -> TripletRecency:
     return TripletRecency(log=log, r=cats.r, codes=codes)
 
 
+def _is_int(value) -> bool:
+    """True for an int, numpy's too, but not a bool (checked in that order)."""
+    return type(value) is int or (not isinstance(value, bool)
+                                  and isinstance(value, numbers.Integral))
+
+
+def _check_ints(**ids) -> None:
+    """Refuse, as a ValueError naming it, any scalar id that is not an int."""
+    for name, value in ids.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_ids(ids, name) -> np.ndarray:
+    """``ids`` as an integer ndarray, or else as an object array of ints,
+    each checked (numpy reads ``[True, 1]`` as ints); a float, bool or
+    string raises ValueError naming ``name``."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return ids
+    ids = np.asarray(ids, dtype=object)
+    for value in ids.flat:
+        if not _is_int(value):
+            raise ValueError(f"{name} must be integers, got {value!r}")
+    return ids
+
+
 class RecencyIndex:
     """Strict-predecessor gap queries on a log's per-(user, category)
     purchase slots, for the callers that score (evaluate, recommend,
@@ -647,22 +674,20 @@ class RecencyIndex:
         """Slots since each user's last purchase in ``cats`` strictly before
         ``slots``; ``inf`` where there is no earlier purchase, which includes
         every slot below 0.  The arguments broadcast against each other;
-        scalars give a scalar.  Users outside ``[0, m)`` or categories
-        outside ``[0, r)`` raise ``ValueError``, and so do slots outside
-        the int64 range."""
-        try:
-            slots = np.asarray(slots, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("slot must be below 2**63 and at least -2**63") from None
+        scalars give a scalar.  Ids that are not integers (floats, bools,
+        strings), users outside ``[0, m)`` and categories outside ``[0, r)``
+        raise ``ValueError``, and so do slots outside the int64 range."""
+        slots = _int_ids(slots, "slots")
+        if slots.dtype.kind != "i" and slots.size and not (  # uint64 or beyond int64
+                -2**63 <= slots.min() and slots.max() < 2**63):
+            raise ValueError("slot must be below 2**63 and at least -2**63")
+        slots = np.asarray(slots, dtype=np.int64)
         checked = []
         for ids, bound, what in ((users, self.log.m, "user"), (cats, self.r, "category")):
-            try:
-                ids = np.asarray(ids, dtype=np.int64)
-            except OverflowError:  # an id outside int64 is out of range too
-                ids = None
-            if ids is None or ids.size and not 0 <= ids.min() <= ids.max() < bound:
+            ids = _int_ids(ids, f"{what} ids")
+            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"{what} ids must be in [0, {bound})")
-            checked.append(ids)
+            checked.append(np.asarray(ids, dtype=np.int64))
         users, cats = checked
         group = _encode_keys(users, cats, 0, self._radices)
         # every event slot is below l, so clamping keeps later slots exact
@@ -673,14 +698,15 @@ class RecencyIndex:
     def user_gaps(self, user: int, slot: int) -> np.ndarray:
         """The r gaps of one user at one slot, bit for bit
         ``query(user, np.arange(r), slot)``: one search of r keys, without
-        the broadcast path's array checks.  A user outside ``[0, m)`` or a
-        slot of 2**63 or more raises ``ValueError``.
+        the broadcast path's array checks.  Ids that are not integers, a
+        user outside ``[0, m)`` or a slot from 2**63 on raise ValueError.
 
         The needles are the keys of ``(user, c, s)``, ``s = min(slot, l)``.
         ``rel``, the found key minus the needle, is in ``[-s, -1]`` exactly
         when that key is a purchase of the user in ``c``, and the gap is
         then ``slot - s - rel``.  The found key is at least the sentinel
         -1, so ``rel`` cannot wrap in int64, where ``needle - key`` could."""
+        _check_ints(user=user, slot=slot)
         user, slot = operator.index(user), operator.index(slot)
         if not 0 <= user < self.log.m:
             raise ValueError(f"user ids must be in [0, {self.log.m})")

@@ -33,8 +33,8 @@ from .durations import build_worksets, update_durations
 from .errors import DataFormatError, ModelFileError, SolverError
 from .utility import (
     FactoredUtilityMatrix,
+    GradStepOperator,
     Iterate,
-    MatrixOperator,
     SolverConfig,
     _evaluate_at,
     compute_targets,
@@ -108,9 +108,11 @@ def evaluate_objective(
 
 def init_utility(log: PurchaseLog, cfg: SolverConfig) -> FactoredUtilityMatrix:
     """Start X from a cold Gaussian sketch of the purchase-count matrix
-    sum_k p_ijk, rescaled to unit spectral norm."""
+    sum_k p_ijk, rescaled to unit spectral norm.  The sketch is of the
+    gradient-step operator at X = 0, with the counts as S."""
     pairs = log.pairs()
-    counts = MatrixOperator(pairs.csr(pairs.counts.astype(float)))
+    counts = GradStepOperator(0.0, FactoredUtilityMatrix.zeros(log.m, log.n),
+                              pairs.csr(pairs.counts.astype(float)))
     rng = np.random.default_rng(cfg.seed)
     U, sig, V = randomized_svd(counts, cfg.max_rank, rng=rng)
     keep = sig > 0

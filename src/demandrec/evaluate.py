@@ -30,13 +30,13 @@ so the draws do not depend on the block size.
 
 from __future__ import annotations
 
-import numbers
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RecencyIndex, _encode_keys, _take
+from .data import RecencyIndex, _check_ints, _encode_keys, _int_ids, _is_int, _take
 from .driver import ModelState
 
 _BLOCK_CELLS = 2**18  # cells per scoring block: 2 MB of float64
@@ -77,25 +77,14 @@ def _category_segments(assignment: np.ndarray, r: int):
     return np.argsort(assignment, kind="stable"), ends - counts, ends
 
 
-def _is_int(value) -> bool:
-    """True for an int, numpy's too, but not a bool; a plain int is
-    accepted before the slower ABC check."""
-    return type(value) is int or (not isinstance(value, bool)
-                                  and isinstance(value, numbers.Integral))
-
-
-def _check_query(**ids) -> None:
-    """Query ids must be integers, numpy's too but not bools: a float would
-    be truncated to a neighbouring id, and a bool or a string would reach
-    numpy's own indexing errors.  The slot must be >= 0: below 0 every
-    category would read as never bought, which is the recency index's
-    answer but no valid query.  The recency probe refuses slots from 2**63
-    on, where its keys end."""
-    for name, value in ids.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if ids["slot"] < 0:
-        raise ValueError(f"slot must be >= 0, got {ids['slot']}")
+def _query_gaps(rec: RecencyIndex, user, slot) -> np.ndarray:
+    """The r gaps of one query from :meth:`RecencyIndex.user_gaps`, which
+    refuses ids that are not integers; a slot below 0, where every category
+    would read as never bought, is the index's answer but no valid query."""
+    gaps = rec.user_gaps(user, slot)
+    if slot < 0:
+        raise ValueError(f"slot must be >= 0, got {slot}")
+    return gaps
 
 
 def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int) -> float:
@@ -104,11 +93,11 @@ def score(model: ModelState, rec: RecencyIndex, user: int, item: int, slot: int)
     bit for bit the broadcast ``query``'s answer.  Ids that are not integers,
     items outside ``[0, n)``, users outside ``[0, m)`` and slots below 0
     or from 2**63 on raise ``ValueError``."""
-    _check_query(user=user, item=item, slot=slot)
+    _check_ints(item=item)
     if not 0 <= item < model.n:
         raise ValueError(f"item ids must be in [0, {model.n})")
     cat = rec.cats.assignment[item]
-    penalty = float(np.maximum(0.0, model.d[cat] - rec.user_gaps(user, slot)[cat]))
+    penalty = float(np.maximum(0.0, model.d[cat] - _query_gaps(rec, user, slot)[cat]))
     return float((model.X.U[user] * model.X.sigma) @ model.X.V[item]) - penalty
 
 
@@ -121,7 +110,10 @@ def predict_demand(
     tau: float,
 ) -> bool:
     """True when the score strictly exceeds the decision threshold ``tau``;
-    the query is checked as :func:`score` checks it."""
+    the query is checked as :func:`score` checks it.  ``tau = inf``
+    predicts nothing and ``-inf`` everything; a NaN raises ValueError."""
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
     return score(model, rec, user, item, slot) > tau
 
 
@@ -153,8 +145,7 @@ def recommend_topn(
     n = model.n
     if not _is_int(n_top) or not 1 <= n_top <= n:
         raise ValueError(f"n_top must be in [1, {n}], got {n_top}")
-    _check_query(user=user, slot=slot)
-    penalties = np.maximum(0.0, model.d - rec.user_gaps(user, slot))
+    penalties = np.maximum(0.0, model.d - _query_gaps(rec, user, slot))
     scores = model.X.row_scores(user)
     scores -= penalties.take(rec.cats.assignment)
     part = scores.copy()
@@ -189,21 +180,22 @@ class MetricReport:
 
 
 def _check_test(model: ModelState, test_users, test_items, test_slots):
-    """The test columns as arrays: int32 and int64 arrays as they are (a
-    log's columns are not widened), anything else as int64.  An id outside
-    the model's dims, which an index would wrap round, raises ValueError."""
-    tu, ti, tk = (np.asarray(a) for a in (test_users, test_items, test_slots))
-    tu, ti, tk = (a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
-                  for a in (tu, ti, tk))
+    """The test columns as integer arrays: int32 and int64 arrays as they
+    are (a log's columns are not widened), any other integers as int64.  A
+    column holding a float, a bool or a string raises ValueError naming it,
+    and so does an id outside the model's dims, which an index would wrap
+    round or a cast truncate to a neighbouring id."""
+    names = ("test_users", "test_items", "test_slots")
+    tu, ti, tk = map(_int_ids, (test_users, test_items, test_slots), names)
     if tu.shape[0] == 0:
         raise ValueError("no test records")
     if not (tu.shape == ti.shape == tk.shape):
         raise ValueError("test arrays must have matching length")
-    for name, ids, bound in (("test_users", tu, model.m), ("test_items", ti, model.n),
-                             ("test_slots", tk, model.l)):
+    for name, ids, bound in zip(names, (tu, ti, tk), (model.m, model.n, model.l)):
         if not 0 <= ids.min() <= ids.max() < bound:
             raise ValueError(f"{name} must be in [0, {bound})")
-    return tu, ti, tk
+    return tuple(a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+                 for a in (tu, ti, tk))
 
 
 def _rank(scores: np.ndarray, ids: np.ndarray, target_score, target_id) -> np.ndarray:
@@ -314,7 +306,7 @@ def time_prediction_metric(
     normalized by the horizon: mean(err) / l * 100.  Records whose category
     is never predicted contribute the full horizon l.  When ``tau`` is at
     or above every group's best utility no slot can be predicted, and a
-    warning says so.
+    warning says so; ``tau = -inf`` predicts every slot, and NaN is refused.
 
     Records are grouped by (user, category): within a group the predicted
     slots coincide, so the distance profile is computed once, from the
@@ -324,6 +316,8 @@ def time_prediction_metric(
     category's best utility from it.  A group whose best utility is not
     above ``tau`` is never predicted, so it is not profiled.
     """
+    if math.isnan(tau):  # no slot would be predicted
+        raise ValueError("tau must not be NaN")
     tu, ti, tk = _check_test(model, test_users, test_items, test_slots)
     assignment = rec.cats.assignment
     n, l, r = model.n, model.l, model.r

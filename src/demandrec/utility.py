@@ -11,10 +11,10 @@ sparse correction supported on purchased pairs, so it is applied implicitly:
 block products cost O((m + n) k b) for the factored part plus O(nnz_pairs b)
 for the sparse part, and the proximal step is a randomized SVD followed by
 singular-value soft-thresholding.  The full matrix is never materialized.
-Every SVD is one pass of a randomized range finder: it multiplies by the
-operator once and by its transpose once.  A step's sketch starts from the
-current iterate's right singular vectors, which carries the subspace
-iteration over from step to step.  The rest of a sketch is dense
+Every SVD, the cold start's included, is one pass of a randomized range
+finder over this operator: it multiplies by it once and by its transpose
+once.  A step's sketch starts from the current iterate's right singular
+vectors, which carries the subspace iteration over from step to step.  The rest of a sketch is dense
 algebra on tall-skinny blocks: CholeskyQR2 orthonormalizes them with matrix
 products, and the SVD is taken of a block x block triangle instead of the
 wide block x n projection.
@@ -154,12 +154,6 @@ class FactoredUtilityMatrix:
         rows = self.U.take(user, axis=0) if isinstance(user, np.ndarray) else self.U[user]
         return (rows * self.sigma) @ self.V.T
 
-    def matmat(self, B: np.ndarray) -> np.ndarray:
-        return self.U @ (self.sigma[:, None] * (self.V.T @ B))
-
-    def rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return self.V @ (self.sigma[:, None] * (self.U.T @ B))
-
     def frob_sq(self) -> float:
         """||X||_F^2 from the factors in O((m + n) k^2)."""
         gu = self.U.T @ self.U
@@ -219,8 +213,9 @@ class GradStepOperator:
     """Implicit m x n matrix  G = scale * X + S  with S sparse.
 
     This is the gradient-step matrix X - gamma * grad h(X): the unlabeled
-    term shrinks X uniformly while purchases add local corrections.
-    Products with the transpose use ``S.T``, scipy's CSC view of S.
+    term shrinks X uniformly while purchases add local corrections; at
+    X = 0 and scale 0 it is S, the cold start's purchase counts.  Products
+    with the transpose use ``S.T``, scipy's CSC view of S.
     """
 
     def __init__(self, scale: float, X: FactoredUtilityMatrix, S: sp.csr_matrix):
@@ -233,12 +228,12 @@ class GradStepOperator:
         return self.S.shape
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
-        out = self.X.matmat(B)
+        out = self.X.U @ (self.X.sigma[:, None] * (self.X.V.T @ B))
         out *= self.scale
         return _add_sparse_product(out, self.S, B)
 
     def rmatmat(self, B: np.ndarray) -> np.ndarray:
-        out = self.X.rmatmat(B)
+        out = self.X.V @ (self.X.sigma[:, None] * (self.X.U.T @ B))
         out *= self.scale
         return _add_sparse_product(out, self.S.T, B)
 
@@ -255,24 +250,6 @@ def _add_sparse_product(out: np.ndarray, A, B: np.ndarray) -> np.ndarray:
 
     kernels.in_halves(add, [slice(0, k // 2), slice(k // 2, k)] if k > 1 else [slice(0, k)])
     return out
-
-
-class MatrixOperator:
-    """Adapter giving a dense or scipy-sparse matrix the operator interface;
-    ``A.T`` is a view for both, so no transpose is stored."""
-
-    def __init__(self, A):
-        self.A = A
-
-    @property
-    def shape(self):
-        return self.A.shape
-
-    def matmat(self, B):
-        return self.A @ B
-
-    def rmatmat(self, B):
-        return self.A.T @ B
 
 
 def gradient_step(

@@ -708,6 +708,37 @@ class TestRecencyIndex:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert np.isinf(got).all()
 
+    @pytest.mark.parametrize("user, cat, slot", [
+        (1, 0.5, 30.9), (1.0, 0, 30), (1, 0, 30.0), (True, 0, 30), (1, np.True_, 30),
+        ("1", "0", "30"), ([True, 1], 0, 30), (1, 0, [5, 6.5]),
+        (np.array([1.0]), 0, 30), (1, 0, np.array([False])),
+    ])
+    def test_ids_that_are_not_integers_are_refused(self, user, cat, slot):
+        """A float is not truncated, a bool is not read as 0 or 1, and a
+        string is not parsed: each raises ValueError, as ``score`` does."""
+        log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
+        rec = build_recency_index(log, make_cats([0, 1], r=2))
+        with pytest.raises(ValueError, match="must be integers"):
+            rec.query(user, cat, slot)
+
+    @pytest.mark.parametrize("user, slot", [
+        (True, 5), (1, 5.5), (1.0, 5), (1, np.float64(5)), ("1", 5), (1, "5"),
+    ])
+    def test_user_gaps_refuse_what_query_refuses(self, user, slot):
+        log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
+        rec = build_recency_index(log, make_cats([0, 1], r=2))
+        with pytest.raises(ValueError, match=r"^(user|slot) must be an integer, got "):
+            rec.user_gaps(user, slot)
+
+    def test_integer_ids_of_any_kind_are_answered(self):
+        log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
+        rec = build_recency_index(log, make_cats([0, 1], r=2))
+        want = rec.query(1, np.arange(2), 30)
+        for user, slot in ((np.int32(1), 30), (1, np.int64(30)), (np.uint8(1), np.uint16(30))):
+            assert rec.user_gaps(user, slot).tobytes() == want.tobytes()
+            assert rec.query(user, [np.int8(0), 1], slot).tobytes() == want.tobytes()
+        assert rec.query([1, 1], 1, (29, np.int64(30))).tolist() == [23.0, 24.0]
+
     def test_slots_beyond_int64_rejected(self):
         log = make_log([(1, 0, 2), (1, 1, 6)], m=2, n=2)
         rec = build_recency_index(log, make_cats([0, 1], r=2))
@@ -716,6 +747,9 @@ class TestRecencyIndex:
                           lambda: rec.query(1, [0, 1], [5, slot])):
                 with pytest.raises(ValueError, match=r"^slot must be below 2\*\*63"):
                     probe()
+        # an unsigned array is not wrapped round to a negative slot
+        with pytest.raises(ValueError, match=r"^slot must be below 2\*\*63"):
+            rec.query(1, 0, np.array([5, 2**63], dtype=np.uint64))
         # the last slot of the key range is still answered
         got = rec.user_gaps(1, 2**63 - 1)
         assert got.tobytes() == rec.query(1, np.arange(2), 2**63 - 1).tobytes()

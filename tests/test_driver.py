@@ -250,13 +250,16 @@ class TestPairValueReuse:
 
 
     def test_two_operator_products_per_sketch(self, monkeypatch):
-        """Every proximal step, accepted or retried after a halving, multiplies
-        by the gradient-step operator once and by its transpose once."""
+        """Every sketch, the cold start's and each proximal step's, accepted
+        or retried after a halving, multiplies by the gradient-step operator
+        once and by its transpose once."""
         log, cats, *_ = small_instance(seed=59, m=15, n=12, l=8, r=3, count=150)
         calls = []  # (function name, gamma keyword)
+        # init_utility looks randomized_svd up in driver, update_X in utility
         for owner, name in ((utility.GradStepOperator, "matmat"),
                             (utility.GradStepOperator, "rmatmat"),
-                            (utility, "randomized_svd"), (utility, "gradient_step")):
+                            (driver, "randomized_svd"), (utility, "randomized_svd"),
+                            (utility, "gradient_step")):
             def wrapper(*args, _name=name, _original=getattr(owner, name), **kwargs):
                 calls.append((_name, kwargs.get("gamma")))
                 return _original(*args, **kwargs)
@@ -557,13 +560,13 @@ class TestInitUtility:
         log = make_log(trips, m=11, n=9)
         cfg = SolverConfig(max_rank=4, seed=5)
         operators = []
-        original = driver.MatrixOperator
+        original = driver.GradStepOperator
 
-        def spy(A):
-            operators.append(A)
-            return original(A)
+        def spy(scale, X, S):
+            operators.append(S)
+            return original(scale, X, S)
 
-        monkeypatch.setattr(driver, "MatrixOperator", spy)
+        monkeypatch.setattr(driver, "GradStepOperator", spy)
         X = init_utility(log, cfg)
         A, = operators
         assert A.shape == (11, 9)
@@ -573,7 +576,7 @@ class TestInitUtility:
             def rmatmat(self, B):
                 return AT @ B
 
-        monkeypatch.setattr(driver, "MatrixOperator", Reference)
+        monkeypatch.setattr(driver, "GradStepOperator", Reference)
         X_ref = init_utility(log, cfg)
         for name in ("U", "sigma", "V"):
             assert np.array_equal(getattr(X, name), getattr(X_ref, name))
@@ -584,7 +587,7 @@ class TestInitUtility:
         log, *_ = small_instance(seed=66, m=30, n=25, count=200)
         calls = []
 
-        class Spy(driver.MatrixOperator):
+        class Spy(driver.GradStepOperator):
             def matmat(self, B):
                 calls.append("matmat")
                 return super().matmat(B)
@@ -593,9 +596,52 @@ class TestInitUtility:
                 calls.append("rmatmat")
                 return super().rmatmat(B)
 
-        monkeypatch.setattr(driver, "MatrixOperator", Spy)
+        monkeypatch.setattr(driver, "GradStepOperator", Spy)
         init_utility(log, SolverConfig(max_rank=4, seed=5))
         assert calls == ["matmat", "rmatmat"]
+
+    def test_cold_sketch_is_the_step_operator_at_zero_in_halves(self, monkeypatch,
+                                                                 two_threads):
+        """The cold sketch multiplies by the gradient-step operator at X = 0
+        with no dense part, once each way, and each product's column halves
+        reach the second thread.  Its factors have the bits of a sketch of
+        the plain count matrix."""
+        log, *_ = small_instance(seed=66, m=30, n=25, count=200)
+        cfg = SolverConfig(max_rank=4, seed=5)
+        calls = []
+
+        class Spy(driver.GradStepOperator):
+            def matmat(self, B):
+                return self.record("matmat", super().matmat, B)
+
+            def rmatmat(self, B):
+                return self.record("rmatmat", super().rmatmat, B)
+
+            def record(self, name, product, B):
+                two_threads.threads.clear()
+                out = product(B)
+                calls.append((name, self.scale, self.X.rank, len(two_threads.threads)))
+                return out
+
+        monkeypatch.setattr(driver, "GradStepOperator", Spy)
+        X = init_utility(log, cfg)
+        # each product handed one half to the second thread
+        assert calls == [("matmat", 0.0, 0, 1), ("rmatmat", 0.0, 0, 1)]
+        assert threading.get_ident() not in two_threads.threads
+
+        counts = log.pairs().csr(log.pairs().counts.astype(float))
+
+        class Plain(driver.GradStepOperator):
+            def matmat(self, B):
+                return counts @ B
+
+            def rmatmat(self, B):
+                return counts.T @ B
+
+        monkeypatch.setattr(driver, "GradStepOperator", Plain)
+        X_plain = init_utility(log, cfg)
+        for name in ("U", "sigma", "V"):
+            assert getattr(X, name).tobytes() == getattr(X_plain, name).tobytes()
 
     def test_unit_spectral_norm_and_determinism(self):
         log, cats, *_ = small_instance(seed=57, count=80)

@@ -558,6 +558,26 @@ class TestDistanceProfile:
         assert _distance_to_predicted(np.zeros(4, dtype=bool), 4).tolist() == [4] * 4
 
 
+class TestNanTau:
+    def test_nan_tau_is_refused(self):
+        model, rec, _, log, _ = random_setup(np.random.default_rng(8))
+        tu, ti, tk = log.users[:5], log.items[:5], log.slots[:5]
+        for tau in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match="^tau must not be NaN"):
+                time_prediction_metric(model, rec, tu, ti, tk, tau=tau)
+            with pytest.raises(ValueError, match="^tau must not be NaN"):
+                predict_demand(model, rec, 0, 0, 3, tau=tau)
+
+    def test_infinite_tau_predicts_nothing_or_everything(self):
+        model, rec, _, log, _ = random_setup(np.random.default_rng(8))
+        tu, ti, tk = log.users[:5], log.items[:5], log.slots[:5]
+        with pytest.warns(UserWarning, match="no demand is predicted"):
+            assert time_prediction_metric(model, rec, tu, ti, tk, tau=math.inf)[0] == 100.0
+        assert time_prediction_metric(model, rec, tu, ti, tk, tau=-math.inf)[0] == 0.0
+        assert not predict_demand(model, rec, 0, 0, 3, tau=math.inf)
+        assert predict_demand(model, rec, 0, 0, 3, tau=-math.inf)
+
+
 class TestTimeMetric:
     def fixture(self):
         # cat 0: utility .9, duration 10, purchase at slot 0 => predicted
@@ -934,6 +954,36 @@ class TestHoldoutIds:
         model, rec, _, _, _ = random_setup(np.random.default_rng(4))
         pct, ranks = self.METRICS[metric](model, rec, [0, 5], [0, 8], [0, 14])
         assert ranks.shape == (2,) and 0 <= pct <= 100
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("column, values", [
+        ("test_users", [0.5, 1]), ("test_users", [True, 1]), ("test_users", ["0", "1"]),
+        ("test_items", [1.7, 2]), ("test_items", np.array([1.0, 2.0])),
+        ("test_slots", np.array([True, False])), ("test_slots", [3, np.float64(4)]),
+    ])
+    def test_an_id_that_is_not_an_integer_is_refused(self, metric, column, values):
+        """A float is not truncated to a neighbouring id, a bool is not read
+        as id 0 or 1, and a string is not parsed."""
+        model, rec, _, _, _ = random_setup(np.random.default_rng(4))
+        cols = {"test_users": [0, 1], "test_items": [1, 2], "test_slots": [3, 4]}
+        cols[column] = values
+        with pytest.raises(ValueError, match=rf"^{column} must be integers, got "):
+            self.METRICS[metric](model, rec, *cols.values())
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_integer_columns_of_any_kind_agree(self, metric):
+        model, rec, _, _, _ = random_setup(np.random.default_rng(4))
+        want = self.METRICS[metric](model, rec, [0, 5], [0, 8], [0, 14])
+        for cols in (([np.int64(0), 5], (0, np.int32(8)), [0, 14]),
+                     (np.array([0, 5], np.uint8), np.array([0, 8], np.int16), [0, 14])):
+            got = self.METRICS[metric](model, rec, *cols)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_int32_columns_are_not_widened(self):
+        model, rec, _, log, _ = random_setup(np.random.default_rng(4))
+        assert log.users.dtype == np.int32
+        cols = evaluate._check_test(model, log.users, log.items, log.slots)
+        assert all(got is want for got, want in zip(cols, (log.users, log.items, log.slots)))
 
     def test_a_numpy_integer_sample_size_is_accepted(self):
         model, rec, _, log, _ = random_setup(np.random.default_rng(4))

@@ -21,8 +21,8 @@ from demandrec.data import triplet_recency
 from demandrec.errors import ConfigError, SolverError
 from demandrec.utility import (
     FactoredUtilityMatrix,
+    GradStepOperator,
     Iterate,
-    MatrixOperator,
     SolverConfig,
     auto_step,
     compute_targets,
@@ -45,6 +45,17 @@ def build_setup(rng, m, n, l, r, count, d=None):
         d = rng.uniform(0.0, 8.0, size=r)
     targets = compute_targets(rec, d)
     return log, cats, rec, targets, trips, assignment.tolist(), np.asarray(d, float)
+
+
+def sparse_operator(A):
+    """A dense or sparse matrix as the gradient-step operator at X = 0 with S = A."""
+    return GradStepOperator(0.0, FactoredUtilityMatrix.zeros(*A.shape), sp.csr_matrix(A))
+
+
+def dense_part(X, B, transpose=False):
+    """The dense part's product X @ B, or X.T @ B, as the operator forms it."""
+    U, V = (X.V, X.U) if transpose else (X.U, X.V)
+    return U @ (X.sigma[:, None] * (V.T @ B))
 
 
 def step_at(X, targets, cfg, gamma=None):
@@ -226,8 +237,8 @@ class TestGradientStep:
         X = model_from_dense(rng.uniform(-0.5, 1.5, size=(30, 25)), [0.0] * 3, 7).X
         op = step_at(X, targets, SolverConfig(eta=0.3))
         B, Bt = rng.normal(size=(25, cols)), rng.normal(size=(30, cols))
-        want = op.scale * X.matmat(B) + op.S @ B
-        want_t = op.scale * X.rmatmat(Bt) + op.S.T @ Bt
+        want = op.scale * dense_part(X, B) + op.S @ B
+        want_t = op.scale * dense_part(X, Bt, transpose=True) + op.S.T @ Bt
         got, got_t = op.matmat(B), op.rmatmat(Bt)
         assert (got.tobytes(), got_t.tobytes()) == (want.tobytes(), want_t.tobytes())
         assert one_thread_run(monkeypatch, op.matmat, B).tobytes() == want.tobytes()
@@ -287,7 +298,8 @@ class TestGradientStep:
         op = step_at(X, targets, SolverConfig(eta=0.3))
         assert op.shape == (11, 9)
         C = rng.standard_normal((11, 4))
-        assert np.array_equal(op.rmatmat(C), op.scale * X.rmatmat(C) + op.S.T.tocsr() @ C)
+        want = op.scale * dense_part(X, C, transpose=True) + op.S.T.tocsr() @ C
+        assert np.array_equal(op.rmatmat(C), want)
 
     def test_oversized_step_rejected(self):
         rng = np.random.default_rng(27)
@@ -368,35 +380,39 @@ class TestRandomizedSvd:
         u, _ = np.linalg.qr(rng.standard_normal((30, 2)))
         v, _ = np.linalg.qr(rng.standard_normal((20, 2)))
         A = 5.0 * np.outer(u[:, 0], v[:, 0]) + 2.0 * np.outer(u[:, 1], v[:, 1])
-        _, sigma, _ = randomized_svd(MatrixOperator(A), rank=2, rng=0)
+        _, sigma, _ = randomized_svd(sparse_operator(A), rank=2, rng=0)
         np.testing.assert_allclose(sigma, [5.0, 2.0], atol=1e-6)
 
     def test_close_to_exact_svd_on_random_matrix(self):
         rng = np.random.default_rng(30)
         A = rng.standard_normal((60, 40))
         # a flat spectrum, so one pass is far from exact; the check is that
-        # dense and sparse storage of one matrix give the same sketch
-        dense = randomized_svd(MatrixOperator(A), rank=5, oversample=10, rng=1)
-        sparse = randomized_svd(MatrixOperator(sp.csr_matrix(A)), rank=5, oversample=10, rng=1)
+        # one matrix as the operator's dense part and as its sparse part
+        # gives the same sketch
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        as_dense = GradStepOperator(1.0, FactoredUtilityMatrix(u, s, vt.T),
+                                    sp.csr_matrix(A.shape))
+        dense = randomized_svd(as_dense, rank=5, oversample=10, rng=1)
+        sparse = randomized_svd(sparse_operator(A), rank=5, oversample=10, rng=1)
         for got, want in zip(sparse, dense):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_zero_operator(self):
-        _, sigma, _ = randomized_svd(MatrixOperator(np.zeros((8, 6))), rank=3, rng=2)
+        _, sigma, _ = randomized_svd(sparse_operator(np.zeros((8, 6))), rank=3, rng=2)
         assert (sigma <= 1e-12).all()
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(31)
         A = rng.standard_normal((25, 18))
-        first = randomized_svd(MatrixOperator(A), rank=4, rng=7)
-        second = randomized_svd(MatrixOperator(A), rank=4, rng=7)
+        first = randomized_svd(sparse_operator(A), rank=4, rng=7)
+        second = randomized_svd(sparse_operator(A), rank=4, rng=7)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
     def test_factors_orthonormal(self):
         rng = np.random.default_rng(32)
         A = rng.standard_normal((30, 22))
-        U, _, V = randomized_svd(MatrixOperator(A), rank=6, rng=3)
+        U, _, V = randomized_svd(sparse_operator(A), rank=6, rng=3)
         np.testing.assert_allclose(U.T @ U, np.eye(6), atol=1e-10)
         np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
 
@@ -406,7 +422,7 @@ class TestRandomizedSvd:
         rng = np.random.default_rng(60)
         A = rng.standard_normal((30, 12))
         start, _ = np.linalg.qr(rng.standard_normal((12, 4)))
-        U, sigma, V = randomized_svd(MatrixOperator(A), rank=5, oversample=10, rng=3,
+        U, sigma, V = randomized_svd(sparse_operator(A), rank=5, oversample=10, rng=3,
                                      start=start)
         Ue, se, Vte = np.linalg.svd(A, full_matrices=False)
         np.testing.assert_allclose(sigma, se[:5], rtol=0, atol=1e-10)
@@ -427,7 +443,7 @@ class TestRandomizedSvd:
             return Q, R
 
         monkeypatch.setattr(utility, "orthonormalize", spy)
-        U, sigma, V = randomized_svd(MatrixOperator(A), rank=6, oversample=9, rng=4)
+        U, sigma, V = randomized_svd(sparse_operator(A), rank=6, oversample=9, rng=4)
         Q = ranges[-2]  # the range basis that B is formed from
         Ub, sb, Vbt = np.linalg.svd(Q.T @ A, full_matrices=False)
         np.testing.assert_allclose(sigma, sb[:6], rtol=0, atol=1e-12)
@@ -445,8 +461,8 @@ class TestRandomizedSvd:
         start = rng.standard_normal((15, 8))
         # rank 2 + oversample 1 keeps three start columns and draws nothing,
         # so the rng seed does not matter
-        wide = randomized_svd(MatrixOperator(A), rank=2, oversample=1, rng=0, start=start)
-        cut = randomized_svd(MatrixOperator(A), rank=2, oversample=1, rng=1,
+        wide = randomized_svd(sparse_operator(A), rank=2, oversample=1, rng=0, start=start)
+        cut = randomized_svd(sparse_operator(A), rank=2, oversample=1, rng=1,
                              start=start[:, :3])
         for a, b in zip(wide, cut):
             assert np.array_equal(a, b)
