@@ -8,7 +8,7 @@ and ``rank-demo`` dumps the low-rank-versus-full-rank spectra.
 Configuration is a flat ``key = value`` namespace resolved in order:
 built-in defaults, then ``--config`` file, then ``--set key=value`` overrides,
 then the direct ``--seed/--output-dir`` flags.  Every command checks every
-key before it reads or writes a file, by the rule on the key's
+key before it reads or writes a file, by the rules on the key's
 ``CONFIG_SCHEMA`` row or by ``SolverConfig`` and ``SynthSpec`` for their own
 fields, and writes the resolved configuration beside its outputs.
 """
@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import synthetic
+from . import data, synthetic
 from .data import (
-    TIMESTAMP_FORMATS,
     build_recency_index,
     export_log,
     ingest_categories,
@@ -49,72 +47,54 @@ from .evaluate import (
     recommend_topn,
     time_prediction_metric,
 )
-from .utility import SolverConfig
+from .utility import AT_LEAST_1, FINITE, SolverConfig
 
-# help text of each SolverConfig field; the field itself gives key and default
-_SOLVER_HELP = {
-    "eta": "weight on observed purchases versus unlabeled cells",
-    "lam": "nuclear-norm regularization strength",
-    "max_rank": "rank cap for the factored utility matrix",
-    "inner_iters": "proximal gradient steps per utility update",
-    "outer_iters": "alternating rounds over durations and utilities",
-    "tol": "relative objective change that counts as converged",
-    "seed": "top-level seed; every stage derives its stream from it",
-}
-
-# help text of each SynthSpec field but seed, which SolverConfig supplies
-_SYNTH_HELP = {
-    "m": "synthetic user count",
-    "n": "synthetic item count",
-    "l": "synthetic time slot count",
-    "r": "synthetic category count",
-    "rank": "latent rank of the synthetic utility matrix",
-    "obs_prob": "probability an eligible purchase is observed",
-    "noise_ratio": "noisy positives to add, as a fraction of nnz",
-}
-
-# key, default, help, rule; types are inferred from the defaults.  A rule is
-# None or (what, test), and a value that fails test is "<key> must be <what>".
+# key, default, help, rules; types are inferred from the defaults.  A rule is
+# (what, test), and a value that fails test is "<key> must be <what>".  The
+# row of a SolverConfig or SynthSpec key reads its field, whose class checks it.
 CONFIG_SCHEMA = [
-    ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)", None),
+    ("purchases", "", "purchase CSV for train (default: <output_dir>/purchases.csv)", ()),
     ("categories", "", "item-category CSV for train (default: <output_dir>/categories.csv)",
-     None),
+     ()),
     ("granularity", 1.0, "slot width in days when bucketing timestamps",
-     ("finite and positive", lambda value: 0.0 < value < math.inf)),
+     data.GRANULARITY_RULES),
     ("timestamp_format", "days", "purchase timestamp format: 'days' or 'iso'",
-     (f"one of {TIMESTAMP_FORMATS}", lambda value: value in TIMESTAMP_FORMATS)),
+     data.TIMESTAMP_FORMAT_RULES),
     ("split_fraction", 0.1, "per-user fraction of records held out for testing",
-     ("in [0, 1)", lambda value: 0.0 <= value < 1.0)),
-    ("init_model", "", "optional saved model to warm-start train from", None),
-    *((f.name, f.default, _SOLVER_HELP[f.name], None) for f in dataclasses.fields(SolverConfig)),
-    *((f.name, f.default, _SYNTH_HELP[f.name], None)
+     data.SPLIT_FRACTION_RULES),
+    ("init_model", "", "optional saved model to warm-start train from", ()),
+    *((f.name, f.default, f.metadata["help"], ()) for f in dataclasses.fields(SolverConfig)),
+    *((f.name, f.default, f.metadata["help"], ())
       for f in dataclasses.fields(synthetic.SynthSpec) if f.name != "seed"),
-    ("tau", 0.5, "demand decision threshold of the time metric", ("finite", math.isfinite)),
+    ("tau", 0.5, "demand decision threshold of the time metric", (FINITE,)),
     ("sample_size", 100, "candidate pool for the item ranking metric (capped at n)",
-     (">= 1", lambda value: value >= 1)),
-    ("dump_records", False, "also write per-record metric values as CSV", None),
-    ("output_dir", "out", "directory all artifacts are written to", None),
+     (AT_LEAST_1,)),
+    ("dump_records", False, "also write per-record metric values as CSV", ()),
+    ("output_dir", "out", "directory all artifacts are written to", ()),
 ]
 DEFAULTS = {key: default for key, default, _, _ in CONFIG_SCHEMA}
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _coerce(key: str, text: str):
+def _parse_line(text: str, where: str):
+    """``(key, value)`` of one ``key = value`` text, a config file line or a
+    ``--set`` pair, with the value read as the type of the key's default;
+    an error names ``where`` the text came from."""
+    key, equals, value = (part.strip() for part in text.partition("="))
+    if not equals:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
     default = DEFAULTS[key]
     try:
         if isinstance(default, bool):
-            word = text.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {text!r}")
-            return _BOOL_WORDS[word]
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+            if value.lower() not in _BOOL_WORDS:
+                raise ValueError(f"not a boolean: {value!r}")
+            return key, _BOOL_WORDS[value.lower()]
+        return key, type(default)(value)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from None
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -123,15 +103,9 @@ def parse_config_file(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value.strip())
+            if line and not line.startswith("#"):
+                key, value = _parse_line(line, f"{path}:{lineno}")
+                values[key] = value
     return values
 
 
@@ -145,23 +119,15 @@ def resolve(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for pair in getattr(args, "set", None) or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, value.strip())
+    cfg.update(_parse_line(pair, "--set") for pair in getattr(args, "set", None) or [])
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "output_dir", None) is not None:
         cfg["output_dir"] = args.output_dir
     # every key is checked before any command reads or writes a file: by its
-    # schema row's rule, or by the config class that owns it
-    for key, _, _, rule in CONFIG_SCHEMA:
-        if rule is not None and not rule[1](cfg[key]):
-            raise ConfigError(f"{key} must be {rule[0]}, got {cfg[key]!r}")
+    # schema row's rules, or by the config class that owns it
+    for key, _, _, rules in CONFIG_SCHEMA:
+        data.check_rules(key, cfg[key], rules)
     _from_config(SolverConfig, cfg)
     _from_config(synthetic.SynthSpec, cfg)
     return cfg

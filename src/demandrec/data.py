@@ -46,12 +46,17 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 TIMESTAMP_FORMATS = ("days", "iso")
+# the rules (what, test) of the ingest and split arguments that are also
+# config keys; a value that fails test is "<key> must be <what>"
+GRANULARITY_RULES = (("finite and positive", lambda value: 0.0 < value < math.inf),)
+TIMESTAMP_FORMAT_RULES = ((f"one of {TIMESTAMP_FORMATS}", TIMESTAMP_FORMATS.__contains__),)
+SPLIT_FRACTION_RULES = (("in [0, 1)", lambda value: 0.0 <= value < 1.0),)
 # triplets per chunk of the passes that key a whole log without keeping the
 # keys (the split bundle's order check, the recency index build): each holds
 # int64 keys and their temporaries for one chunk, not for every triplet
@@ -439,12 +444,8 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
     of canonical integers with epoch-day timestamps is parsed straight to
     int64; any other file is read as strings, with the same result.
     """
-    if not 0.0 < granularity < math.inf:
-        raise DataFormatError(f"granularity must be finite and positive, got {granularity}")
-    if timestamp_format not in TIMESTAMP_FORMATS:
-        raise DataFormatError(
-            f"timestamp_format must be one of {TIMESTAMP_FORMATS}, got {timestamp_format!r}"
-        )
+    check_rules("granularity", granularity, GRANULARITY_RULES, DataFormatError)
+    check_rules("timestamp_format", timestamp_format, TIMESTAMP_FORMAT_RULES, DataFormatError)
 
     def row_error():
         _raise_purchase_row_error(path, timestamp_format)
@@ -465,8 +466,14 @@ def ingest_purchases(path, granularity=1.0, timestamp_format="days") -> Purchase
         stamps = np.array(days, dtype=np.int64)[codes]
     user_labels, users = _labels(*users)
     item_labels, items = _labels(*items)
-    slots = np.floor((stamps - stamps.min()) / float(granularity)).astype(np.int64)
+    # the span wraps as int64 past 2**63 days, but its bits as uint64 hold it
+    stamps -= stamps.min()
+    slots = np.floor(stamps.view(np.uint64) / float(granularity))
     del stamps
+    if not slots.max() < 2**63:
+        raise DataFormatError(f"{path}: the latest slot, {slots.max():g}, does not fit "
+                              "int64; use a coarser granularity")
+    slots = slots.astype(np.int64)
     return _build_log(
         users,
         items,
@@ -611,6 +618,14 @@ def _is_int(value) -> bool:
                                   and isinstance(value, numbers.Integral))
 
 
+def check_rules(name, value, rules, error=ConfigError) -> None:
+    """Raise ``error("<name> must be <what>, got <value!r>")`` for the first
+    rule ``(what, test)`` of ``rules`` whose test ``value`` fails."""
+    for what, test in rules:
+        if not test(value):
+            raise error(f"{name} must be {what}, got {value!r}")
+
+
 def _check_ints(**ids) -> None:
     """Refuse, as a ValueError naming it, any scalar id that is not an int."""
     for name, value in ids.items():
@@ -744,8 +759,7 @@ def split_train_test(log: PurchaseLog, fraction: float, seed: int) -> SplitSpec:
     one draw; a stable argsort of the keys shuffles each user's block in
     place (the log is sorted by user; equal draws keep log order), and the
     first triplets of each block are held out.  Deterministic in seed."""
-    if not 0.0 <= fraction < 1.0:
-        raise DataFormatError(f"split fraction must be in [0, 1), got {fraction}")
+    check_rules("split_fraction", fraction, SPLIT_FRACTION_RULES, DataFormatError)
     bits = 63 - int(log.m).bit_length()
     keys = np.random.default_rng(seed).integers(0, 1 << bits, size=log.nnz)
     keys |= log.users.astype(np.int64) << bits

@@ -20,34 +20,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import CategoryMap, PurchaseLog, _build_log, _decode_keys, _encode_keys
+from .data import CategoryMap, PurchaseLog, _build_log, _decode_keys, _encode_keys, check_rules
 from .errors import ConfigError, DataFormatError
-from .utility import check_int_fields
+from .utility import AT_LEAST_1, FINITE, IN_0_1, check_config, config_key, seed_key
+
+NOISE_RATIO_RULES = (FINITE, (">= 0", lambda value: value >= 0))
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Shape and knobs of one synthetic instance."""
 
-    m: int = 1000
-    n: int = 1000
-    l: int = 200
-    r: int = 10
-    rank: int = 10
-    obs_prob: float = 0.5
-    noise_ratio: float = 0.0
-    seed: int = 0
+    m: int = config_key(1000, "synthetic user count", AT_LEAST_1)
+    n: int = config_key(1000, "synthetic item count", AT_LEAST_1)
+    l: int = config_key(200, "synthetic time slot count", AT_LEAST_1)
+    r: int = config_key(10, "synthetic category count", AT_LEAST_1)
+    rank: int = config_key(10, "latent rank of the synthetic utility matrix", AT_LEAST_1)
+    obs_prob: float = config_key(0.5, "probability an eligible purchase is observed", IN_0_1)
+    noise_ratio: float = config_key(0.0, "noisy positives to add, as a fraction of nnz",
+                                    *NOISE_RATIO_RULES)
+    seed: int = seed_key()
 
     def __post_init__(self):
-        check_int_fields(self)
-        for name in ("m", "n", "l", "r", "rank"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 < self.obs_prob <= 1.0:
-            raise ConfigError(f"obs_prob must be in (0, 1], got {self.obs_prob}")
-        _check_noise_ratio(self.noise_ratio)
+        check_config(self)
 
 
 @dataclass(eq=False)
@@ -152,7 +147,7 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     its cell: ``existing[j] - j`` zero cells lie below ``existing[j]``, so
     the cell is ``q`` plus the number of present keys with
     ``existing[j] - j <= q``."""
-    _check_noise_ratio(noise_ratio)
+    check_rules("noise_ratio", noise_ratio, NOISE_RATIO_RULES)
     log = inst.log
     count = math.ceil(noise_ratio * log.nnz)
     if count == 0:
@@ -178,13 +173,6 @@ def flip_noise(inst: SynthInstance, noise_ratio: float, seed: int) -> SynthInsta
     )
     assert noisy.nnz == log.nnz + count
     return replace(inst, log=noisy)
-
-
-def _check_noise_ratio(noise_ratio) -> None:
-    if noise_ratio < 0:
-        raise ConfigError(f"noise_ratio must be >= 0, got {noise_ratio}")
-    if not math.isfinite(noise_ratio):
-        raise ConfigError(f"noise_ratio must be finite, got {noise_ratio}")
 
 
 def duration_error(d_est, d_true) -> float:

@@ -45,14 +45,15 @@ filled.  The bits are those of one thread.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
-from .data import PairStructure, TripletRecency
+from .data import PairStructure, TripletRecency, _is_int, check_rules
 from .errors import ConfigError, SolverError
 
 if TYPE_CHECKING:
@@ -61,18 +62,44 @@ if TYPE_CHECKING:
 _MAX_HALVINGS = 10
 
 
-def check_int_fields(config) -> None:
-    """Refuse, as a ConfigError, any field of the frozen dataclass ``config``
-    whose default is an int but whose value is not a true integer (a bool is
-    not) below 2**63; numpy integers are stored back as ``int``."""
+# rules (what, test) that several config keys share
+AT_LEAST_1 = (">= 1", lambda value: value >= 1)
+FINITE = ("finite", math.isfinite)
+IN_0_1 = ("in (0, 1]", lambda value: 0.0 < value <= 1.0)
+NONNEGATIVE = ("nonnegative", lambda value: value >= 0)
+# the type rules of a field whose default is an int or a float
+_INT_RULES = (("an integer", _is_int), ("below 2**63", lambda value: value < 2**63))
+_FLOAT_RULES = (("a number", lambda value: isinstance(value, numbers.Real)
+                 and not isinstance(value, bool)),)
+
+
+def config_key(default, help: str, *rules):
+    """A field of a config class that is also a config key, with its
+    ``default``, its ``help`` text and its rules ``(what, test)``."""
+    return field(default=default, metadata={"help": help, "rules": rules})
+
+
+def seed_key():
+    """The ``seed`` field, which SolverConfig and SynthSpec share."""
+    return config_key(0, "top-level seed; every stage derives its stream from it", NONNEGATIVE)
+
+
+def check_config(config) -> None:
+    """Refuse, as a ConfigError, the first field of the frozen config class
+    ``config`` (in field order) that fails its type or one of its rules: a
+    field whose default is an int takes a true integer below 2**63, one
+    whose default is a float a real number, numpy's too but not a bool, and
+    each is stored back as ``int`` or ``float``."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(f.default, int):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if value >= 2**63:
-                raise ConfigError(f"{f.name} must be below 2**63, got {value}")
-            object.__setattr__(config, f.name, int(value))
+        if isinstance(f.default, float):
+            check_rules(f.name, value, _FLOAT_RULES)
+            value = float(value)
+        else:
+            check_rules(f.name, value, _INT_RULES)
+            value = int(value)
+        check_rules(f.name, value, f.metadata["rules"])
+        object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -88,27 +115,19 @@ class SolverConfig:
     knob: the fit never reads it, so the scorers take it as an argument.
     """
 
-    eta: float = 0.5
-    lam: float = 1.0
-    max_rank: int = 10
-    inner_iters: int = 15
-    outer_iters: int = 30
-    tol: float = 1e-4
-    seed: int = 0
+    eta: float = config_key(0.5, "weight on observed purchases versus unlabeled cells", IN_0_1)
+    lam: float = config_key(1.0, "nuclear-norm regularization strength",
+                            ("positive and finite", lambda value: 0.0 < value < math.inf))
+    max_rank: int = config_key(10, "rank cap for the factored utility matrix", AT_LEAST_1)
+    inner_iters: int = config_key(15, "proximal gradient steps per utility update", AT_LEAST_1)
+    outer_iters: int = config_key(30, "alternating rounds over durations and utilities",
+                                  AT_LEAST_1)
+    tol: float = config_key(1e-4, "relative objective change that counts as converged",
+                            ("positive", lambda value: value > 0.0))
+    seed: int = seed_key()
 
     def __post_init__(self):
-        check_int_fields(self)
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if not 0.0 < self.lam < math.inf:
-            raise ConfigError(f"lam must be positive and finite, got {self.lam}")
-        for name in ("max_rank", "inner_iters", "outer_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_config(self)
 
 
 @dataclass(eq=False)
@@ -344,6 +363,7 @@ def randomized_svd(op, rank: int, oversample: int = 10, rng=None, start=None):
     start = np.empty((n, 0)) if start is None else start[:, :block]
     omega = np.hstack([start, rng.standard_normal((n, block - start.shape[1]))])
     Q, _ = orthonormalize(op.matmat(omega))
+    del omega  # not held through the product with the transpose
     Qb, Rb = orthonormalize(op.rmatmat(Q))
     Ur, sig, Vrt = np.linalg.svd(Rb.T)
     return Q @ Ur[:, :rank], sig[:rank], Qb @ Vrt[:rank].T

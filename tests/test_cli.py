@@ -167,6 +167,34 @@ class TestConfigResolution:
         cfg = cli.resolve(build_parser().parse_args(["train", "--config", str(cfgfile)]))
         assert {key: cfg[key] for key in values} == values
 
+    def test_readme_states_each_rule_in_its_words(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rules = {key: rules for key, _, _, rules in CONFIG_SCHEMA}
+        for klass in (SolverConfig, SynthSpec):
+            rules.update((f.name, f.metadata["rules"]) for f in dataclasses.fields(klass))
+        for key, key_rules in rules.items():
+            lines = [line for line in text.splitlines()
+                     if line.startswith(f"- `{key}` must be ")]
+            assert len(lines) == (1 if key_rules else 0), (key, lines)
+            for what, _ in key_rules:
+                assert what in lines[0], (key, what)
+
+    @pytest.mark.parametrize("text, message", [
+        ("m", "expected 'key = value', got 'm'"),
+        ("bogus = 3", "unknown config key 'bogus'"),
+        ("m = abc", "bad value for m: invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_file_lines_and_set_pairs_share_one_parser(self, tmp_path, capsys, text,
+                                                       message):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"# comment\n{text}\n")
+        assert main(["synth", "--config", str(cfgfile)]) == 2
+        from_file = capsys.readouterr().err.splitlines()
+        assert main(["synth", "--set", text]) == 2
+        from_set = capsys.readouterr().err.splitlines()
+        assert from_file == [f"error:config: {cfgfile}:2: {message}"]
+        assert from_set == [f"error:config: --set: {message}"]
+
     def test_help_lists_every_key(self):
         text = build_parser().format_help()
         for key, _, _, _ in CONFIG_SCHEMA:

@@ -127,6 +127,25 @@ class TestIngestPurchases:
         with pytest.raises(DataFormatError, match="granularity"):
             ingest_purchases(path, granularity=granularity)
 
+    @pytest.mark.parametrize("days, granularity", [
+        ((0, 1), 1e-300),
+        ((-(2**62), 2**62), 1.0),
+        ((-(2**63), 2**63 - 1), 1.0),
+    ])
+    def test_slot_range_beyond_int64_is_refused(self, tmp_path, days, granularity):
+        # the latest slot, span / granularity, is at least 2**63: it used to
+        # wrap to an unsorted log with every slot 0
+        path = write(tmp_path, "p.csv", "".join(f"{u},i,{day}\n" for u, day in enumerate(days)))
+        with pytest.raises(DataFormatError,
+                           match=r"p\.csv: the latest slot, .* coarser granularity$"):
+            ingest_purchases(path, granularity=granularity)
+
+    def test_span_beyond_int64_at_a_coarse_granularity(self, tmp_path):
+        # a span of 2**63 days or more is exact before it is divided
+        path = write(tmp_path, "p.csv", f"a,i,{-(2**62)}\nb,i,{2**62}\n")
+        log = ingest_purchases(path, granularity=2.0**62)
+        assert triplet_list(log) == [(0, 0, 0), (1, 0, 2)]
+
     def test_log_invariants(self, tmp_path):
         log = ingest_purchases(write(tmp_path, "p.csv", FIXTURE_ROWS))
         trips = triplet_list(log)

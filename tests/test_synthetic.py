@@ -20,6 +20,7 @@ from demandrec.synthetic import (
     simulate_purchases,
     true_durations,
 )
+from demandrec.utility import SolverConfig
 from helpers import triplet_list
 
 MEDIUM = SynthSpec(m=30, n=25, l=60, r=3, rank=5, obs_prob=0.7, seed=2)
@@ -77,6 +78,22 @@ class TestSynthSpec:
         base.update(kwargs)
         with pytest.raises(ConfigError, match=re.escape(message)):
             SynthSpec(**base)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(obs_prob=True), "obs_prob must be a number, got True"),
+        (dict(noise_ratio="0.1"), "noise_ratio must be a number, got '0.1'"),
+        (dict(obs_prob=None), "obs_prob must be a number, got None"),
+    ])
+    def test_float_fields_take_only_numbers(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SynthSpec(m=4, n=4, l=10, r=2, **kwargs)
+
+    def test_seed_is_one_key_of_both_config_classes(self):
+        solver, synth = (next(f for f in dataclasses.fields(klass) if f.name == "seed")
+                         for klass in (SolverConfig, SynthSpec))
+        assert solver.default == synth.default == 0
+        assert dict(solver.metadata) == dict(synth.metadata)
+        assert [what for what, _ in synth.metadata["rules"]] == ["nonnegative"]
 
     def test_numpy_integers_accepted_as_ints(self):
         spec = SynthSpec(m=np.int64(4), n=np.int32(4), l=10, r=2)

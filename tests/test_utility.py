@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -118,6 +119,24 @@ class TestSolverConfig:
         cfg = SolverConfig(seed=np.int64(7), max_rank=np.int32(4))
         assert cfg == SolverConfig(seed=7, max_rank=4)
         assert type(cfg.seed) is int and type(cfg.max_rank) is int
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(eta=True), dict(lam="1"), dict(tol=None), dict(eta=np.bool_(True)),
+    ])
+    def test_float_fields_take_only_numbers(self, kwargs):
+        [(name, value)] = kwargs.items()
+        message = f"{name} must be a number, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SolverConfig(**kwargs)
+
+    def test_real_numbers_are_stored_as_floats(self):
+        cfg = SolverConfig(eta=1, lam=np.float32(2.0), tol=np.int64(1))
+        assert (cfg.eta, cfg.lam, cfg.tol) == (1.0, 2.0, 1.0)
+        assert all(type(value) is float for value in (cfg.eta, cfg.lam, cfg.tol))
+
+    def test_first_bad_field_in_field_order_is_named(self):
+        with pytest.raises(ConfigError, match="^eta "):
+            SolverConfig(seed=-1, max_rank=1.5, eta=2.0)
 
     def test_positives_only_weighting_allowed(self):
         assert SolverConfig(eta=1.0).eta == 1.0
@@ -454,6 +473,24 @@ class TestRandomizedSvd:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.abs(np.sum(V * Vbt[:6].T, axis=0)), 1.0,
                                    rtol=0, atol=1e-12)
+
+    def test_input_block_is_not_held_through_the_transpose_product(self):
+        # at a wide shape (n >> m, few pairs) the n x block arrays dominate:
+        # the sketch's input block, the transpose product and the two passes
+        # of its orthonormalization; the input block is freed before them
+        m, n, rank, oversample = 40, 50_000, 5, 10
+        rng = np.random.default_rng(65)
+        S = sp.csr_matrix((rng.random(60), (rng.integers(0, m, 60), rng.integers(0, n, 60))),
+                          shape=(m, n))
+        op = GradStepOperator(0.0, FactoredUtilityMatrix.zeros(m, n), S)
+        tall = n * (rank + oversample) * 8
+        tracemalloc.start()
+        try:
+            randomized_svd(op, rank, oversample=oversample, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * tall, peak / tall
 
     def test_start_block_wider_than_the_sketch_is_truncated(self):
         rng = np.random.default_rng(61)
